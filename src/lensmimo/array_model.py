@@ -15,6 +15,7 @@ integer, which is what makes the beamspace picture exact on the grid.
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +63,16 @@ class LensArrayConfig:
     sinc_convention: SincConvention = SincConvention.NORMALIZED
 
     def __post_init__(self):
-        if self.d_tilde <= 0:
-            raise ValueError(f"d_tilde must be positive, got {self.d_tilde}")
-        if self.a_z <= 0:
-            raise ValueError(f"a_z must be positive, got {self.a_z}")
-        if self.focal_length <= 0:
-            raise ValueError(f"focal_length must be positive, got {self.focal_length}")
+        for name in ("d_tilde", "a_z", "focal_length"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.element_count is None:
             object.__setattr__(self, "element_count", derive_element_count(self.d_tilde))
         m = self.element_count
-        if not isinstance(m, int) or m < 1 or m % 2 == 0:
+        if not isinstance(m, numbers.Integral) or m < 1 or m % 2 == 0:
             raise ValueError(f"element_count must be an odd positive integer, got {m}")
+        object.__setattr__(self, "element_count", int(m))
         if (m - 1) / 2 > self.d_tilde:
             raise ValueError(
                 f"element_count {m} places elements beyond end-fire for d_tilde {self.d_tilde}"
@@ -172,7 +172,8 @@ def snap_to_grid(t, tol: float = GRID_SNAP_TOL):
     Keeps responses exactly one-hot for inputs that are grid points up to
     floating-point representation of the intended value. Python and NumPy
     float scalars take a scalar path with the same rounding (half to even)
-    and the same signed zero as the array path.
+    and the same signed zero as the array path. Non-finite values pass
+    through unchanged on both paths.
     """
     if isinstance(t, float):
         t = float(t)
@@ -183,7 +184,9 @@ def snap_to_grid(t, tol: float = GRID_SNAP_TOL):
         return t
     t = np.asarray(t, dtype=float)
     n = np.round(t)
-    snapped = np.where(np.abs(t - n) < tol, n, t)
+    with np.errstate(invalid="ignore"):
+        # inf - inf is NaN, which fails the test and passes t through
+        snapped = np.where(np.abs(t - n) < tol, n, t)
     if snapped.ndim == 0:
         return float(snapped)
     return snapped
@@ -203,12 +206,13 @@ def _sinc_array(x: np.ndarray, convention: SincConvention) -> np.ndarray:
 
 
 def _validate_spatial_freq(phi_tilde) -> None:
+    # Written so that NaN fails the test too
     if isinstance(phi_tilde, float):
-        bad = abs(phi_tilde) > 1.0
+        ok = abs(phi_tilde) <= 1.0
     else:
-        bad = (np.abs(np.asarray(phi_tilde)) > 1.0).any()
-    if bad:
-        raise ValueError("spatial frequency magnitude exceeds 1")
+        ok = (np.abs(np.asarray(phi_tilde)) <= 1.0).all()
+    if not ok:
+        raise ValueError("spatial frequency must be a number of magnitude at most 1")
 
 
 def _beam_coords(config: LensArrayConfig, spatial_freqs):

@@ -47,6 +47,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _fmt(x: float) -> str:
     """17 significant digits: round-trip safe for IEEE doubles."""
     return f"{x:.17g}"
@@ -68,7 +78,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, record: dict) -> None:
-    _write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    # NaN and Infinity are not JSON; json.dumps raises ValueError on them.
+    _write_text(path, json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_manifest(primary: str, command: str, params: dict, outputs: list, started: float, extra: dict = None) -> None:
@@ -255,20 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pat = sub.add_parser("pattern", help="interference pattern sweep to CSV")
-    pat.add_argument("--d-tilde", type=float, required=True)
-    pat.add_argument("--a-z", type=float, default=1.0)
-    pat.add_argument("--phi-l-deg", type=float, default=0.0, help="desired-user DOA in degrees")
-    pat.add_argument("--phi-l-sf", type=float, default=None,
+    pat.add_argument("--d-tilde", type=_finite_float, required=True)
+    pat.add_argument("--a-z", type=_finite_float, default=1.0)
+    pat.add_argument("--phi-l-deg", type=_finite_float, default=0.0,
+                     help="desired-user DOA in degrees")
+    pat.add_argument("--phi-l-sf", type=_finite_float, default=None,
                      help="desired-user spatial frequency, overrides --phi-l-deg")
-    pat.add_argument("--delta-min", type=float, default=-0.5)
-    pat.add_argument("--delta-max", type=float, default=0.5)
+    pat.add_argument("--delta-min", type=_finite_float, default=-0.5)
+    pat.add_argument("--delta-max", type=_finite_float, default=0.5)
     pat.add_argument("--steps", type=int, default=2001)
     pat.add_argument("--convention", choices=["normalized", "unnormalized"], default="normalized")
     pat.add_argument("--out", required=True)
     pat.set_defaults(func=_cmd_pattern)
 
     prob = sub.add_parser("prob", help="effective-interferer probability to JSON")
-    prob.add_argument("--d-tilde", type=float, required=True)
+    prob.add_argument("--d-tilde", type=_finite_float, required=True)
     prob.add_argument("--method", choices=["closed", "quadrature", "mc"], required=True)
     prob.add_argument("--samples", type=int, default=None)
     prob.add_argument("--seed", type=int, default=None)
@@ -277,16 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     prob.set_defaults(func=_cmd_prob)
 
     den = sub.add_parser("density", help="separation density table to CSV")
-    den.add_argument("--d-tilde", type=float, required=True)
-    den.add_argument("--z-min", type=float, required=True)
-    den.add_argument("--z-max", type=float, required=True)
+    den.add_argument("--d-tilde", type=_finite_float, required=True)
+    den.add_argument("--z-min", type=_finite_float, required=True)
+    den.add_argument("--z-max", type=_finite_float, required=True)
     den.add_argument("--steps", type=int, default=801)
     den.add_argument("--out", required=True)
     den.set_defaults(func=_cmd_density)
 
     scen = sub.add_parser("scenario", help="multiuser drop ensemble to JSON + CDF CSV")
-    scen.add_argument("--d-tilde", type=float, required=True)
-    scen.add_argument("--a-z", type=float, default=1.0)
+    scen.add_argument("--d-tilde", type=_finite_float, required=True)
+    scen.add_argument("--a-z", type=_finite_float, default=1.0)
     scen.add_argument("--users", type=int, required=True)
     scen.add_argument("--trials", type=int, required=True)
     scen.add_argument("--seed", type=int, required=True)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import LensArrayConfig, _profile_matrix
+from .array_model import LensArrayConfig
+from .interference import _diagonal, _drop_powers
 from .stochastic import DEFAULT_SECTOR, SectorModel, sample_doas
 
 CDF_POINTS = 256
@@ -62,32 +63,30 @@ class ApproximationReport:
 def _trial_block(config: ScenarioConfig, phi: np.ndarray):
     """Exact totals, effective totals, and effective counts for one chunk.
 
-    phi has shape (trials, L). The Gram matrix of the sinc profiles gives
-    every pairwise inner product at once; interference is its square scaled
-    by A^2/M. Self-pairs are excluded; the mainlobe gate |Theta| <= 1 uses
-    the raw spatial-frequency separations.
+    phi has shape (trials, L). _drop_powers gives every pairwise
+    interference power of a drop at once, self-pairs zeroed. The mainlobe
+    gate |Theta| <= 1 uses the raw spatial-frequency separations.
     """
     arr = config.array
     st = np.sin(phi)
-    prof = _profile_matrix(arr, st)
-    gram = np.einsum("tlm,tkm->tlk", prof, prof)
-    a = arr.aperture
-    power = (a * a / arr.element_count) * gram * gram
+    power = _drop_powers(arr, st)
+    theta = st[:, :, None] - st[:, None, :]
+    theta *= arr.d_tilde
+    eff_mask = np.abs(theta, out=theta) <= 1.0
+    _diagonal(eff_mask)[...] = False
 
-    L = config.user_count
-    off_diag = ~np.eye(L, dtype=bool)
-    theta = arr.d_tilde * (st[:, :, None] - st[:, None, :])
-    eff_mask = (np.abs(theta) <= 1.0) & off_diag
-
-    exact = (power * off_diag).sum(axis=2)
-    effective = (power * eff_mask).sum(axis=2)
+    exact = power.sum(axis=2)
+    # The same summation with the gated-out powers zeroed keeps effective <= exact
+    power *= eff_mask
+    effective = power.sum(axis=2)
     counts = eff_mask.sum(axis=2)
     return exact, effective, counts
 
 
 def _chunk_ranges(trials: int, user_count: int, element_count: int) -> list:
-    # Cap per-chunk profile storage near 32 MB of doubles.
-    per_trial = max(1, user_count * element_count)
+    # Cap per-chunk storage near 32 MB of doubles: per trial, each L x L
+    # pair array and, in the unnormalized convention, the L x M profiles.
+    per_trial = max(1, user_count * max(user_count, element_count))
     chunk = max(1, min(trials, 4_000_000 // per_trial))
     return [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
 

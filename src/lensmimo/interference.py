@@ -3,15 +3,38 @@
 With unit transmit power and MRC, the interference terminal k exerts on
 terminal l depends only on the two spatial frequencies:
 
-    I(l, k) = (1/M) * | h_l^H h_k |^2
-            = (1/M) * ( sum_m A sinc(m - t_l) sinc(m - t_k) )^2
+    I(l, k) = (1/M) * | h_l^H h_k |^2 = (A^2/M) * G(t_l, t_k)^2,
+    G(a, b) = sum_{m=-K}^{K} sinc(m - a) sinc(m - b),
 
-with t = d_tilde * phi_tilde the beam coordinates. The module provides the
-direct inner-product evaluation, an algebraically equivalent closed form
-obtained by rewriting each sinc product through the identity
-sin(x)sin(y) = [cos(x-y) - cos(x+y)]/2, the mainlobe-gated "effective"
-interference, and pattern metrics (nulls, sidelobe ratio) of the
-interference sweep.
+with t = d_tilde * phi_tilde the beam coordinates and K = (M - 1)/2.
+
+In the normalized convention G costs O(1) per pair, whatever M. Since
+sin(pi (m - t)) = -(-1)^m sin(pi t), each summand is
+v_a v_b / ((m - a)(m - b)) with v = sin(pi t)/pi, and partial fractions
+give
+
+    G(a, b) = v_a v_b [S(a) - S(b)] / (a - b),   S(t) = sum_m 1/(m - t).
+
+The digamma recurrence sums S(t) = psi(K + 1 - t) - psi(-K - t), and the
+reflection formula psi(-K - t) = psi(K + 1 + t) + pi cot(pi t) (DLMF 5.5.2,
+5.5.4, 5.15) moves the grid poles into cot, where v cancels them. With
+c = cos(pi t) and
+
+    u = v S(t) = v [psi(K + 1 - t) - psi(K + 1 + t)] - c,
+
+G(a, b) = (u_a v_b - v_a u_b) / (a - b). Beyond the element span,
+|t| > K, every m - t has the same sign and S(t) is summed without
+reflection. Pairs closer than COINCIDENT_GAP use the limit instead: the
+sum over all integers m is sinc(a - b), so G is sinc(a - b) less the tail
+|m| > K, whose terms are taken at the midpoint through Hurwitz zeta
+functions. pairwise_interference_closed evaluates G on Python floats.
+
+The unnormalized convention, sinc(x) = sin(x)/x, has summands whose
+numerator depends on m, so it keeps the O(M) sum over sinc profiles.
+pairwise_interference_direct builds both channel vectors and takes their
+Hermitian inner product; it is the oracle the kernel is tested against.
+The module also provides the mainlobe-gated "effective" interference and
+pattern metrics (nulls, sidelobe ratio) of the interference sweep.
 """
 
 import math
@@ -19,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
+from scipy.special import digamma, zeta
 
 from .array_model import (
     LensArrayConfig,
@@ -31,9 +55,10 @@ from .array_model import (
     array_response,
 )
 
-# Closed-form denominators smaller than this fall back to the direct
-# sinc product for that term; the closed form is an identity elsewhere.
-SINGULARITY_THRESHOLD = 1e-9
+# Beam-coordinate pairs closer than this take the coincident-pair limit of
+# the kernel: the difference quotient would lose about eps/gap of G, the
+# limit's midpoint expansion errs by about gap^2/4 of the tail.
+COINCIDENT_GAP = 1e-5
 
 # Powers are clamped here before dB conversion so emitted series stay finite.
 DB_FLOOR = 1e-300
@@ -127,50 +152,140 @@ def power_to_db(power_linear) -> float:
     return out
 
 
-def _direct_powers(config: LensArrayConfig, sf_l, sf_k) -> np.ndarray:
-    """Inner-product interference for broadcastable batches of pairs."""
-    prof_l = _profile_matrix(config, sf_l)
-    prof_k = _profile_matrix(config, sf_k)
-    dots = np.sum(prof_l * prof_k, axis=-1)
-    a = config.aperture
-    return (a * a / config.element_count) * dots * dots
+def _beam_terms(t: np.ndarray, max_index: int):
+    """Per-user kernel terms v = sin(pi t)/pi and u = v S(t) of beam coordinates t.
 
-
-def _closed_powers(config: LensArrayConfig, sf_l, sf_k) -> np.ndarray:
-    """Closed-form interference for broadcastable batches of pairs.
-
-    Per element m the summand A sinc(m - t_l) sinc(m - t_k) is rewritten as
-    N_m / D_m with
-
-        N_m = (A/2) [cos(c (t_l - t_k)) - cos(c (2m - t_l - t_k))]
-        D_m = c^2 (m - t_l)(m - t_k)
-
-    where c = pi in the normalized convention and c = 1 otherwise. The
-    denominator factors as m(m - (t_l + t_k)) + t_l t_k; the factored
-    grouping is used because it stays accurate near the sinc zeros. Terms
-    with |D_m| below the singularity threshold are evaluated directly.
+    sin and cos are taken of the offset from the nearest integer, so grid
+    users give v = 0 exactly. Coordinates beyond the span, |t| > K, get
+    finite placeholders for u; their pairs take the profile sum instead.
     """
-    t_l = np.asarray(_beam_coords(config, sf_l))[..., None]
-    t_k = np.asarray(_beam_coords(config, sf_k))[..., None]
+    n = np.rint(t)
+    e = np.pi * (t - n)
+    sign = 1.0 - 2.0 * (n % 2.0)
+    v = sign * np.sin(e) / np.pi
+    k1 = max_index + 1.0
+    t = np.clip(t, -max_index, max_index)
+    return v, v * (digamma(k1 - t) - digamma(k1 + t)) - sign * np.cos(e)
+
+
+def _coincident_gram(a, b, v_a, v_b, max_index: int):
+    """G(a, b) for |a - b| < COINCIDENT_GAP, both within the span.
+
+    The sum over all m is sinc(a - b). The tail |m| > K is subtracted with
+    each 1/((m - a)(m - b)) taken as 1/(m - x)^2 at the midpoint x, which
+    lies at least 1 from every tail index, and summed by the Hurwitz zeta
+    function zeta(2, q) = sum_{j >= 0} 1/(j + q)^2. Pairs beyond the span
+    get finite placeholders, as in _beam_terms.
+    """
+    x = np.clip(0.5 * (a + b), -max_index, max_index)
+    k1 = max_index + 1.0
+    return np.sinc(a - b) - v_a * v_b * (zeta(2.0, k1 - x) + zeta(2.0, k1 + x))
+
+
+def _profile_gram(config: LensArrayConfig, t_l: np.ndarray, t_k: np.ndarray) -> np.ndarray:
+    """G by the O(M) sum over sinc profiles, for 1-D arrays of beam coordinates."""
     m = _element_grid(config.max_index)
-    c = math.pi if config.sinc_convention is SincConvention.NORMALIZED else 1.0
+    conv = config.sinc_convention
+    prof_l = _sinc_array(m - t_l[:, None], conv)
+    return np.sum(prof_l * _sinc_array(m - t_k[:, None], conv), axis=1)
+
+
+def _pair_gram(config: LensArrayConfig, sf_l, sf_k) -> np.ndarray:
+    """Signed G(t_l, t_k) for broadcastable batches of spatial-frequency pairs."""
+    t_l, t_k = np.broadcast_arrays(
+        np.asarray(_beam_coords(config, sf_l)), np.asarray(_beam_coords(config, sf_k))
+    )
+    shape = t_l.shape
+    t_l, t_k = t_l.ravel(), t_k.ravel()
+    if config.sinc_convention is not SincConvention.NORMALIZED:
+        return _profile_gram(config, t_l, t_k).reshape(shape)
+    k = config.max_index
+    v_l, u_l = _beam_terms(t_l, k)
+    v_k, u_k = _beam_terms(t_k, k)
+    diff = t_l - t_k
+    near = np.abs(diff) < COINCIDENT_GAP
+    g = (u_l * v_k - v_l * u_k) / np.where(near, 1.0, diff)
+    g[near] = _coincident_gram(t_l[near], t_k[near], v_l[near], v_k[near], k)
+    beyond = (np.abs(t_l) > k) | (np.abs(t_k) > k)
+    g[beyond] = _profile_gram(config, t_l[beyond], t_k[beyond])
+    return g.reshape(shape)
+
+
+def _pair_powers(config: LensArrayConfig, sf_l, sf_k) -> np.ndarray:
+    """Interference (A^2/M) G^2 for broadcastable batches of pairs."""
+    g = _pair_gram(config, sf_l, sf_k)
     a = config.aperture
+    return (a * a / config.element_count) * g * g
 
-    num = 0.5 * a * (np.cos(c * (t_l - t_k)) - np.cos(c * (2.0 * m - t_l - t_k)))
-    den = (c * c) * (m - t_l) * (m - t_k)
 
-    near_zero = np.abs(den) < SINGULARITY_THRESHOLD
-    if near_zero.any():
-        terms = num / np.where(near_zero, 1.0, den)
-        direct = a * _sinc_array(m - t_l, config.sinc_convention) * _sinc_array(
-            m - t_k, config.sinc_convention
-        )
-        terms = np.where(near_zero, direct, terms)
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    """Writable view of the entries x[i, l, l] of a C-contiguous (T, L, L) array."""
+    T, L, _ = x.shape
+    return x.reshape(T, L * L)[:, :: L + 1]
+
+
+def _drop_powers(config: LensArrayConfig, sf: np.ndarray) -> np.ndarray:
+    """Interference between every ordered user pair of each drop.
+
+    sf has shape (T, L); entry [i, l, k] is the power user k exerts on user
+    l in drop i, and the diagonal is zero. In the normalized convention the
+    numerators u_l v_k - v_l u_k of a drop are one rank-2 matrix product.
+    """
+    a = config.aperture
+    if config.sinc_convention is not SincConvention.NORMALIZED:
+        prof = _profile_matrix(config, sf)
+        g = prof @ prof.transpose(0, 2, 1)
     else:
-        terms = num / den
+        k = config.max_index
+        t = np.asarray(_beam_coords(config, sf))
+        v, u = _beam_terms(t, k)
+        g = np.stack((u, -v), 2) @ np.stack((v, u), 1)
+        diff = t[:, :, None] - t[:, None, :]
+        # Self-pairs are zeroed below, so any divisor serves on the diagonal.
+        _diagonal(diff)[...] = 1.0
+        # Coincident pairs are rare: only drops whose sorted coordinates
+        # have a gap below COINCIDENT_GAP are searched for them.
+        gaps = np.diff(np.sort(t, axis=1), axis=1)
+        rows = np.nonzero((gaps < COINCIDENT_GAP).any(axis=1))[0]
+        r, l, j = np.nonzero(np.abs(diff[rows]) < COINCIDENT_GAP)
+        i = rows[r]
+        diff[i, l, j] = 1.0
+        g /= diff
+        g[i, l, j] = _coincident_gram(t[i, l], t[i, j], v[i, l], v[i, j], k)
+        beyond = np.abs(t) > k
+        if beyond.any():
+            i, l, j = np.nonzero(beyond[:, :, None] | beyond[:, None, :])
+            g[i, l, j] = _profile_gram(config, t[i, l], t[i, j])
+    np.square(g, out=g)
+    g *= a * a / config.element_count
+    _diagonal(g)[...] = 0.0
+    return g
 
-    s = terms.sum(axis=-1)
-    return s * s / config.element_count
+
+def _gram_float(a: float, b: float, max_index: int) -> float:
+    """G(a, b) of two beam coordinates within the span, on Python floats.
+
+    The kernel of _beam_terms, _coincident_gram and _pair_gram written with
+    math and scalar scipy calls, because NumPy's per-call overhead on 0-d
+    arrays would dominate a single pair.
+    """
+    k1 = max_index + 1.0
+    terms = []
+    for t in (a, b):
+        n = round(t)
+        e = math.pi * (t - n)
+        v = math.sin(e) / math.pi
+        c = math.cos(e)
+        if n % 2:
+            v, c = -v, -c
+        terms.append((v, v * float(digamma(k1 - t) - digamma(k1 + t)) - c))
+    (v_a, u_a), (v_b, u_b) = terms
+    d = a - b
+    if abs(d) >= COINCIDENT_GAP:
+        return (u_a * v_b - v_a * u_b) / d
+    x = 0.5 * (a + b)
+    s = 1.0 if d == 0.0 else math.sin(math.pi * d) / (math.pi * d)
+    return s - v_a * v_b * float(zeta(2.0, k1 - x) + zeta(2.0, k1 + x))
 
 
 def pairwise_interference_direct(
@@ -190,8 +305,17 @@ def pairwise_interference_direct(
 def pairwise_interference_closed(
     config: LensArrayConfig, phi_tilde_l: float, phi_tilde_k: float
 ) -> float:
-    """Closed-form interference, identical to the direct path to rounding."""
-    return float(_closed_powers(config, float(phi_tilde_l), float(phi_tilde_k)))
+    """Closed-form interference, identical to the direct path to rounding.
+
+    O(1) work in the normalized convention, whatever the element count.
+    """
+    a = _beam_coords(config, float(phi_tilde_l))
+    b = _beam_coords(config, float(phi_tilde_k))
+    k = config.max_index
+    if config.sinc_convention is not SincConvention.NORMALIZED or max(abs(a), abs(b)) > k:
+        return float(_pair_powers(config, phi_tilde_l, phi_tilde_k))
+    g = _gram_float(a, b, k)
+    return config.aperture**2 / config.element_count * g * g
 
 
 def effective_interference(
@@ -224,7 +348,7 @@ def user_total_interference(config: LensArrayConfig, index_l: int, spatial_freqs
     others = np.delete(sf, index_l)
     if others.size == 0:
         return 0.0
-    powers = _closed_powers(config, np.full(others.shape, sf[index_l]), others)
+    powers = _pair_powers(config, sf[index_l], others)
     return float(powers.sum())
 
 
@@ -245,7 +369,7 @@ def sweep_pattern(config: LensArrayConfig, phi_tilde_l: float, delta_grid) -> Pa
     deltas = deltas[keep]
     if deltas.size == 0:
         raise ValueError("no delta grid point keeps the interferer in range")
-    powers = _closed_powers(config, np.full(deltas.shape, float(phi_tilde_l)), sf_k[keep])
+    powers = _pair_powers(config, float(phi_tilde_l), sf_k[keep])
     theta = config.d_tilde * deltas
     series = PatternSeries(
         phi_tilde_l=float(phi_tilde_l),
@@ -263,10 +387,8 @@ def sweep_pattern(config: LensArrayConfig, phi_tilde_l: float, delta_grid) -> Pa
 def _correlation(config: LensArrayConfig, phi_tilde_l: float, deltas) -> np.ndarray:
     # Signed channel correlation; its sign changes locate pattern nulls,
     # which are touching zeros of the squared pattern.
-    prof_l = _profile_matrix(config, float(phi_tilde_l))
-    sf_k = float(phi_tilde_l) - np.asarray(deltas, dtype=float)
-    prof_k = _profile_matrix(config, sf_k)
-    return prof_k @ prof_l
+    phi_tilde_l = float(phi_tilde_l)
+    return _pair_gram(config, phi_tilde_l, phi_tilde_l - np.asarray(deltas, dtype=float))
 
 
 def _null_brackets(config: LensArrayConfig, phi_tilde_l: float, count: int) -> list:
@@ -322,9 +444,9 @@ def sidelobe_ratio_db(config: LensArrayConfig) -> float:
     brackets = _null_brackets(config, 0.0, 2)
     n1 = _refine_null(config, 0.0, brackets[0])
     n2 = _refine_null(config, 0.0, brackets[1])
-    peak = float(_direct_powers(config, 0.0, 0.0))
+    peak = pairwise_interference_closed(config, 0.0, 0.0)
 
-    neg_power = lambda d: -float(_direct_powers(config, 0.0, float(d)))
+    neg_power = lambda d: -pairwise_interference_closed(config, 0.0, float(d))
     res = optimize.minimize_scalar(
         neg_power, bounds=(n1, n2), method="bounded", options={"xatol": 1e-12}
     )

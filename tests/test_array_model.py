@@ -1,6 +1,7 @@
 """Geometry, sinc evaluation, and array response tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             LensArrayConfig(d_tilde=10.0, focal_length=0.0)
 
+    @pytest.mark.parametrize("field", ["d_tilde", "a_z", "focal_length"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_dimensions_rejected(self, field, value):
+        kwargs = {"d_tilde": 10.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LensArrayConfig(**kwargs)
+
+    def test_numpy_integer_count_accepted(self):
+        cfg = LensArrayConfig(d_tilde=10.0, element_count=np.int64(21))
+        assert cfg.element_count == 21
+        assert type(cfg.element_count) is int
+        assert cfg == LensArrayConfig(d_tilde=10.0)
+
     def test_from_physical_divides_by_wavelength(self):
         cfg = LensArrayConfig.from_physical(d_y=5.0, d_z=2.0, wavelength=0.5)
         assert cfg.d_tilde == 10.0
@@ -117,6 +131,13 @@ class TestSnapToGrid:
     def test_array_input(self):
         out = snap_to_grid(np.array([1.0 + 1e-12, 1.5]))
         assert out[0] == 1.0 and out[1] == 1.5
+
+    def test_non_finite_values_pass_through_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = snap_to_grid(np.array([np.inf, 1.0 + 1e-12, np.nan, -np.inf]))
+        assert out[0] == np.inf and out[1] == 1.0
+        assert np.isnan(out[2]) and out[3] == -np.inf
 
 
 class TestElementPlacements:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lensmimo import effective_prob_closed, effective_prob_quadrature
-from lensmimo.cli import main
+from lensmimo.cli import _write_json, main
 
 TRUE_P10 = 0.1122673842
 
@@ -126,6 +126,14 @@ class TestProb:
         assert code == 3
         assert "d_tilde" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    def test_non_finite_aperture_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "x.json"
+        code = run_cli("prob", "--d-tilde", value, "--method", "closed", "--out", out)
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDensity:
     def test_full_support_integral(self, tmp_path):
@@ -233,6 +241,13 @@ class TestPlumbing:
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert run_cli("prob", "--method", "closed") == 2
+
+    def test_json_writer_refuses_nan_and_infinity(self, tmp_path):
+        for bad in (math.nan, math.inf):
+            out = tmp_path / "bad.json"
+            with pytest.raises(ValueError):
+                _write_json(str(out), {"value": bad})
+            assert not out.exists()
 
     def test_csv_floats_round_trip(self, tmp_path):
         out = tmp_path / "pat.csv"

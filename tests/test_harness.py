@@ -8,19 +8,22 @@ import pytest
 from lensmimo import (
     LensArrayConfig,
     ScenarioConfig,
+    SincConvention,
     approximation_quality,
     effective_prob_mc,
     run_scenario,
     sample_doas,
     user_total_interference,
 )
+from lensmimo.harness import _chunk_ranges
 
 TRUE_P10 = 0.1122673842  # see test_stochastic for the independent oracle
 
 
-def _cfg(d_tilde=10.0, users=10, trials=2000, seed=1, a_z=1.0):
+def _cfg(d_tilde=10.0, users=10, trials=2000, seed=1, a_z=1.0,
+         convention=SincConvention.NORMALIZED):
     return ScenarioConfig(
-        array=LensArrayConfig(d_tilde=d_tilde, a_z=a_z),
+        array=LensArrayConfig(d_tilde=d_tilde, a_z=a_z, sinc_convention=convention),
         user_count=users,
         trial_count=trials,
         seed=seed,
@@ -67,9 +70,11 @@ class TestDeterminism:
         assert np.array_equal(r1.cdf_grid, r2.cdf_grid)
 
     def test_thread_count_invariant(self):
-        cfg = _cfg(trials=3000, users=6)
+        cfg = _cfg(trials=1000, users=100)
+        # the pool only runs when the trials span several chunks
+        assert len(_chunk_ranges(1000, 100, cfg.array.element_count)) >= 2
         serial = run_scenario(cfg, threads=1)
-        for threads in (2, 4, 7):
+        for threads in (2, 3, 7):
             par = run_scenario(cfg, threads=threads)
             assert np.array_equal(serial.exact_totals, par.exact_totals)
             assert np.array_equal(serial.effective_totals, par.effective_totals)
@@ -87,10 +92,30 @@ class TestDeterminism:
         assert np.array_equal(long.exact_totals[:100], short.exact_totals)
 
 
+class TestChunking:
+    def test_many_users_bound_every_pair_array(self):
+        # each float64 (chunk, L, L) intermediate stays within 4e6 doubles
+        ranges = _chunk_ranges(10_000, 1000, 41)
+        assert ranges[0][0] == 0 and ranges[-1][1] == 10_000
+        assert all(a1 == b0 for (_, b0), (a1, _) in zip(ranges, ranges[1:]))
+        assert max(b - a for a, b in ranges) * 1000 * 1000 <= 4_000_000
+
+    def test_profiles_bound_wide_arrays(self):
+        ranges = _chunk_ranges(10_000, 10, 4001)
+        assert max(b - a for a, b in ranges) * 10 * 4001 <= 4_000_000
+
+
 class TestAdditivity:
     def test_per_user_totals_match_pairwise_sums(self):
-        # audit 1% of trials against the scalar interference path
-        cfg = _cfg(users=6, trials=300, d_tilde=5.0, a_z=2.0, seed=3)
+        self._audit(_cfg(users=6, trials=300, d_tilde=5.0, a_z=2.0, seed=3))
+
+    def test_unnormalized_totals_match_pairwise_sums(self):
+        self._audit(_cfg(users=6, trials=300, d_tilde=5.0, a_z=2.0, seed=3,
+                         convention=SincConvention.UNNORMALIZED))
+
+    @staticmethod
+    def _audit(cfg):
+        # audit 1% of trials against the batch interference path
         res = run_scenario(cfg)
         phi = sample_doas(cfg.seed, cfg.trial_count * cfg.user_count).reshape(
             cfg.trial_count, cfg.user_count

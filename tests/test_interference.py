@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lensmimo import (
+    GRID_SNAP_TOL,
     AngularPair,
     LensArrayConfig,
     NullNotFoundError,
+    ScenarioConfig,
     SincConvention,
     effective_interference,
     first_null,
     pairwise_interference_closed,
     pairwise_interference_direct,
     power_to_db,
+    run_scenario,
     sidelobe_ratio_db,
     sweep_pattern,
     user_total_interference,
@@ -74,7 +77,7 @@ class TestClosedFormEquivalence:
         assert _agree(d, c)
 
     def test_broadside_self_alignment_exercises_fallback(self):
-        # At phi_l = phi_k = 0 the m = 0 denominator vanishes exactly
+        # At phi_l = phi_k the kernel takes its coincident-pair limit
         cfg = LensArrayConfig(d_tilde=10.0, a_z=10.0)
         expect = cfg.aperture**2 / cfg.element_count
         assert pairwise_interference_closed(cfg, 0.0, 0.0) == pytest.approx(expect, rel=1e-12)
@@ -128,10 +131,122 @@ class TestClosedFormEquivalence:
     @given(sector_freqs, sector_freqs)
     @settings(max_examples=60)
     def test_bounded_by_alignment_peak(self, sf_l, sf_k):
+        # Cauchy-Schwarz bounds the pair by the geometric mean of the two
+        # self-alignment powers. One user's own peak is no bound, because the
+        # peak varies with the user: (0.440055953333953, 0.439453125) gives
+        # 18.25286, above the first user's peak 18.24989.
         cfg = LensArrayConfig(d_tilde=10.0, a_z=2.0)
-        peak = pairwise_interference_direct(cfg, sf_l, sf_l)
+        peak_l = pairwise_interference_direct(cfg, sf_l, sf_l)
+        peak_k = pairwise_interference_direct(cfg, sf_k, sf_k)
         value = pairwise_interference_direct(cfg, sf_l, sf_k)
-        assert 0.0 <= value <= peak * (1.0 + 1e-12)
+        assert 0.0 <= value <= math.sqrt(peak_l * peak_k) * (1.0 + 1e-12)
+
+
+def _kernel_paths(cfg, pairs):
+    """Power of each (sf_l, sf_k) pair from the scalar closed path, the
+    batch path and the ensemble path, next to the direct oracle at the
+    same spatial frequencies."""
+    pairs = np.asarray(pairs, dtype=float)
+    # run_scenario takes DOAs and recomputes sin; use its spatial frequencies
+    sf = np.sin(np.arcsin(pairs))
+    scenario = ScenarioConfig(array=cfg, user_count=2, trial_count=len(sf), seed=0)
+    ensemble = run_scenario(scenario, doas=np.arcsin(pairs)).exact_totals[:, 0]
+    rows = []
+    for (sf_l, sf_k), from_ensemble in zip(sf, ensemble):
+        rows.append((
+            pairwise_interference_direct(cfg, sf_l, sf_k),
+            pairwise_interference_closed(cfg, sf_l, sf_k),
+            user_total_interference(cfg, 0, [sf_l, sf_k]),
+            float(from_ensemble),
+        ))
+    return rows
+
+
+def _assert_kernel_matches_direct(cfg, pairs):
+    for direct, *fast in _kernel_paths(cfg, pairs):
+        for value in fast:
+            assert _agree(direct, value), f"direct {direct!r} fast {fast!r}"
+
+
+class TestPairKernel:
+    """The O(1) kernel on every path against the direct inner product,
+    under the oracle bounds of _agree, at the inputs where it switches
+    formula or loses digits."""
+
+    APERTURES = [5.0, 10.0, 20.0, 57.3, 100.0]
+
+    @pytest.mark.parametrize("d_tilde", APERTURES)
+    def test_coincident_pairs_across_the_switch(self, d_tilde):
+        # beam-coordinate gaps from 1e-14 to 1e-2, with COINCIDENT_GAP = 1e-5 bracketed
+        # and at t = +-(K - 1/2), where the tail the limit form subtracts is largest
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
+        gaps = np.concatenate([np.logspace(-14, -2, 25), [0.99e-5, 1e-5, 1.01e-5]])
+        edge = (cfg.max_index - 0.5) / d_tilde
+        rng = np.random.default_rng(17)
+        pairs = [(base, base + gap / d_tilde)
+                 for base in (rng.uniform(-SQRT3_HALF, SQRT3_HALF), edge, -edge)
+                 for gap in gaps]
+        _assert_kernel_matches_direct(cfg, pairs + [(b, a) for a, b in pairs])
+
+    @pytest.mark.parametrize("d_tilde", APERTURES)
+    def test_coordinates_at_the_snap_tolerance(self, d_tilde):
+        # within GRID_SNAP_TOL (snapped onto the grid) and just outside it
+        cfg = LensArrayConfig(d_tilde=d_tilde)
+        offsets = np.array([0.0, 0.4, -0.9, 1.1, -2.0, 5.0]) * GRID_SNAP_TOL
+        m = np.array([0, 1, -3, 4, 2, -1])
+        near_grid = (m + offsets) / d_tilde
+        partners = np.concatenate([np.roll(near_grid, 1), [0.31, -0.47, 0.05, 0.6, -0.2, 0.7]])
+        pairs = np.stack([np.tile(near_grid, 2), partners], axis=1)
+        _assert_kernel_matches_direct(cfg, pairs)
+
+    @pytest.mark.parametrize("d_tilde", APERTURES)
+    def test_pairs_near_pattern_nulls(self, d_tilde):
+        # separations n/d_tilde put a grid user's pattern at its nulls
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=3.0)
+        pairs = []
+        for phi_l in (0.0, 2.0 / d_tilde, 0.3137):
+            for n in (1, -2, 3):
+                for eps in (0.0, 1e-12, -1e-9, 1e-6):
+                    pairs.append((phi_l, phi_l - (n + eps) / d_tilde))
+        _assert_kernel_matches_direct(cfg, pairs)
+
+    @pytest.mark.parametrize("d_tilde, count", [(20.0, 11), (20.0, 1), (57.3, 21)])
+    def test_overridden_element_count(self, d_tilde, count):
+        # users beyond the element span, |t| > K, including coincident ones
+        cfg = LensArrayConfig(d_tilde=d_tilde, element_count=count, a_z=2.0)
+        k = cfg.max_index
+        rng = np.random.default_rng(29)
+        pairs = list(rng.uniform(-1.0, 1.0, size=(40, 2)))
+        for t in (k - 1e-7, k, k + 2e-9, k + 0.5, k + 1.0, k + 3.3, -(k + 0.7)):
+            for gap in (0.0, 1e-12, 1e-7, 1.01e-5, 1e-3, 0.4):
+                pairs.append((t / d_tilde, (t + gap) / d_tilde))
+        _assert_kernel_matches_direct(cfg, pairs)
+
+    def test_span_edge_with_derived_count(self):
+        # d_tilde = 5.9 derives K = 5, so |t| in (5, 5.9] lies beyond the span
+        cfg = LensArrayConfig(d_tilde=5.9)
+        pairs = [(t / 5.9, (t + gap) / 5.9)
+                 for t in (4.9999, 5.0, 5.2, 5.8, -5.5)
+                 for gap in (0.0, 1e-9, 2e-5, 0.05)
+                 if abs(t + gap) <= 5.9]
+        _assert_kernel_matches_direct(cfg, pairs)
+
+    def test_nan_spatial_frequency_rejected(self):
+        cfg = LensArrayConfig(d_tilde=10.0)
+        with pytest.raises(ValueError, match="magnitude at most 1"):
+            pairwise_interference_closed(cfg, math.nan, 0.1)
+        with pytest.raises(ValueError, match="magnitude at most 1"):
+            user_total_interference(cfg, 0, [0.1, math.nan])
+
+    @pytest.mark.parametrize("d_tilde", APERTURES)
+    def test_grid_pairs_exact(self, d_tilde):
+        # distinct grid points give exactly 0.0, self-alignment exactly A^2/M
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=3.0)
+        peak = cfg.aperture**2 / cfg.element_count
+        for _, *fast in _kernel_paths(cfg, [(3 / d_tilde, -2 / d_tilde), (0.0, 1 / d_tilde)]):
+            assert fast == [0.0, 0.0, 0.0]
+        for _, *fast in _kernel_paths(cfg, [(4 / d_tilde, 4 / d_tilde), (0.0, 0.0)]):
+            assert fast == [peak, peak, peak]
 
 
 class TestEffectiveInterference:

@@ -238,7 +238,7 @@ class TestEffectiveProbMc:
 
     def test_thread_count_does_not_change_value(self):
         base = effective_prob_mc(10.0, sample_count=300_000, seed=5, threads=1)
-        for threads in (2, 3, 8):
+        for threads in (2, 3, 4, 8):
             alt = effective_prob_mc(10.0, sample_count=300_000, seed=5, threads=threads)
             assert alt.value == base.value
 
