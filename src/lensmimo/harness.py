@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import LensArrayConfig
-from .interference import _diagonal, _drop_powers
+from .interference import _pair_powers
 from .stochastic import DEFAULT_SECTOR, SectorModel, sample_doas
 
 CDF_POINTS = 256
@@ -63,17 +63,18 @@ class ApproximationReport:
 def _trial_block(config: ScenarioConfig, phi: np.ndarray):
     """Exact totals, effective totals, and effective counts for one chunk.
 
-    phi has shape (trials, L). _drop_powers gives every pairwise
+    phi has shape (trials, L). _pair_powers gives every pairwise
     interference power of a drop at once, self-pairs zeroed. The mainlobe
     gate |Theta| <= 1 uses the raw spatial-frequency separations.
     """
     arr = config.array
     st = np.sin(phi)
-    power = _drop_powers(arr, st)
+    power = _pair_powers(arr, st)
     theta = st[:, :, None] - st[:, None, :]
     theta *= arr.d_tilde
     eff_mask = np.abs(theta, out=theta) <= 1.0
-    _diagonal(eff_mask)[...] = False
+    self_pair = np.arange(st.shape[1])
+    eff_mask[:, self_pair, self_pair] = False
 
     exact = power.sum(axis=2)
     # The same summation with the gated-out powers zeroed keeps effective <= exact

@@ -22,12 +22,13 @@ c = cos(pi t) and
 
     u = v S(t) = v [psi(K + 1 - t) - psi(K + 1 + t)] - c,
 
-G(a, b) = (u_a v_b - v_a u_b) / (a - b). Beyond the element span,
-|t| > K, every m - t has the same sign and S(t) is summed without
-reflection. Pairs closer than COINCIDENT_GAP use the limit instead: the
-sum over all integers m is sinc(a - b), so G is sinc(a - b) less the tail
-|m| > K, whose terms are taken at the midpoint through Hurwitz zeta
-functions. pairwise_interference_closed evaluates G on Python floats.
+G(a, b) = (u_a v_b - v_a u_b) / (a - b). Users beyond the element span,
+|t| > K, take the O(M) profile sum, because the digamma difference loses
+its digits to cancellation there. Pairs closer than COINCIDENT_GAP use
+the limit instead: the sum over all integers m is sinc(a - b), so G is
+sinc(a - b) less the tail |m| > K, whose terms are taken at the midpoint
+through Hurwitz zeta functions. pairwise_interference_closed evaluates G
+on Python floats.
 
 The unnormalized convention, sinc(x) = sin(x)/x, has summands whose
 numerator depends on m, so it keeps the O(M) sum over sinc profiles.
@@ -49,7 +50,6 @@ from .array_model import (
     SincConvention,
     _beam_coords,
     _element_grid,
-    _profile_matrix,
     _sinc_array,
     _validate_spatial_freq,
     array_response,
@@ -157,7 +157,7 @@ def _beam_terms(t: np.ndarray, max_index: int):
 
     sin and cos are taken of the offset from the nearest integer, so grid
     users give v = 0 exactly. Coordinates beyond the span, |t| > K, get
-    finite placeholders for u; their pairs take the profile sum instead.
+    finite placeholders for u; their rows take the profile sum instead.
     """
     n = np.rint(t)
     e = np.pi * (t - n)
@@ -183,82 +183,69 @@ def _coincident_gram(a, b, v_a, v_b, max_index: int):
 
 
 def _profile_gram(config: LensArrayConfig, t_l: np.ndarray, t_k: np.ndarray) -> np.ndarray:
-    """G by the O(M) sum over sinc profiles, for 1-D arrays of beam coordinates."""
+    """G by the O(M) sum over sinc profiles, for beam coordinates of shapes
+    (R, L) and (R, N); the result has shape (R, L, N)."""
     m = _element_grid(config.max_index)
     conv = config.sinc_convention
-    prof_l = _sinc_array(m - t_l[:, None], conv)
-    return np.sum(prof_l * _sinc_array(m - t_k[:, None], conv), axis=1)
+    prof_l = _sinc_array(m - t_l[..., None], conv)
+    return prof_l @ _sinc_array(m - t_k[..., None], conv).transpose(0, 2, 1)
 
 
-def _pair_gram(config: LensArrayConfig, sf_l, sf_k) -> np.ndarray:
-    """Signed G(t_l, t_k) for broadcastable batches of spatial-frequency pairs."""
-    t_l, t_k = np.broadcast_arrays(
-        np.asarray(_beam_coords(config, sf_l)), np.asarray(_beam_coords(config, sf_k))
-    )
-    shape = t_l.shape
-    t_l, t_k = t_l.ravel(), t_k.ravel()
-    if config.sinc_convention is not SincConvention.NORMALIZED:
-        return _profile_gram(config, t_l, t_k).reshape(shape)
+def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
+    """Signed G between every user of sf_l and every user of sf_k.
+
+    sf_l and sf_k have shapes (..., L) and (..., N) with the same leading
+    shape, and the result has shape (..., L, N). Without sf_k the pairs are
+    those of sf_l with itself, and the self-pairs, which the drop ensembles
+    exclude, read 0.
+
+    In the normalized convention the numerators u_l v_k - v_l u_k are one
+    rank-2 matrix product per row, so the special functions are called
+    O(L + N) times per row. Coincident pairs are rare: only rows whose
+    sorted coordinates have a gap below COINCIDENT_GAP are searched for them.
+    Rows with a user beyond the span take the profile sum.
+    """
+    t_l = np.asarray(_beam_coords(config, sf_l))
+    t_k = t_l if sf_k is None else np.asarray(_beam_coords(config, sf_k))
+    shape = t_l.shape + t_k.shape[-1:]
+    t_l = t_l.reshape(-1, t_l.shape[-1])
+    t_k = t_k.reshape(-1, t_k.shape[-1])
+    self_pair = np.arange(t_l.shape[1])
     k = config.max_index
-    v_l, u_l = _beam_terms(t_l, k)
-    v_k, u_k = _beam_terms(t_k, k)
-    diff = t_l - t_k
-    near = np.abs(diff) < COINCIDENT_GAP
-    g = (u_l * v_k - v_l * u_k) / np.where(near, 1.0, diff)
-    g[near] = _coincident_gram(t_l[near], t_k[near], v_l[near], v_k[near], k)
-    beyond = (np.abs(t_l) > k) | (np.abs(t_k) > k)
-    g[beyond] = _profile_gram(config, t_l[beyond], t_k[beyond])
+    if config.sinc_convention is not SincConvention.NORMALIZED:
+        g = _profile_gram(config, t_l, t_k)
+    else:
+        v_l, u_l = _beam_terms(t_l, k)
+        v_k, u_k = (v_l, u_l) if sf_k is None else _beam_terms(t_k, k)
+        g = np.stack((u_l, -v_l), 2) @ np.stack((v_k, u_k), 1)
+        diff = t_l[:, :, None] - t_k[:, None, :]
+        if sf_k is None:
+            pool = t_l
+            # Self-pairs are zeroed below, so any divisor serves there.
+            diff[:, self_pair, self_pair] = 1.0
+        else:
+            pool = np.concatenate((t_l, t_k), axis=1)
+        gaps = np.diff(np.sort(pool, axis=1), axis=1)
+        rows = np.nonzero((gaps < COINCIDENT_GAP).any(axis=1))[0]
+        r, i, j = np.nonzero(np.abs(diff[rows]) < COINCIDENT_GAP)
+        r = rows[r]
+        diff[r, i, j] = 1.0
+        g /= diff
+        g[r, i, j] = _coincident_gram(t_l[r, i], t_k[r, j], v_l[r, i], v_k[r, j], k)
+        beyond = (np.abs(t_l) > k).any(axis=1) | (np.abs(t_k) > k).any(axis=1)
+        if beyond.any():
+            g[beyond] = _profile_gram(config, t_l[beyond], t_k[beyond])
+    if sf_k is None:
+        g[:, self_pair, self_pair] = 0.0
     return g.reshape(shape)
 
 
-def _pair_powers(config: LensArrayConfig, sf_l, sf_k) -> np.ndarray:
-    """Interference (A^2/M) G^2 for broadcastable batches of pairs."""
+def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
+    """Interference (A^2/M) G^2 between the users of sf_l and sf_k, as _pair_gram."""
     g = _pair_gram(config, sf_l, sf_k)
-    a = config.aperture
-    return (a * a / config.element_count) * g * g
-
-
-def _diagonal(x: np.ndarray) -> np.ndarray:
-    """Writable view of the entries x[i, l, l] of a C-contiguous (T, L, L) array."""
-    T, L, _ = x.shape
-    return x.reshape(T, L * L)[:, :: L + 1]
-
-
-def _drop_powers(config: LensArrayConfig, sf: np.ndarray) -> np.ndarray:
-    """Interference between every ordered user pair of each drop.
-
-    sf has shape (T, L); entry [i, l, k] is the power user k exerts on user
-    l in drop i, and the diagonal is zero. In the normalized convention the
-    numerators u_l v_k - v_l u_k of a drop are one rank-2 matrix product.
-    """
-    a = config.aperture
-    if config.sinc_convention is not SincConvention.NORMALIZED:
-        prof = _profile_matrix(config, sf)
-        g = prof @ prof.transpose(0, 2, 1)
-    else:
-        k = config.max_index
-        t = np.asarray(_beam_coords(config, sf))
-        v, u = _beam_terms(t, k)
-        g = np.stack((u, -v), 2) @ np.stack((v, u), 1)
-        diff = t[:, :, None] - t[:, None, :]
-        # Self-pairs are zeroed below, so any divisor serves on the diagonal.
-        _diagonal(diff)[...] = 1.0
-        # Coincident pairs are rare: only drops whose sorted coordinates
-        # have a gap below COINCIDENT_GAP are searched for them.
-        gaps = np.diff(np.sort(t, axis=1), axis=1)
-        rows = np.nonzero((gaps < COINCIDENT_GAP).any(axis=1))[0]
-        r, l, j = np.nonzero(np.abs(diff[rows]) < COINCIDENT_GAP)
-        i = rows[r]
-        diff[i, l, j] = 1.0
-        g /= diff
-        g[i, l, j] = _coincident_gram(t[i, l], t[i, j], v[i, l], v[i, j], k)
-        beyond = np.abs(t) > k
-        if beyond.any():
-            i, l, j = np.nonzero(beyond[:, :, None] | beyond[:, None, :])
-            g[i, l, j] = _profile_gram(config, t[i, l], t[i, j])
     np.square(g, out=g)
+    a = config.aperture
     g *= a * a / config.element_count
-    _diagonal(g)[...] = 0.0
     return g
 
 
@@ -313,7 +300,7 @@ def pairwise_interference_closed(
     b = _beam_coords(config, float(phi_tilde_k))
     k = config.max_index
     if config.sinc_convention is not SincConvention.NORMALIZED or max(abs(a), abs(b)) > k:
-        return float(_pair_powers(config, phi_tilde_l, phi_tilde_k))
+        return float(_pair_powers(config, [phi_tilde_l], [phi_tilde_k])[0, 0])
     g = _gram_float(a, b, k)
     return config.aperture**2 / config.element_count * g * g
 
@@ -348,7 +335,7 @@ def user_total_interference(config: LensArrayConfig, index_l: int, spatial_freqs
     others = np.delete(sf, index_l)
     if others.size == 0:
         return 0.0
-    powers = _pair_powers(config, sf[index_l], others)
+    powers = _pair_powers(config, sf[index_l : index_l + 1], others)
     return float(powers.sum())
 
 
@@ -369,7 +356,7 @@ def sweep_pattern(config: LensArrayConfig, phi_tilde_l: float, delta_grid) -> Pa
     deltas = deltas[keep]
     if deltas.size == 0:
         raise ValueError("no delta grid point keeps the interferer in range")
-    powers = _pair_powers(config, float(phi_tilde_l), sf_k[keep])
+    powers = _pair_powers(config, [float(phi_tilde_l)], sf_k[keep])[0]
     theta = config.d_tilde * deltas
     series = PatternSeries(
         phi_tilde_l=float(phi_tilde_l),
@@ -388,7 +375,7 @@ def _correlation(config: LensArrayConfig, phi_tilde_l: float, deltas) -> np.ndar
     # Signed channel correlation; its sign changes locate pattern nulls,
     # which are touching zeros of the squared pattern.
     phi_tilde_l = float(phi_tilde_l)
-    return _pair_gram(config, phi_tilde_l, phi_tilde_l - np.asarray(deltas, dtype=float))
+    return _pair_gram(config, [phi_tilde_l], phi_tilde_l - np.asarray(deltas, dtype=float))[0]
 
 
 def _null_brackets(config: LensArrayConfig, phi_tilde_l: float, count: int) -> list:
@@ -415,7 +402,7 @@ def _refine_null(config: LensArrayConfig, phi_tilde_l: float, bracket) -> float:
     lo, hi = bracket
     if lo == hi:
         return float(lo)
-    f = lambda d: float(_correlation(config, phi_tilde_l, d))
+    f = lambda d: float(_correlation(config, phi_tilde_l, [d])[0])
     return float(optimize.brentq(f, lo, hi, xtol=1e-14))
 
 
