@@ -57,6 +57,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    # Philox takes a 128-bit key
+    value = int(text)
+    if not 0 <= value < 2**128:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**128), got {value}")
+    return value
+
+
+def _params(args) -> dict:
+    """The parsed flags of a run, as its manifest records them."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out", "command")}
+
+
 def _fmt(x: float) -> str:
     """17 significant digits: round-trip safe for IEEE doubles."""
     return f"{x:.17g}"
@@ -129,17 +149,7 @@ def _cmd_pattern(args) -> int:
             )
         )
     _write_text(out, "\n".join(lines) + "\n")
-    params = {
-        "d_tilde": args.d_tilde,
-        "a_z": args.a_z,
-        "phi_l_deg": args.phi_l_deg,
-        "phi_l_sf": args.phi_l_sf,
-        "delta_min": args.delta_min,
-        "delta_max": args.delta_max,
-        "steps": args.steps,
-        "convention": args.convention,
-    }
-    _write_manifest(out, "pattern", params, [out], started,
+    _write_manifest(out, "pattern", _params(args), [out], started,
                     extra={"skipped_points": series.skipped_count})
     return EXIT_OK
 
@@ -165,14 +175,7 @@ def _cmd_prob(args) -> int:
         )
     out = _resolve_out(args.out)
     _write_json(out, record)
-    params = {
-        "d_tilde": args.d_tilde,
-        "method": args.method,
-        "samples": args.samples,
-        "seed": args.seed,
-        "threads": args.threads,
-    }
-    _write_manifest(out, "prob", params, [out], started)
+    _write_manifest(out, "prob", _params(args), [out], started)
     return EXIT_OK
 
 
@@ -183,22 +186,16 @@ def _cmd_density(args) -> int:
         raise UsageError("--z-max must exceed --z-min")
     started = time.monotonic()
     grid = np.linspace(args.z_min, args.z_max, args.steps)
-    values = np.array([theta_pdf(z, args.d_tilde) for z in grid])
+    values = theta_pdf(grid, args.d_tilde)
 
     out = _resolve_out(args.out)
     lines = ["z,f_theta"]
     for z, f in zip(grid, values):
         lines.append(f"{_fmt(z)},{_fmt(f)}")
     _write_text(out, "\n".join(lines) + "\n")
-    params = {
-        "d_tilde": args.d_tilde,
-        "z_min": args.z_min,
-        "z_max": args.z_max,
-        "steps": args.steps,
-    }
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     integral = float(trapezoid(values, grid))
-    _write_manifest(out, "density", params, [out], started,
+    _write_manifest(out, "density", _params(args), [out], started,
                     extra={"grid_integral": integral})
     return EXIT_OK
 
@@ -236,16 +233,7 @@ def _cmd_scenario(args) -> int:
     for p, c in zip(result.cdf_grid, result.cdf_values):
         lines.append(f"{_fmt(p)},{_fmt(c)}")
     _write_text(cdf_path, "\n".join(lines) + "\n")
-    params = {
-        "d_tilde": args.d_tilde,
-        "a_z": args.a_z,
-        "users": args.users,
-        "trials": args.trials,
-        "seed": args.seed,
-        "threads": args.threads,
-        "convention": args.convention,
-    }
-    _write_manifest(out, "scenario", params, [out, cdf_path], started)
+    _write_manifest(out, "scenario", _params(args), [out, cdf_path], started)
     return EXIT_OK
 
 
@@ -283,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     prob.add_argument("--d-tilde", type=_finite_float, required=True)
     prob.add_argument("--method", choices=["closed", "quadrature", "mc"], required=True)
     prob.add_argument("--samples", type=int, default=None)
-    prob.add_argument("--seed", type=int, default=None)
-    prob.add_argument("--threads", type=int, default=1)
+    prob.add_argument("--seed", type=_seed, default=None)
+    prob.add_argument("--threads", type=_thread_count, default=1)
     prob.add_argument("--out", required=True)
     prob.set_defaults(func=_cmd_prob)
 
@@ -301,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     scen.add_argument("--a-z", type=_finite_float, default=1.0)
     scen.add_argument("--users", type=int, required=True)
     scen.add_argument("--trials", type=int, required=True)
-    scen.add_argument("--seed", type=int, required=True)
-    scen.add_argument("--threads", type=int, default=1)
+    scen.add_argument("--seed", type=_seed, required=True)
+    scen.add_argument("--threads", type=_thread_count, default=1)
     scen.add_argument("--convention", choices=["normalized", "unnormalized"], default="normalized")
     scen.add_argument("--out", required=True)
     scen.set_defaults(func=_cmd_scenario)

@@ -35,14 +35,17 @@ numerator depends on m, so it keeps the O(M) sum over sinc profiles.
 pairwise_interference_direct builds both channel vectors and takes their
 Hermitian inner product; it is the oracle the kernel is tested against.
 The module also provides the mainlobe-gated "effective" interference and
-pattern metrics (nulls, sidelobe ratio) of the interference sweep.
+two pattern metrics in closed form. A desired user on the beam grid has a
+one-hot profile, so its pattern is exactly (A^2/M) sinc^2(d_tilde * delta):
+the first null sits at 1/d_tilde, and the first sidelobe peaks at
+d_tilde * delta = x_1, the first positive root of tan(pi x) = pi x, about
+13.26 dB below the mainlobe for every array.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import digamma, zeta
 
 from .array_model import (
@@ -63,12 +66,17 @@ COINCIDENT_GAP = 1e-5
 # Powers are clamped here before dB conversion so emitted series stay finite.
 DB_FLOOR = 1e-300
 
-# Null search requires the desired user on the beam grid within this slack.
-GRID_TOL_FOR_NULLS = 1e-9
+# First positive root of tan(pi x) = pi x: the peak of the first sidelobe of
+# sinc^2(x), whose peak-to-sidelobe ratio is about 13.2615 dB.
+SIDELOBE_PEAK_X = 1.430296653124203
+SIDELOBE_RATIO_DB = -20.0 * math.log10(
+    abs(math.sin(math.pi * SIDELOBE_PEAK_X) / (math.pi * SIDELOBE_PEAK_X))
+)
 
 
 class NullNotFoundError(RuntimeError):
-    """Raised when a pattern null cannot be located in the search range."""
+    """Raised when the first pattern null lies beyond the element span or
+    the admissible separation range."""
 
 
 @dataclass(frozen=True)
@@ -371,73 +379,41 @@ def sweep_pattern(config: LensArrayConfig, phi_tilde_l: float, delta_grid) -> Pa
     return series
 
 
-def _correlation(config: LensArrayConfig, phi_tilde_l: float, deltas) -> np.ndarray:
-    # Signed channel correlation; its sign changes locate pattern nulls,
-    # which are touching zeros of the squared pattern.
-    phi_tilde_l = float(phi_tilde_l)
-    return _pair_gram(config, [phi_tilde_l], phi_tilde_l - np.asarray(deltas, dtype=float))[0]
-
-
-def _null_brackets(config: LensArrayConfig, phi_tilde_l: float, count: int) -> list:
-    delta_max = min(2.0, 1.0 + float(phi_tilde_l))
-    if delta_max <= 0:
-        raise NullNotFoundError("no admissible separation range on this side")
-    n_scan = max(2001, 200 * int(math.ceil(config.d_tilde)))
-    grid = np.linspace(delta_max / n_scan, delta_max, n_scan)
-    corr = _correlation(config, phi_tilde_l, grid)
-    nulls = []
-    for i in range(len(grid) - 1):
-        if corr[i] == 0.0:
-            nulls.append((grid[i], grid[i]))
-        elif corr[i] * corr[i + 1] < 0.0:
-            nulls.append((grid[i], grid[i + 1]))
-        if len(nulls) >= count:
-            return nulls
-    raise NullNotFoundError(
-        f"found {len(nulls)} nulls within delta <= {delta_max}, needed {count}"
-    )
-
-
-def _refine_null(config: LensArrayConfig, phi_tilde_l: float, bracket) -> float:
-    lo, hi = bracket
-    if lo == hi:
-        return float(lo)
-    f = lambda d: float(_correlation(config, phi_tilde_l, [d])[0])
-    return float(optimize.brentq(f, lo, hi, xtol=1e-14))
+def _require_exact_pattern(config: LensArrayConfig) -> None:
+    if config.sinc_convention is not SincConvention.NORMALIZED:
+        raise ValueError("closed-form pattern metrics need the normalized sinc convention")
 
 
 def first_null(config: LensArrayConfig, phi_tilde_l: float) -> float:
     """Smallest positive separation where the pattern power vanishes.
 
-    Requires phi_tilde_l on the beam grid, where exact nulls exist under
-    the normalized convention; located by bisection on the signed channel
-    correlation. For a broadside user the null sits at 1/d_tilde.
+    Requires phi_tilde_l on the beam grid, t = d_tilde * phi_tilde_l = n.
+    With |n| <= K the profile is one-hot at element n, so the pattern is
+    exactly (A^2/M) sinc^2(d_tilde * delta) and the first null is 1/d_tilde,
+    provided the interferer there, at (n - 1)/d_tilde, is admissible.
     """
-    t = config.d_tilde * float(phi_tilde_l)
-    if abs(t - round(t)) > GRID_TOL_FOR_NULLS:
+    _require_exact_pattern(config)
+    t = _beam_coords(config, float(phi_tilde_l))
+    n = round(t)
+    if t != n:
         raise ValueError("phi_tilde_l must be a beam grid point m/d_tilde")
-    bracket = _null_brackets(config, phi_tilde_l, 1)[0]
-    return _refine_null(config, phi_tilde_l, bracket)
+    if abs(n) > config.max_index:
+        raise NullNotFoundError(
+            f"grid index {n} lies beyond the {config.element_count} elements; the pattern is zero"
+        )
+    if n - 1 < -config.d_tilde:
+        raise NullNotFoundError("the null at 1/d_tilde puts the interferer beyond end-fire")
+    return 1.0 / config.d_tilde
 
 
 def sidelobe_ratio_db(config: LensArrayConfig) -> float:
     """Peak-to-first-sidelobe power ratio in dB for a broadside user.
 
-    The first sidelobe is the pattern maximum between the first two nulls;
-    for sinc-type patterns the ratio is near 13 dB regardless of aperture.
+    The broadside profile is one-hot, so the pattern is (A^2/M) sinc^2(x)
+    with x = d_tilde * delta, and the ratio is -20 log10 |sinc(x_1)| for
+    every array, with x_1 = SIDELOBE_PEAK_X.
     """
+    _require_exact_pattern(config)
     if config.element_count < 11:
         raise ValueError("element_count must be at least 11 to resolve a sidelobe")
-    brackets = _null_brackets(config, 0.0, 2)
-    n1 = _refine_null(config, 0.0, brackets[0])
-    n2 = _refine_null(config, 0.0, brackets[1])
-    peak = pairwise_interference_closed(config, 0.0, 0.0)
-
-    neg_power = lambda d: -pairwise_interference_closed(config, 0.0, float(d))
-    res = optimize.minimize_scalar(
-        neg_power, bounds=(n1, n2), method="bounded", options={"xatol": 1e-12}
-    )
-    side = -res.fun
-    if side <= 0:
-        raise NullNotFoundError("no sidelobe peak found between the first two nulls")
-    return 10.0 * math.log10(peak / side)
+    return SIDELOBE_RATIO_DB

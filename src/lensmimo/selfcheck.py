@@ -14,6 +14,7 @@ import numpy as np
 from .array_model import LensArrayConfig
 from .harness import ScenarioConfig, approximation_quality, run_scenario
 from .interference import (
+    SIDELOBE_PEAK_X,
     first_null,
     pairwise_interference_closed,
     pairwise_interference_direct,
@@ -85,22 +86,31 @@ def _check_self_alignment() -> CheckResult:
 def _check_first_null() -> CheckResult:
     config = LensArrayConfig(d_tilde=20.0)
     null = first_null(config, 0.0)
-    ok = abs(null - 0.05) <= 0.005
+    power = pairwise_interference_direct(config, 0.0, -null)
     return CheckResult(
-        name="first null near 1/d_tilde",
-        passed=ok,
-        detail=f"first null {null:.6f}, expect 0.05 within 10%",
+        name="direct pattern vanishes at the first null",
+        passed=power == 0.0,
+        detail=f"first null {null:.6f}, direct power there {power!r} (expect exactly 0.0)",
     )
 
 
 def _check_sidelobe() -> CheckResult:
     config = LensArrayConfig(d_tilde=20.0)
     ratio = sidelobe_ratio_db(config)
-    ok = 12.5 <= ratio <= 14.0
+    side, below, above = (
+        pairwise_interference_direct(config, 0.0, -x / config.d_tilde)
+        for x in (SIDELOBE_PEAK_X, SIDELOBE_PEAK_X - 1e-4, SIDELOBE_PEAK_X + 1e-4)
+    )
+    direct = 10.0 * math.log10(pairwise_interference_direct(config, 0.0, 0.0) / side)
+    err = abs(ratio - direct)
+    peak_ok = max(below, above) < side
     return CheckResult(
-        name="sidelobe ratio in [12.5, 14.0] dB",
-        passed=ok,
-        detail=f"ratio {ratio:.3f} dB",
+        name="sidelobe ratio matches the direct pattern",
+        passed=err <= 1e-9 and peak_ok,
+        detail=(
+            f"ratio {ratio:.9f} dB, off the direct pattern by {err:.1e} dB (tol 1e-9), "
+            f"sidelobe peaks at x_1 {peak_ok}"
+        ),
     )
 
 

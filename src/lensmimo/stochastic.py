@@ -4,8 +4,9 @@ DOAs are i.i.d. uniform on [-half_width, half_width] (a 2*pi/3 sector by
 default). The spatial frequency y = sin(phi) then has the arcsine-type
 density 1/(2 h sqrt(1 - y^2)) on |y| <= sin(h), and the normalized
 separation Theta = d_tilde * (sin phi_l - sin phi_k) of an interferer pair
-has the convolution density implemented by theta_pdf. The probability that
-an interferer is effective, P(|Theta| <= 1), is available three ways:
+has the convolution density theta_pdf, an elliptic integral of the first
+kind that Carlson's R_F gives in closed form. The probability that an
+interferer is effective, P(|Theta| <= 1), is available three ways:
 adaptive quadrature of theta_pdf, a first-order closed form valid for
 large arrays, and Monte Carlo with deterministic parallel streams.
 """
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy import integrate
+from scipy.special import elliprf
 
 
 class QuadratureError(RuntimeError):
@@ -92,39 +94,49 @@ def spatial_freq_pdf(y, sector: SectorModel = DEFAULT_SECTOR):
     return val
 
 
-def theta_pdf(z: float, d_tilde: float, sector: SectorModel = DEFAULT_SECTOR) -> float:
+def theta_pdf(z, d_tilde: float, sector: SectorModel = DEFAULT_SECTOR):
     """Density of Theta = d_tilde * (sin phi_l - sin phi_k) at z.
 
-    With w = z/d_tilde this is the self-convolution of the spatial-frequency
-    density evaluated at separation w:
+    With a = |z|/d_tilde this is the self-convolution of the spatial-frequency
+    density at separation a, which is even in z:
 
-        f(z) = 1/(d_tilde (2h)^2) * integral over y in [y_L, y_U] of
-               dy / ( sqrt(1 - (y + w)^2) sqrt(1 - y^2) )
+        f(z) = 1/(d_tilde (2h)^2) * integral over y in [-s, s - a] of
+               dy / sqrt((1 - y)(1 + y)(1 - a - y)(1 + a + y)),
 
-    with y_L = max(-s, -s - w), y_U = min(s, s - w), s = sin(h). The
-    substitution y = sin(t) removes the inverse-square-root endpoint
-    singularities before adaptive quadrature. Support is |z| <= 2 s d_tilde.
+    s = sin(h). An integral of the inverse square root of four linear
+    factors between two points is 2 R_F(U12^2, U13^2, U14^2) (Carlson,
+    DLMF 19.29.4), with the U_ij built from the square roots of the factors
+    at both ends. Here the factors at y = s - a are those at y = -s in
+    reverse order, and with g = 2s - a the length of the interval,
+    c = 1 - s^2 and q = 1 - s, the U_ij reduce to
+
+        g U12 = 2c + a g,   g U13 = 2c + 2s g,   (g U14)^2 = 4c (q + a)(q + g).
+
+    R_F is homogeneous of degree -1/2, so the integral is 2g times R_F of
+    the left-hand sides squared. The density is 0 outside the support
+    |z| < 2 s d_tilde and infinite at z = 0 for the half-space sector,
+    s = 1. A float z gives a float; an array gives an array.
     """
     if d_tilde <= 0:
         raise ValueError(f"d_tilde must be positive, got {d_tilde}")
     s = sector.max_spatial_freq
-    w = z / d_tilde
-    y_lo = max(-s, -s - w)
-    y_hi = min(s, s - w)
-    if y_lo >= y_hi:
-        return 0.0
-
-    def integrand(t):
-        u = math.sin(t) + w
-        return 1.0 / math.sqrt(1.0 - u * u)
-
-    val, err = integrate.quad(
-        integrand, math.asin(y_lo), math.asin(y_hi), epsabs=1e-10, limit=200
-    )
-    if err > 1e-6 * max(1.0, abs(val)):
-        raise QuadratureError(f"inner quadrature reached only {err:.3e}")
+    a = np.abs(np.asarray(z, dtype=float)) / d_tilde
+    # The upper end s - a is rounded first, so g > 0 exactly when -s < s - a.
+    g = (s - a) + s
+    outside = g <= 0.0
+    # Points outside the support are evaluated at z = 0 and then dropped.
+    a = np.where(outside, 0.0, a)
+    g = np.where(outside, 2.0 * s, g)
+    q = 1.0 - s
+    c = q * (1.0 + s)
+    n12 = 2.0 * c + a * g
+    n13 = 2.0 * (c + s * g)
+    inner = 2.0 * g * elliprf(n12 * n12, n13 * n13, 4.0 * c * (q + a) * (q + g))
     h2 = 2.0 * sector.half_width
-    return val / (d_tilde * h2 * h2)
+    val = np.where(outside, 0.0, inner / (d_tilde * h2 * h2))
+    if val.ndim == 0:
+        return float(val)
+    return val
 
 
 def effective_prob_quadrature(d_tilde: float, sector: SectorModel = DEFAULT_SECTOR) -> float:
@@ -139,7 +151,7 @@ def effective_prob_quadrature(d_tilde: float, sector: SectorModel = DEFAULT_SECT
     edge = 2.0 * sector.max_spatial_freq * d_tilde
     upper = min(1.0, edge)
     val, err = integrate.quad(
-        lambda z: theta_pdf(z, d_tilde, sector), 0.0, upper, epsabs=1e-8, limit=200
+        theta_pdf, 0.0, upper, args=(d_tilde, sector), epsabs=1e-8, limit=200
     )
     if err > 1e-6:
         raise QuadratureError(f"outer quadrature reached only {err:.3e}")

@@ -223,6 +223,77 @@ class TestSelfcheck:
         assert "FAIL" in capsys.readouterr().out
 
 
+class TestIntegerFlags:
+    MC = ("prob", "--d-tilde", 10, "--method", "mc", "--samples", 1000)
+    SCENARIO = ("scenario", "--d-tilde", 10, "--users", 3, "--trials", 20)
+
+    @pytest.mark.parametrize("threads", [0, -2, -3])
+    @pytest.mark.parametrize("command", ["prob", "scenario"])
+    def test_thread_count_below_one_is_usage_error(self, tmp_path, capsys, command, threads):
+        base = (self.MC if command == "prob" else self.SCENARIO) + ("--seed", 1)
+        out = tmp_path / "x.json"
+        assert run_cli(*base, "--threads", threads, "--out", out) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, "2**128"])
+    @pytest.mark.parametrize("command", ["prob", "scenario"])
+    def test_seed_outside_philox_key_range_is_usage_error(self, tmp_path, capsys, command, seed):
+        base = self.MC if command == "prob" else self.SCENARIO
+        out = tmp_path / "x.json"
+        assert run_cli(*base, "--seed", seed, "--out", out) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_range_ends_accepted(self, tmp_path, seed):
+        out = tmp_path / "mc.json"
+        assert run_cli(*self.MC, "--seed", seed, "--out", out) == 0
+        assert json.loads(out.read_text())["seed"] == seed
+
+
+class TestManifestParameters:
+    """Each manifest records exactly the parsed flags other than --out."""
+
+    @pytest.mark.parametrize(
+        "argv,expect",
+        [
+            (
+                ["pattern", "--d-tilde", 10, "--steps", 11, "--phi-l-sf", 0.2],
+                {"d_tilde": 10.0, "a_z": 1.0, "phi_l_deg": 0.0, "phi_l_sf": 0.2,
+                 "delta_min": -0.5, "delta_max": 0.5, "steps": 11,
+                 "convention": "normalized"},
+            ),
+            (
+                ["prob", "--d-tilde", 10, "--method", "mc", "--samples", 1000,
+                 "--seed", 4, "--threads", 2],
+                {"d_tilde": 10.0, "method": "mc", "samples": 1000, "seed": 4, "threads": 2},
+            ),
+            (
+                ["prob", "--d-tilde", 10, "--method", "closed"],
+                {"d_tilde": 10.0, "method": "closed", "samples": None, "seed": None,
+                 "threads": 1},
+            ),
+            (
+                ["density", "--d-tilde", 10, "--z-min", -1, "--z-max", 1, "--steps", 5],
+                {"d_tilde": 10.0, "z_min": -1.0, "z_max": 1.0, "steps": 5},
+            ),
+            (
+                ["scenario", "--d-tilde", 10, "--users", 3, "--trials", 20, "--seed", 2,
+                 "--a-z", 2],
+                {"d_tilde": 10.0, "a_z": 2.0, "users": 3, "trials": 20, "seed": 2,
+                 "threads": 1, "convention": "normalized"},
+            ),
+        ],
+    )
+    def test_parameters_are_the_parsed_flags(self, tmp_path, argv, expect):
+        out = tmp_path / "out.dat"
+        assert run_cli(*argv, "--out", out) == 0
+        manifest = json.loads((tmp_path / "out.dat.manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["parameters"] == expect
+
+
 class TestPlumbing:
     def test_outdir_env_resolves_relative_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LENSMIMO_OUTDIR", str(tmp_path))

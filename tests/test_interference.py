@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from lensmimo import (
     GRID_SNAP_TOL,
@@ -24,10 +25,53 @@ from lensmimo import (
     sweep_pattern,
     user_total_interference,
 )
+from lensmimo.array_model import _profile_matrix
+from lensmimo.interference import SIDELOBE_PEAK_X, SIDELOBE_RATIO_DB
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 
 sector_freqs = st.floats(min_value=-SQRT3_HALF, max_value=SQRT3_HALF, allow_nan=False)
+
+
+def _direct_correlation(config, phi_tilde_l: float, deltas) -> np.ndarray:
+    """Signed channel correlation sum_m sinc(m - t_l) sinc(m - t_k) from sinc profiles."""
+    sf_k = np.clip(phi_tilde_l - np.asarray(deltas, dtype=float), -1.0, 1.0)
+    return _profile_matrix(config, sf_k) @ _profile_matrix(config, phi_tilde_l)
+
+
+def scan_nulls(config, phi_tilde_l: float, count: int) -> list:
+    """The first `count` positive nulls of the direct pattern.
+
+    A sign-change scan of the signed correlation over the admissible
+    separations, each bracket refined by brentq; it assumes nothing about
+    the shape of the pattern.
+    """
+    delta_max = min(2.0, 1.0 + phi_tilde_l)
+    if delta_max <= 0:
+        raise NullNotFoundError("no admissible separation range on this side")
+    n_scan = max(2001, 200 * int(math.ceil(config.d_tilde)))
+    grid = np.linspace(delta_max / n_scan, delta_max, n_scan)
+    corr = _direct_correlation(config, phi_tilde_l, grid)
+    nulls = []
+    for i in range(n_scan - 1):
+        if corr[i] == 0.0:
+            nulls.append(float(grid[i]))
+        elif corr[i] * corr[i + 1] < 0.0:
+            f = lambda d: float(_direct_correlation(config, phi_tilde_l, [d])[0])
+            nulls.append(optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-14))
+        if len(nulls) == count:
+            return nulls
+    raise NullNotFoundError(f"found {len(nulls)} nulls within delta <= {delta_max}")
+
+
+def scan_sidelobe_db(config) -> float:
+    """Broadside peak over the direct pattern's maximum between its first two nulls."""
+    n1, n2 = scan_nulls(config, 0.0, 2)
+    power = lambda d: pairwise_interference_direct(config, 0.0, -float(d))
+    res = optimize.minimize_scalar(
+        lambda d: -power(d), bounds=(n1, n2), method="bounded", options={"xatol": 1e-12}
+    )
+    return 10.0 * math.log10(power(0.0) / -res.fun)
 
 
 def _agree(a: float, b: float, rel: float = 1e-9, tiny: float = 1e-12) -> bool:
@@ -404,6 +448,66 @@ class TestPatternMetrics:
         # whose first zero lies beyond the admissible separation range
         with pytest.raises(NullNotFoundError):
             first_null(LensArrayConfig(d_tilde=0.4), 0.0)
+
+
+class TestPatternMetricsAgainstScan:
+    @pytest.mark.parametrize(
+        "d_tilde,n",
+        [(5.0, 0), (5.0, 2), (5.0, -3), (10.0, 0), (10.0, 3), (10.0, 10), (10.0, -8),
+         (20.0, 0), (20.0, -7), (20.0, 20), (57.3, 0), (57.3, 57), (57.3, -56), (100.0, -41)],
+    )
+    def test_first_null_is_the_scanned_null(self, d_tilde, n):
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
+        null = first_null(cfg, n / d_tilde)
+        assert null == 1.0 / d_tilde
+        # The direct pattern is exactly 0 wherever the interferer snaps to
+        # the grid point n - 1, so brentq may stop anywhere in that window.
+        assert abs(scan_nulls(cfg, n / d_tilde, 1)[0] - null) <= GRID_SNAP_TOL / d_tilde
+
+    @pytest.mark.parametrize("d_tilde,n", [(10.0, -10), (57.3, -57), (0.4, 0)])
+    def test_no_null_where_the_scan_finds_none(self, d_tilde, n):
+        cfg = LensArrayConfig(d_tilde=d_tilde)
+        with pytest.raises(NullNotFoundError):
+            scan_nulls(cfg, n / d_tilde, 1)
+        with pytest.raises(NullNotFoundError):
+            first_null(cfg, n / d_tilde)
+
+    @pytest.mark.parametrize("d_tilde", [5.0, 10.0, 20.0, 57.3, 100.0])
+    def test_sidelobe_ratio_is_the_scanned_ratio(self, d_tilde):
+        cfg = LensArrayConfig(d_tilde=d_tilde)
+        assert sidelobe_ratio_db(cfg) == pytest.approx(scan_sidelobe_db(cfg), abs=1e-9)
+
+    def test_sidelobe_peak_solves_tan_equation(self):
+        x1 = SIDELOBE_PEAK_X
+        assert math.tan(math.pi * x1) == pytest.approx(math.pi * x1, rel=1e-13)
+        # tan(pi x) - pi x increases on (1/2, 3/2), so this root is its only one
+        root = optimize.brentq(lambda x: math.tan(math.pi * x) - math.pi * x, 0.51, 1.49,
+                               xtol=1e-16)
+        assert root == pytest.approx(x1, rel=1e-15)
+        assert SIDELOBE_RATIO_DB == pytest.approx(13.261458884048285, rel=1e-15)
+
+    def test_grid_index_beyond_element_span_has_no_null(self):
+        # t = 3 with K = 2: the profile is zero, so the pattern has no null
+        with pytest.raises(NullNotFoundError):
+            first_null(LensArrayConfig(d_tilde=10.0, element_count=5), 0.3)
+
+    def test_null_with_interferer_at_end_fire(self):
+        # 1 + (-0.9) rounds below 0.1, yet the interferer at -1 is admissible
+        cfg = LensArrayConfig(d_tilde=10.0)
+        assert first_null(cfg, -0.9) == 0.1
+        assert pairwise_interference_direct(cfg, -0.9, -1.0) == 0.0
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, 1.2, -1.0000001])
+    def test_first_null_rejects_invalid_frequency(self, phi):
+        with pytest.raises(ValueError):
+            first_null(LensArrayConfig(d_tilde=10.0), phi)
+
+    def test_unnormalized_convention_rejected(self):
+        cfg = LensArrayConfig(d_tilde=20.0, sinc_convention=SincConvention.UNNORMALIZED)
+        with pytest.raises(ValueError):
+            first_null(cfg, 0.0)
+        with pytest.raises(ValueError):
+            sidelobe_ratio_db(cfg)
 
 
 class TestPowerToDb:

@@ -12,6 +12,7 @@ cross-checked as central differences of that same CDF.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,26 @@ def oracle_effective_prob(d_tilde: float) -> float:
 def oracle_theta_pdf(z: float, d_tilde: float, eps: float = 1e-5) -> float:
     w = z / d_tilde
     return (cdf_of_difference(w + eps) - cdf_of_difference(w - eps)) / (2.0 * eps) / d_tilde
+
+
+def nested_quad_theta_pdf(z: float, d_tilde: float, sector: SectorModel = SectorModel()) -> float:
+    """theta_pdf by adaptive quadrature of its convolution integral.
+
+    The substitution y = sin(t) removes the inverse-square-root endpoint
+    singularities of the integrand in y.
+    """
+    s = sector.max_spatial_freq
+    w = z / d_tilde
+    y_lo = max(-s, -s - w)
+    y_hi = min(s, s - w)
+    if y_lo >= y_hi:
+        return 0.0
+    val, _ = integrate.quad(
+        lambda t: 1.0 / math.sqrt(1.0 - (math.sin(t) + w) ** 2),
+        math.asin(y_lo), math.asin(y_hi), epsabs=1e-10, limit=200,
+    )
+    h2 = 2.0 * sector.half_width
+    return val / (d_tilde * h2 * h2)
 
 
 def chi2_pvalue_theta(d_tilde: float, n_pairs: int, seed: int, bins: int = 50) -> float:
@@ -172,12 +193,67 @@ class TestThetaPdf:
         assert chi2_pvalue_theta(10.0, n_pairs=200_000, seed=1618) > 0.01
 
 
+class TestThetaPdfClosedForm:
+    @pytest.mark.parametrize("half_width", [HALF_WIDTH, 0.1, 1.5])
+    @pytest.mark.parametrize("d_tilde", [2.0, 10.0, 50.0, 10.0037])
+    def test_matches_nested_quadrature(self, d_tilde, half_width):
+        sector = SectorModel(half_width)
+        edge = 2.0 * sector.max_spatial_freq * d_tilde
+        for frac in (0.0, 0.01, 0.1, 0.3, 0.5, 0.8, 0.95, 0.999):
+            for z in (frac * edge, -frac * edge):
+                want = nested_quad_theta_pdf(z, d_tilde, sector)
+                assert theta_pdf(z, d_tilde, sector) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("half_width", [HALF_WIDTH, 0.1, 1.5])
+    @pytest.mark.parametrize("d_tilde", [2.0, 10.0, 57.3])
+    def test_center_is_artanh(self, d_tilde, half_width):
+        sector = SectorModel(half_width)
+        expect = math.atanh(sector.max_spatial_freq) / (2.0 * half_width**2 * d_tilde)
+        assert theta_pdf(0.0, d_tilde, sector) == pytest.approx(expect, rel=1e-15)
+
+    @pytest.mark.parametrize("d_tilde", [0.3, 2.0, 10.0, 10.0037, 50.0])
+    def test_exactly_zero_at_and_beyond_support_edge(self, d_tilde):
+        edge = 2.0 * S_MAX * d_tilde
+        zs = np.array([edge, -edge, np.nextafter(edge, np.inf), 1.5 * edge, -1e6 * edge])
+        assert [theta_pdf(float(z), d_tilde) for z in zs] == [0.0] * zs.size
+        np.testing.assert_array_equal(theta_pdf(zs, d_tilde), np.zeros(zs.size))
+
+    def test_array_input_matches_scalar_calls(self):
+        zs = np.linspace(-20.0, 20.0, 401)
+        values = theta_pdf(zs, 10.0)
+        assert isinstance(values, np.ndarray) and values.shape == zs.shape
+        assert isinstance(theta_pdf(0.3, 10.0), float)
+        np.testing.assert_array_equal(values, [theta_pdf(float(z), 10.0) for z in zs])
+
+    def test_exactly_even(self):
+        zs = np.linspace(0.0, 18.0, 181)
+        np.testing.assert_array_equal(theta_pdf(zs, 10.0), theta_pdf(-zs, 10.0))
+
+    def test_half_space_sector_diverges_at_center(self):
+        # With s = 1 the inner integral at z = 0 is the integral of
+        # 1/(1 - y^2) over [-1, 1], which diverges logarithmically.
+        sector = SectorModel(math.pi / 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert theta_pdf(0.0, 10.0, sector) == math.inf
+            value = theta_pdf(1.0, 10.0, sector)
+        assert value == pytest.approx(nested_quad_theta_pdf(1.0, 10.0, sector), rel=1e-9)
+
+
 class TestEffectiveProbQuadrature:
     @pytest.mark.parametrize("d_tilde", [5.0, 10.0, 20.0])
     def test_matches_independent_oracle(self, d_tilde):
         got = effective_prob_quadrature(d_tilde)
         assert got == pytest.approx(oracle_effective_prob(d_tilde), abs=1e-6)
         assert got == pytest.approx(TRUE_P[d_tilde], abs=1e-7)
+
+    @pytest.mark.parametrize("d_tilde", [2.0, 5.0, 10.0, 20.0, 50.0])
+    def test_matches_quadrature_of_nested_density(self, d_tilde):
+        edge = 2.0 * S_MAX * d_tilde
+        half, _ = integrate.quad(
+            nested_quad_theta_pdf, 0.0, min(1.0, edge), args=(d_tilde,), epsabs=1e-8, limit=200
+        )
+        assert effective_prob_quadrature(d_tilde) == pytest.approx(2.0 * half, rel=1e-14)
 
     def test_tiny_array_captures_everything(self):
         assert effective_prob_quadrature(1.0 / (2.0 * math.sqrt(3.0))) == pytest.approx(
