@@ -13,13 +13,10 @@ __version__ = "0.1.0"
 from .array_model import (
     GRID_SNAP_TOL,
     ChannelVector,
-    ElementPlacement,
     LensArrayConfig,
-    SincConvention,
     array_response,
     derive_element_count,
     element_indices,
-    element_placements,
     sinc,
     snap_to_grid,
 )
@@ -31,8 +28,6 @@ from .harness import (
     run_scenario,
 )
 from .interference import (
-    AngularPair,
-    InterferenceSample,
     NullNotFoundError,
     PatternSeries,
     effective_interference,
@@ -61,17 +56,12 @@ __all__ = [
     "__version__",
     "GRID_SNAP_TOL",
     "ChannelVector",
-    "ElementPlacement",
     "LensArrayConfig",
-    "SincConvention",
     "array_response",
     "derive_element_count",
     "element_indices",
-    "element_placements",
     "sinc",
     "snap_to_grid",
-    "AngularPair",
-    "InterferenceSample",
     "NullNotFoundError",
     "PatternSeries",
     "effective_interference",

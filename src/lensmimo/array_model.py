@@ -1,4 +1,4 @@
-"""Lens array geometry and per-terminal array responses.
+"""Lens array configuration and per-terminal array responses.
 
 The array places M elements on the focal arc of an electromagnetic lens.
 Element m sits at normalized spatial frequency theta_tilde = m / d_tilde,
@@ -7,12 +7,12 @@ frequency phi_tilde (the sine of the azimuth DOA) is
 
     a_m(phi_tilde) = exp(-j * phi0) * sqrt(A) * sinc(m - d_tilde * phi_tilde)
 
-where A = d_tilde * a_z is the normalized aperture. In the normalized sinc
-convention the response is one-hot whenever d_tilde * phi_tilde hits an
-integer, which is what makes the beamspace picture exact on the grid.
+where A = d_tilde * a_z is the normalized aperture and sinc is normalized,
+sin(pi x)/(pi x). Its zeros sit at the nonzero integers, so the response is
+one-hot whenever d_tilde * phi_tilde hits an integer, which is what makes
+the beamspace picture exact on the grid.
 """
 
-import enum
 import functools
 import math
 import numbers
@@ -23,14 +23,6 @@ import numpy as np
 # Inputs within this distance of an integer beam coordinate are treated as
 # exactly on the grid, so grid orthogonality holds exactly in floating point.
 GRID_SNAP_TOL = 1e-9
-
-# Below this argument magnitude sinc is evaluated by series, not sin(x)/x.
-_SERIES_CUTOFF = 1e-8
-
-
-class SincConvention(enum.Enum):
-    NORMALIZED = "normalized"
-    UNNORMALIZED = "unnormalized"
 
 
 def derive_element_count(d_tilde: float) -> int:
@@ -46,7 +38,7 @@ def derive_element_count(d_tilde: float) -> int:
 
 @dataclass(frozen=True)
 class LensArrayConfig:
-    """Normalized lens dimensions and response conventions.
+    """Normalized lens dimensions, element count and common phase.
 
     d_tilde is the azimuth lens dimension over the carrier wavelength and
     a_z the vertical one, so the aperture gain is A = d_tilde * a_z.
@@ -58,12 +50,10 @@ class LensArrayConfig:
     d_tilde: float
     a_z: float = 1.0
     element_count: int = None
-    focal_length: float = 1.0
     phi0: float = 0.0
-    sinc_convention: SincConvention = SincConvention.NORMALIZED
 
     def __post_init__(self):
-        for name in ("d_tilde", "a_z", "focal_length"):
+        for name in ("d_tilde", "a_z"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -77,15 +67,6 @@ class LensArrayConfig:
             raise ValueError(
                 f"element_count {m} places elements beyond end-fire for d_tilde {self.d_tilde}"
             )
-        if not isinstance(self.sinc_convention, SincConvention):
-            raise ValueError(f"unknown sinc convention {self.sinc_convention!r}")
-
-    @classmethod
-    def from_physical(cls, d_y: float, d_z: float, wavelength: float, **kwargs) -> "LensArrayConfig":
-        """Build a config from raw apertures and wavelength in common units."""
-        if wavelength <= 0:
-            raise ValueError(f"wavelength must be positive, got {wavelength}")
-        return cls(d_tilde=d_y / wavelength, a_z=d_z / wavelength, **kwargs)
 
     @property
     def aperture(self) -> float:
@@ -95,14 +76,6 @@ class LensArrayConfig:
     @property
     def max_index(self) -> int:
         return (self.element_count - 1) // 2
-
-
-@dataclass(frozen=True)
-class ElementPlacement:
-    index: int
-    theta_tilde: float
-    theta: float
-    position: tuple
 
 
 @dataclass(frozen=True)
@@ -130,39 +103,17 @@ def _element_grid(max_index: int) -> np.ndarray:
     return m
 
 
-def element_placements(config: LensArrayConfig) -> list:
-    """All element placements on the focal arc, ascending index.
+def sinc(x: float) -> float:
+    """Normalized cardinal sine sin(pi x)/(pi x).
 
-    Element m sits at theta_tilde = m / d_tilde on the arc of radius
-    focal_length, at (F cos theta, -F sin theta, 0) with theta the
-    physical angle arcsin(theta_tilde).
+    Unit at 0 and exactly zero at the nonzero integers. Any other argument
+    has pi x != 0, and for tiny x sin(pi x) rounds to pi x, so the quotient
+    needs no series near 0.
     """
-    out = []
-    f = config.focal_length
-    for m in element_indices(config):
-        tt = m / config.d_tilde
-        theta = math.asin(tt)
-        pos = (f * math.cos(theta), -f * math.sin(theta), 0.0)
-        out.append(ElementPlacement(index=int(m), theta_tilde=tt, theta=theta, position=pos))
-    return out
-
-
-def sinc(x: float, convention: SincConvention = SincConvention.NORMALIZED) -> float:
-    """Cardinal sine under the requested convention.
-
-    Normalized: sin(pi x)/(pi x), unit at 0, zeros exactly at nonzero
-    integers. Unnormalized: sin(x)/x. Arguments near the removable
-    singularity use the two-term series 1 - u^2/6 to avoid 0/0.
-    """
-    if convention is SincConvention.NORMALIZED:
-        n = round(x)
-        if x == n:
-            return 1.0 if n == 0 else 0.0
-        u = math.pi * x
-    else:
-        u = x
-    if abs(u) < _SERIES_CUTOFF:
-        return 1.0 - u * u / 6.0
+    n = round(x)
+    if x == n:
+        return 1.0 if n == 0 else 0.0
+    u = math.pi * x
     return math.sin(u) / u
 
 
@@ -192,17 +143,13 @@ def snap_to_grid(t, tol: float = GRID_SNAP_TOL):
     return snapped
 
 
-def _sinc_array(x: np.ndarray, convention: SincConvention) -> np.ndarray:
-    if convention is SincConvention.NORMALIZED:
-        exact = x == np.rint(x)
-        if exact.any():
-            return np.where(exact, np.where(x == 0.0, 1.0, 0.0), np.sinc(x))
-        # np.sinc without its guard for x == 0, which cannot occur here
-        y = np.pi * x
-        return np.sin(y) / y
-    small = np.abs(x) < _SERIES_CUTOFF
-    xs = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x * x / 6.0, np.sin(xs) / xs)
+def _sinc_array(x: np.ndarray) -> np.ndarray:
+    exact = x == np.rint(x)
+    if exact.any():
+        return np.where(exact, np.where(x == 0.0, 1.0, 0.0), np.sinc(x))
+    # np.sinc without its guard for x == 0, which cannot occur here
+    y = np.pi * x
+    return np.sin(y) / y
 
 
 def _validate_spatial_freq(phi_tilde) -> None:
@@ -216,29 +163,25 @@ def _validate_spatial_freq(phi_tilde) -> None:
 
 
 def _beam_coords(config: LensArrayConfig, spatial_freqs):
-    """Validated beam coordinates t = d_tilde * phi_tilde, shape preserved.
-
-    Snapped to the grid in the normalized convention. A float input gives a
-    float; anything else gives an array.
+    """Validated beam coordinates t = d_tilde * phi_tilde snapped to the
+    grid, shape preserved. A float input gives a float; anything else gives
+    an array.
     """
     if not isinstance(spatial_freqs, float):
         spatial_freqs = np.asarray(spatial_freqs, dtype=float)
     _validate_spatial_freq(spatial_freqs)
-    t = config.d_tilde * spatial_freqs
-    if config.sinc_convention is SincConvention.NORMALIZED:
-        t = snap_to_grid(t)
-    return t
+    return snap_to_grid(config.d_tilde * spatial_freqs)
 
 
 def _profile_matrix(config: LensArrayConfig, spatial_freqs) -> np.ndarray:
     """Real sinc profiles sinc(m - d_tilde * phi_tilde) for a batch of terminals.
 
     Output shape is spatial_freqs.shape + (M,). Beam coordinates are snapped
-    to the grid in the normalized convention before evaluation.
+    to the grid before evaluation.
     """
     t = np.asarray(_beam_coords(config, spatial_freqs))
     m = _element_grid(config.max_index)
-    return _sinc_array(m - t[..., None], config.sinc_convention)
+    return _sinc_array(m - t[..., None])
 
 
 def array_response(config: LensArrayConfig, spatial_freq: float) -> ChannelVector:

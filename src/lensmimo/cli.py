@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .array_model import LensArrayConfig, SincConvention
+from .array_model import LensArrayConfig
 from .harness import ScenarioConfig, approximation_quality, run_scenario
 from .interference import sweep_pattern
 from .selfcheck import run_checks
@@ -115,18 +115,13 @@ def _write_manifest(primary: str, command: str, params: dict, outputs: list, sta
     _write_json(primary + ".manifest.json", manifest)
 
 
-def _array_config(args) -> LensArrayConfig:
-    convention = SincConvention(getattr(args, "convention", "normalized"))
-    return LensArrayConfig(d_tilde=args.d_tilde, a_z=args.a_z, sinc_convention=convention)
-
-
 def _cmd_pattern(args) -> int:
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
     if args.delta_max <= args.delta_min:
         raise UsageError("--delta-max must exceed --delta-min")
     started = time.monotonic()
-    config = _array_config(args)
+    config = LensArrayConfig(d_tilde=args.d_tilde, a_z=args.a_z)
     if args.phi_l_sf is not None:
         phi_l = args.phi_l_sf
     else:
@@ -203,7 +198,7 @@ def _cmd_density(args) -> int:
 def _cmd_scenario(args) -> int:
     started = time.monotonic()
     config = ScenarioConfig(
-        array=_array_config(args),
+        array=LensArrayConfig(d_tilde=args.d_tilde, a_z=args.a_z),
         user_count=args.users,
         trial_count=args.trials,
         seed=args.seed,
@@ -263,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     pat.add_argument("--delta-min", type=_finite_float, default=-0.5)
     pat.add_argument("--delta-max", type=_finite_float, default=0.5)
     pat.add_argument("--steps", type=int, default=2001)
-    pat.add_argument("--convention", choices=["normalized", "unnormalized"], default="normalized")
     pat.add_argument("--out", required=True)
     pat.set_defaults(func=_cmd_pattern)
 
@@ -291,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     scen.add_argument("--trials", type=int, required=True)
     scen.add_argument("--seed", type=_seed, required=True)
     scen.add_argument("--threads", type=_thread_count, default=1)
-    scen.add_argument("--convention", choices=["normalized", "unnormalized"], default="normalized")
     scen.add_argument("--out", required=True)
     scen.set_defaults(func=_cmd_scenario)
 

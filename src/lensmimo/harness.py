@@ -8,14 +8,13 @@ how trials are partitioned across workers.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .array_model import LensArrayConfig
 from .interference import _pair_powers
-from .stochastic import DEFAULT_SECTOR, SectorModel, sample_doas
+from .stochastic import DEFAULT_SECTOR, SectorModel, _map_ranges, sample_doas
 
 CDF_POINTS = 256
 
@@ -84,12 +83,12 @@ def _trial_block(config: ScenarioConfig, phi: np.ndarray):
     return exact, effective, counts
 
 
-def _chunk_ranges(trials: int, user_count: int, element_count: int) -> list:
-    # Cap per-chunk storage near 32 MB of doubles: per trial, each L x L
-    # pair array and, in the unnormalized convention, the L x M profiles.
+def _trial_chunk(user_count: int, element_count: int) -> int:
+    # Trials per chunk, capping per-chunk storage near 32 MB of doubles: per
+    # trial, each L x L pair array and the L x M profiles that rows with a
+    # user beyond the element span take.
     per_trial = max(1, user_count * max(user_count, element_count))
-    chunk = max(1, min(trials, 4_000_000 // per_trial))
-    return [(a, min(a + chunk, trials)) for a in range(0, trials, chunk)]
+    return max(1, 4_000_000 // per_trial)
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1, doas: np.ndarray = None) -> ScenarioResult:
@@ -114,14 +113,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1, doas: np.ndarray = No
             phi = doas[a:b]
         return _trial_block(config, phi)
 
-    ranges = _chunk_ranges(T, L, config.array.element_count)
-    threads = max(1, int(threads))
-    if threads == 1 or len(ranges) == 1:
-        parts = [block(a, b) for a, b in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(block, a, b) for a, b in ranges]
-            parts = [f.result() for f in futs]
+    chunk = _trial_chunk(L, config.array.element_count)
+    parts = _map_ranges(block, T, chunk, threads)
 
     exact = np.concatenate([p[0] for p in parts], axis=0)
     effective = np.concatenate([p[1] for p in parts], axis=0)

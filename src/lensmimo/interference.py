@@ -6,12 +6,12 @@ terminal l depends only on the two spatial frequencies:
     I(l, k) = (1/M) * | h_l^H h_k |^2 = (A^2/M) * G(t_l, t_k)^2,
     G(a, b) = sum_{m=-K}^{K} sinc(m - a) sinc(m - b),
 
-with t = d_tilde * phi_tilde the beam coordinates and K = (M - 1)/2.
+with t = d_tilde * phi_tilde the beam coordinates, K = (M - 1)/2 and the
+normalized sinc(x) = sin(pi x)/(pi x) of the lens response.
 
-In the normalized convention G costs O(1) per pair, whatever M. Since
-sin(pi (m - t)) = -(-1)^m sin(pi t), each summand is
-v_a v_b / ((m - a)(m - b)) with v = sin(pi t)/pi, and partial fractions
-give
+G costs O(1) per pair, whatever M. Since sin(pi (m - t)) = -(-1)^m sin(pi t),
+each summand is v_a v_b / ((m - a)(m - b)) with v = sin(pi t)/pi, and
+partial fractions give
 
     G(a, b) = v_a v_b [S(a) - S(b)] / (a - b),   S(t) = sum_m 1/(m - t).
 
@@ -24,14 +24,12 @@ c = cos(pi t) and
 
 G(a, b) = (u_a v_b - v_a u_b) / (a - b). Users beyond the element span,
 |t| > K, take the O(M) profile sum, because the digamma difference loses
-its digits to cancellation there. Pairs closer than COINCIDENT_GAP use
+its digits to cancellation there; this is the only O(M) path. Pairs closer than COINCIDENT_GAP use
 the limit instead: the sum over all integers m is sinc(a - b), so G is
 sinc(a - b) less the tail |m| > K, whose terms are taken at the midpoint
 through Hurwitz zeta functions. pairwise_interference_closed evaluates G
 on Python floats.
 
-The unnormalized convention, sinc(x) = sin(x)/x, has summands whose
-numerator depends on m, so it keeps the O(M) sum over sinc profiles.
 pairwise_interference_direct builds both channel vectors and takes their
 Hermitian inner product; it is the oracle the kernel is tested against.
 The module also provides the mainlobe-gated "effective" interference and
@@ -50,7 +48,6 @@ from scipy.special import digamma, zeta
 
 from .array_model import (
     LensArrayConfig,
-    SincConvention,
     _beam_coords,
     _element_grid,
     _sinc_array,
@@ -80,45 +77,6 @@ class NullNotFoundError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AngularPair:
-    """Two spatial frequencies plus their derived separations.
-
-    delta is the spatial-frequency separation, delta_sum the sum, and
-    theta_norm = d_tilde * delta the mainlobe-normalized separation used by
-    the effective-interference gate |theta_norm| <= 1.
-    """
-
-    phi_tilde_l: float
-    phi_tilde_k: float
-    delta: float
-    delta_sum: float
-    theta_norm: float
-    theta_sum_norm: float
-
-    @classmethod
-    def from_freqs(cls, config: LensArrayConfig, phi_tilde_l: float, phi_tilde_k: float):
-        _validate_spatial_freq([phi_tilde_l, phi_tilde_k])
-        delta = phi_tilde_l - phi_tilde_k
-        delta_sum = phi_tilde_l + phi_tilde_k
-        return cls(
-            phi_tilde_l=float(phi_tilde_l),
-            phi_tilde_k=float(phi_tilde_k),
-            delta=delta,
-            delta_sum=delta_sum,
-            theta_norm=config.d_tilde * delta,
-            theta_sum_norm=config.d_tilde * delta_sum,
-        )
-
-
-@dataclass(frozen=True)
-class InterferenceSample:
-    pair: AngularPair
-    power_linear: float
-    power_db: float
-    effective: bool
-
-
-@dataclass(frozen=True)
 class PatternSeries:
     """Interference sweep over angular separation at a fixed desired user."""
 
@@ -128,27 +86,10 @@ class PatternSeries:
     powers_linear: np.ndarray
     powers_db: np.ndarray
     effective: np.ndarray
-    config: LensArrayConfig
     skipped_count: int
 
     def __len__(self):
         return len(self.deltas)
-
-    def as_samples(self) -> list:
-        out = []
-        for i in range(len(self.deltas)):
-            pair = AngularPair.from_freqs(
-                self.config, self.phi_tilde_l, self.phi_tilde_l - self.deltas[i]
-            )
-            out.append(
-                InterferenceSample(
-                    pair=pair,
-                    power_linear=float(self.powers_linear[i]),
-                    power_db=float(self.powers_db[i]),
-                    effective=bool(self.effective[i]),
-                )
-            )
-        return out
 
 
 def power_to_db(power_linear) -> float:
@@ -194,9 +135,8 @@ def _profile_gram(config: LensArrayConfig, t_l: np.ndarray, t_k: np.ndarray) -> 
     """G by the O(M) sum over sinc profiles, for beam coordinates of shapes
     (R, L) and (R, N); the result has shape (R, L, N)."""
     m = _element_grid(config.max_index)
-    conv = config.sinc_convention
-    prof_l = _sinc_array(m - t_l[..., None], conv)
-    return prof_l @ _sinc_array(m - t_k[..., None], conv).transpose(0, 2, 1)
+    prof_l = _sinc_array(m - t_l[..., None])
+    return prof_l @ _sinc_array(m - t_k[..., None]).transpose(0, 2, 1)
 
 
 def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
@@ -207,10 +147,10 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
     those of sf_l with itself, and the self-pairs, which the drop ensembles
     exclude, read 0.
 
-    In the normalized convention the numerators u_l v_k - v_l u_k are one
-    rank-2 matrix product per row, so the special functions are called
-    O(L + N) times per row. Coincident pairs are rare: only rows whose
-    sorted coordinates have a gap below COINCIDENT_GAP are searched for them.
+    The numerators u_l v_k - v_l u_k are one rank-2 matrix product per
+    row, so the special functions are called O(L + N) times per row.
+    Coincident pairs are rare: only rows whose sorted coordinates have a
+    gap below COINCIDENT_GAP are searched for them.
     Rows with a user beyond the span take the profile sum.
     """
     t_l = np.asarray(_beam_coords(config, sf_l))
@@ -220,29 +160,26 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
     t_k = t_k.reshape(-1, t_k.shape[-1])
     self_pair = np.arange(t_l.shape[1])
     k = config.max_index
-    if config.sinc_convention is not SincConvention.NORMALIZED:
-        g = _profile_gram(config, t_l, t_k)
+    v_l, u_l = _beam_terms(t_l, k)
+    v_k, u_k = (v_l, u_l) if sf_k is None else _beam_terms(t_k, k)
+    g = np.stack((u_l, -v_l), 2) @ np.stack((v_k, u_k), 1)
+    diff = t_l[:, :, None] - t_k[:, None, :]
+    if sf_k is None:
+        pool = t_l
+        # Self-pairs are zeroed below, so any divisor serves there.
+        diff[:, self_pair, self_pair] = 1.0
     else:
-        v_l, u_l = _beam_terms(t_l, k)
-        v_k, u_k = (v_l, u_l) if sf_k is None else _beam_terms(t_k, k)
-        g = np.stack((u_l, -v_l), 2) @ np.stack((v_k, u_k), 1)
-        diff = t_l[:, :, None] - t_k[:, None, :]
-        if sf_k is None:
-            pool = t_l
-            # Self-pairs are zeroed below, so any divisor serves there.
-            diff[:, self_pair, self_pair] = 1.0
-        else:
-            pool = np.concatenate((t_l, t_k), axis=1)
-        gaps = np.diff(np.sort(pool, axis=1), axis=1)
-        rows = np.nonzero((gaps < COINCIDENT_GAP).any(axis=1))[0]
-        r, i, j = np.nonzero(np.abs(diff[rows]) < COINCIDENT_GAP)
-        r = rows[r]
-        diff[r, i, j] = 1.0
-        g /= diff
-        g[r, i, j] = _coincident_gram(t_l[r, i], t_k[r, j], v_l[r, i], v_k[r, j], k)
-        beyond = (np.abs(t_l) > k).any(axis=1) | (np.abs(t_k) > k).any(axis=1)
-        if beyond.any():
-            g[beyond] = _profile_gram(config, t_l[beyond], t_k[beyond])
+        pool = np.concatenate((t_l, t_k), axis=1)
+    gaps = np.diff(np.sort(pool, axis=1), axis=1)
+    rows = np.nonzero((gaps < COINCIDENT_GAP).any(axis=1))[0]
+    r, i, j = np.nonzero(np.abs(diff[rows]) < COINCIDENT_GAP)
+    r = rows[r]
+    diff[r, i, j] = 1.0
+    g /= diff
+    g[r, i, j] = _coincident_gram(t_l[r, i], t_k[r, j], v_l[r, i], v_k[r, j], k)
+    beyond = (np.abs(t_l) > k).any(axis=1) | (np.abs(t_k) > k).any(axis=1)
+    if beyond.any():
+        g[beyond] = _profile_gram(config, t_l[beyond], t_k[beyond])
     if sf_k is None:
         g[:, self_pair, self_pair] = 0.0
     return g.reshape(shape)
@@ -302,12 +239,13 @@ def pairwise_interference_closed(
 ) -> float:
     """Closed-form interference, identical to the direct path to rounding.
 
-    O(1) work in the normalized convention, whatever the element count.
+    O(1) work whatever the element count, for users within the element
+    span; a user beyond it takes the O(M) profile sum.
     """
     a = _beam_coords(config, float(phi_tilde_l))
     b = _beam_coords(config, float(phi_tilde_k))
     k = config.max_index
-    if config.sinc_convention is not SincConvention.NORMALIZED or max(abs(a), abs(b)) > k:
+    if max(abs(a), abs(b)) > k:
         return float(_pair_powers(config, [phi_tilde_l], [phi_tilde_k])[0, 0])
     g = _gram_float(a, b, k)
     return config.aperture**2 / config.element_count * g * g
@@ -315,22 +253,17 @@ def pairwise_interference_closed(
 
 def effective_interference(
     config: LensArrayConfig, phi_tilde_l: float, phi_tilde_k: float
-) -> InterferenceSample:
-    """Mainlobe-gated interference: full power iff |theta_norm| <= 1, else 0.
+) -> float:
+    """Mainlobe-gated interference power: the full power iff the normalized
+    separation |d_tilde (phi_tilde_l - phi_tilde_k)| is at most 1, else 0.
 
     Interferers outside the mainlobe contribute only sidelobe power, which
     the effective approximation discards entirely.
     """
-    pair = AngularPair.from_freqs(config, phi_tilde_l, phi_tilde_k)
-    if abs(pair.theta_norm) <= 1.0:
-        power = pairwise_interference_closed(config, phi_tilde_l, phi_tilde_k)
-        eff = True
-    else:
-        power = 0.0
-        eff = False
-    return InterferenceSample(
-        pair=pair, power_linear=power, power_db=power_to_db(power), effective=eff
-    )
+    _validate_spatial_freq([phi_tilde_l, phi_tilde_k])
+    if abs(config.d_tilde * (phi_tilde_l - phi_tilde_k)) <= 1.0:
+        return pairwise_interference_closed(config, phi_tilde_l, phi_tilde_k)
+    return 0.0
 
 
 def user_total_interference(config: LensArrayConfig, index_l: int, spatial_freqs) -> float:
@@ -373,15 +306,9 @@ def sweep_pattern(config: LensArrayConfig, phi_tilde_l: float, delta_grid) -> Pa
         powers_linear=powers,
         powers_db=power_to_db(powers),
         effective=np.abs(theta) <= 1.0,
-        config=config,
         skipped_count=int(np.count_nonzero(~keep)),
     )
     return series
-
-
-def _require_exact_pattern(config: LensArrayConfig) -> None:
-    if config.sinc_convention is not SincConvention.NORMALIZED:
-        raise ValueError("closed-form pattern metrics need the normalized sinc convention")
 
 
 def first_null(config: LensArrayConfig, phi_tilde_l: float) -> float:
@@ -392,7 +319,6 @@ def first_null(config: LensArrayConfig, phi_tilde_l: float) -> float:
     exactly (A^2/M) sinc^2(d_tilde * delta) and the first null is 1/d_tilde,
     provided the interferer there, at (n - 1)/d_tilde, is admissible.
     """
-    _require_exact_pattern(config)
     t = _beam_coords(config, float(phi_tilde_l))
     n = round(t)
     if t != n:
@@ -413,7 +339,6 @@ def sidelobe_ratio_db(config: LensArrayConfig) -> float:
     with x = d_tilde * delta, and the ratio is -20 log10 |sinc(x_1)| for
     every array, with x_1 = SIDELOBE_PEAK_X.
     """
-    _require_exact_pattern(config)
     if config.element_count < 11:
         raise ValueError("element_count must be at least 11 to resolve a sidelobe")
     return SIDELOBE_RATIO_DB

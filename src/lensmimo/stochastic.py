@@ -11,6 +11,7 @@ adaptive quadrature of theta_pdf, a first-order closed form valid for
 large arrays, and Monte Carlo with deterministic parallel streams.
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,6 +50,23 @@ class ProbEstimate:
     std_error: float
     sample_count: int
     seed: int
+
+
+def _map_ranges(fn, count: int, chunk: int, threads: int) -> list:
+    """fn(a, b) for the ranges [a, b) that split [0, count) into pieces of
+    at most chunk indices, in range order, on up to threads worker threads.
+
+    The ranges depend only on count and chunk, so a caller whose fn is a
+    pure function of its range gets the same results whatever the thread
+    count.
+    """
+    if not threads >= 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    ranges = [(a, min(a + chunk, count)) for a in range(0, count, chunk)]
+    if threads == 1 or len(ranges) == 1:
+        return [fn(a, b) for a, b in ranges]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, *zip(*ranges)))
 
 
 def _unit_stream(seed: int, offset: int, count: int) -> np.ndarray:
@@ -117,7 +135,7 @@ def theta_pdf(z, d_tilde: float, sector: SectorModel = DEFAULT_SECTOR):
     |z| < 2 s d_tilde and infinite at z = 0 for the half-space sector,
     s = 1. A float z gives a float; an array gives an array.
     """
-    if d_tilde <= 0:
+    if not d_tilde > 0:
         raise ValueError(f"d_tilde must be positive, got {d_tilde}")
     s = sector.max_spatial_freq
     a = np.abs(np.asarray(z, dtype=float)) / d_tilde
@@ -146,7 +164,7 @@ def effective_prob_quadrature(d_tilde: float, sector: SectorModel = DEFAULT_SECT
     and is doubled; this also keeps the corner of the density at z = 0 off
     the interior of the quadrature interval.
     """
-    if d_tilde <= 0:
+    if not d_tilde > 0:
         raise ValueError(f"d_tilde must be positive, got {d_tilde}")
     edge = 2.0 * sector.max_spatial_freq * d_tilde
     upper = min(1.0, edge)
@@ -164,7 +182,7 @@ def effective_prob_closed(d_tilde: float, sector: SectorModel = DEFAULT_SECTOR) 
     For the default sector this is 9 artanh(sqrt(3)/2) / (pi^2 d_tilde).
     The expansion assumes a large array, so d_tilde < 2 is rejected.
     """
-    if d_tilde < 2.0:
+    if not d_tilde >= 2.0:
         raise ValueError(
             f"closed form requires d_tilde >= 2 (large-array regime), got {d_tilde}"
         )
@@ -172,7 +190,7 @@ def effective_prob_closed(d_tilde: float, sector: SectorModel = DEFAULT_SECTOR) 
     return min(1.0, math.atanh(sector.max_spatial_freq) / (h * h * d_tilde))
 
 
-def _count_effective(d_tilde: float, seed: int, start: int, stop: int, half_width: float) -> int:
+def _count_effective(d_tilde: float, seed: int, half_width: float, start: int, stop: int) -> int:
     u = _unit_stream(seed, 2 * start, 2 * (stop - start)).reshape(-1, 2)
     phi = (2.0 * u - 1.0) * half_width
     theta = d_tilde * (np.sin(phi[:, 0]) - np.sin(phi[:, 1]))
@@ -192,22 +210,12 @@ def effective_prob_mc(
     function of (seed, sample_count) and does not depend on how the index
     range is partitioned across workers.
     """
-    if d_tilde <= 0:
+    if not d_tilde > 0:
         raise ValueError(f"d_tilde must be positive, got {d_tilde}")
     if sample_count < 1:
         raise ValueError(f"sample_count must be positive, got {sample_count}")
-    threads = max(1, int(threads))
-    h = sector.half_width
-
-    chunk = max(1, min(sample_count, 1 << 18))
-    ranges = [(a, min(a + chunk, sample_count)) for a in range(0, sample_count, chunk)]
-    if threads == 1 or len(ranges) == 1:
-        hits = sum(_count_effective(d_tilde, seed, a, b, h) for a, b in ranges)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_count_effective, d_tilde, seed, a, b, h) for a, b in ranges]
-            hits = sum(f.result() for f in futs)
-
+    count = functools.partial(_count_effective, d_tilde, seed, sector.half_width)
+    hits = sum(_map_ranges(count, sample_count, 1 << 18, threads))
     value = hits / sample_count
     std_error = math.sqrt(value * (1.0 - value) / sample_count)
     return ProbEstimate(value=value, std_error=std_error, sample_count=sample_count, seed=seed)

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from lensmimo import (
     LensArrayConfig,
-    SincConvention,
     array_response,
     derive_element_count,
     element_indices,
-    element_placements,
     sinc,
     snap_to_grid,
 )
@@ -66,10 +64,8 @@ class TestConfigValidation:
             LensArrayConfig(d_tilde=-1.0)
         with pytest.raises(ValueError):
             LensArrayConfig(d_tilde=10.0, a_z=0.0)
-        with pytest.raises(ValueError):
-            LensArrayConfig(d_tilde=10.0, focal_length=0.0)
 
-    @pytest.mark.parametrize("field", ["d_tilde", "a_z", "focal_length"])
+    @pytest.mark.parametrize("field", ["d_tilde", "a_z"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_dimensions_rejected(self, field, value):
         kwargs = {"d_tilde": 10.0, field: value}
@@ -81,11 +77,6 @@ class TestConfigValidation:
         assert cfg.element_count == 21
         assert type(cfg.element_count) is int
         assert cfg == LensArrayConfig(d_tilde=10.0)
-
-    def test_from_physical_divides_by_wavelength(self):
-        cfg = LensArrayConfig.from_physical(d_y=5.0, d_z=2.0, wavelength=0.5)
-        assert cfg.d_tilde == 10.0
-        assert cfg.a_z == 4.0
 
 
 class TestSinc:
@@ -102,12 +93,6 @@ class TestSinc:
     def test_near_zero_series_is_smooth(self):
         assert sinc(1e-9) == pytest.approx(1.0, abs=1e-15)
         assert sinc(-1e-12) == pytest.approx(1.0, abs=1e-15)
-
-    def test_unnormalized_convention(self):
-        assert sinc(math.pi / 2, SincConvention.UNNORMALIZED) == pytest.approx(
-            2.0 / math.pi, rel=1e-15
-        )
-        assert sinc(0.0, SincConvention.UNNORMALIZED) == 1.0
 
     @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
     @settings(max_examples=200)
@@ -138,41 +123,6 @@ class TestSnapToGrid:
             out = snap_to_grid(np.array([np.inf, 1.0 + 1e-12, np.nan, -np.inf]))
         assert out[0] == np.inf and out[1] == 1.0
         assert np.isnan(out[2]) and out[3] == -np.inf
-
-
-class TestElementPlacements:
-    def test_center_element(self):
-        cfg = LensArrayConfig(d_tilde=10.0, focal_length=2.0)
-        center = element_placements(cfg)[cfg.max_index]
-        assert center.index == 0
-        assert center.theta_tilde == 0.0
-        assert center.position == (2.0, 0.0, 0.0)
-
-    def test_direct_substitution(self):
-        cfg = LensArrayConfig(d_tilde=10.0)
-        placements = {p.index: p for p in element_placements(cfg)}
-        assert placements[5].theta_tilde == 0.5
-        assert placements[5].theta == pytest.approx(math.pi / 6, rel=1e-15)
-
-    def test_boundary_element(self):
-        cfg = LensArrayConfig(d_tilde=10.0)
-        edge = {p.index: p for p in element_placements(cfg)}[10]
-        assert edge.theta_tilde == 1.0
-        assert edge.theta == pytest.approx(math.pi / 2, rel=1e-15)
-
-    def test_count_and_monotone_angles(self):
-        cfg = LensArrayConfig(d_tilde=7.3)
-        placements = element_placements(cfg)
-        assert len(placements) == cfg.element_count
-        tts = [p.theta_tilde for p in placements]
-        assert all(b > a for a, b in zip(tts, tts[1:]))
-
-    def test_positions_on_focal_arc(self):
-        cfg = LensArrayConfig(d_tilde=5.0, focal_length=1.5)
-        for p in element_placements(cfg):
-            x, y, z = p.position
-            assert math.hypot(x, y) == pytest.approx(1.5, rel=1e-12)
-            assert z == 0.0
 
 
 class TestArrayResponse:

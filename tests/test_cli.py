@@ -4,10 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+import lensmimo
 from lensmimo import effective_prob_closed, effective_prob_quadrature
 from lensmimo.cli import _write_json, main
 
@@ -261,8 +263,7 @@ class TestManifestParameters:
             (
                 ["pattern", "--d-tilde", 10, "--steps", 11, "--phi-l-sf", 0.2],
                 {"d_tilde": 10.0, "a_z": 1.0, "phi_l_deg": 0.0, "phi_l_sf": 0.2,
-                 "delta_min": -0.5, "delta_max": 0.5, "steps": 11,
-                 "convention": "normalized"},
+                 "delta_min": -0.5, "delta_max": 0.5, "steps": 11},
             ),
             (
                 ["prob", "--d-tilde", 10, "--method", "mc", "--samples", 1000,
@@ -282,7 +283,7 @@ class TestManifestParameters:
                 ["scenario", "--d-tilde", 10, "--users", 3, "--trials", 20, "--seed", 2,
                  "--a-z", 2],
                 {"d_tilde": 10.0, "a_z": 2.0, "users": 3, "trials": 20, "seed": 2,
-                 "threads": 1, "convention": "normalized"},
+                 "threads": 1},
             ),
         ],
     )
@@ -312,6 +313,39 @@ class TestPlumbing:
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert run_cli("prob", "--method", "closed") == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("pattern", "--d-tilde", 10, "--steps", 11),
+         ("scenario", "--d-tilde", 10, "--users", 3, "--trials", 20, "--seed", 2)],
+    )
+    def test_convention_flag_is_usage_error(self, tmp_path, capsys, argv):
+        # The lens response has one sinc, sin(pi x)/(pi x); there is no flag to pick it
+        out = tmp_path / "x.out"
+        assert run_cli(*argv, "--convention", "normalized", "--out", out) == 2
+        assert "--convention" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_public_names_resolve(self):
+        # The package exports exactly the names the CLI and the model's tests
+        # use, so a name dropped from the library is dropped from here too.
+        for name in lensmimo.__all__:
+            assert hasattr(lensmimo, name), name
+        exported = {name for name, value in vars(lensmimo).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert exported == set(lensmimo.__all__) - {"__version__"}
+        assert exported == {
+            "GRID_SNAP_TOL", "ChannelVector", "LensArrayConfig", "array_response",
+            "derive_element_count", "element_indices", "sinc", "snap_to_grid",
+            "NullNotFoundError", "PatternSeries", "effective_interference", "first_null",
+            "pairwise_interference_closed", "pairwise_interference_direct", "power_to_db",
+            "sidelobe_ratio_db", "sweep_pattern", "user_total_interference",
+            "ProbEstimate", "QuadratureError", "SectorModel", "effective_prob_closed",
+            "effective_prob_mc", "effective_prob_quadrature", "sample_doas",
+            "spatial_freq_pdf", "theta_pdf", "ApproximationReport", "ScenarioConfig",
+            "ScenarioResult", "approximation_quality", "run_scenario", "CheckResult",
+            "run_checks",
+        }
 
     def test_json_writer_refuses_nan_and_infinity(self, tmp_path):
         for bad in (math.nan, math.inf):

@@ -8,22 +8,21 @@ import pytest
 from lensmimo import (
     LensArrayConfig,
     ScenarioConfig,
-    SincConvention,
     approximation_quality,
     effective_prob_mc,
+    pairwise_interference_direct,
     run_scenario,
     sample_doas,
     user_total_interference,
 )
-from lensmimo.harness import _chunk_ranges
+from lensmimo.harness import _trial_chunk
 
 TRUE_P10 = 0.1122673842  # see test_stochastic for the independent oracle
 
 
-def _cfg(d_tilde=10.0, users=10, trials=2000, seed=1, a_z=1.0,
-         convention=SincConvention.NORMALIZED):
+def _cfg(d_tilde=10.0, users=10, trials=2000, seed=1, a_z=1.0, element_count=None):
     return ScenarioConfig(
-        array=LensArrayConfig(d_tilde=d_tilde, a_z=a_z, sinc_convention=convention),
+        array=LensArrayConfig(d_tilde=d_tilde, a_z=a_z, element_count=element_count),
         user_count=users,
         trial_count=trials,
         seed=seed,
@@ -43,6 +42,11 @@ class TestValidation:
         cfg = _cfg(users=3, trials=4)
         with pytest.raises(ValueError):
             run_scenario(cfg, doas=np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_thread_count_below_one(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_scenario(_cfg(users=3, trials=4), threads=threads)
 
 
 class TestSingleUser:
@@ -72,7 +76,7 @@ class TestDeterminism:
     def test_thread_count_invariant(self):
         cfg = _cfg(trials=1000, users=100)
         # the pool only runs when the trials span several chunks
-        assert len(_chunk_ranges(1000, 100, cfg.array.element_count)) >= 2
+        assert _trial_chunk(100, cfg.array.element_count) < 1000
         serial = run_scenario(cfg, threads=1)
         for threads in (2, 3, 7):
             par = run_scenario(cfg, threads=threads)
@@ -95,39 +99,45 @@ class TestDeterminism:
 class TestChunking:
     def test_many_users_bound_every_pair_array(self):
         # each float64 (chunk, L, L) intermediate stays within 4e6 doubles
-        ranges = _chunk_ranges(10_000, 1000, 41)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 10_000
-        assert all(a1 == b0 for (_, b0), (a1, _) in zip(ranges, ranges[1:]))
-        assert max(b - a for a, b in ranges) * 1000 * 1000 <= 4_000_000
+        assert _trial_chunk(1000, 41) * 1000 * 1000 <= 4_000_000
+        # a single drop too large for the budget still runs, one trial a chunk
+        assert _trial_chunk(3000, 41) == 1
 
     def test_profiles_bound_wide_arrays(self):
-        ranges = _chunk_ranges(10_000, 10, 4001)
-        assert max(b - a for a, b in ranges) * 10 * 4001 <= 4_000_000
+        assert _trial_chunk(10, 4001) * 10 * 4001 <= 4_000_000
 
 
 class TestAdditivity:
     def test_per_user_totals_match_pairwise_sums(self):
         self._audit(_cfg(users=6, trials=300, d_tilde=5.0, a_z=2.0, seed=3))
 
-    def test_unnormalized_totals_match_pairwise_sums(self):
-        self._audit(_cfg(users=6, trials=300, d_tilde=5.0, a_z=2.0, seed=3,
-                         convention=SincConvention.UNNORMALIZED))
+    def test_beyond_span_totals_match_pairwise_sums(self):
+        # With M = 5 < 2 d_tilde + 1, users with |d_tilde sin(phi)| > 2 lie
+        # beyond the element span, so their drops take the O(M) profile sum.
+        cfg = _cfg(users=6, trials=300, d_tilde=5.0, a_z=2.0, seed=3, element_count=5)
+        self._audit(cfg, beyond_span=True)
 
     @staticmethod
-    def _audit(cfg):
-        # audit 1% of trials against the batch interference path
+    def _audit(cfg, beyond_span=False):
+        # audit 1% of trials against the batch path and the direct oracle
         res = run_scenario(cfg)
         phi = sample_doas(cfg.seed, cfg.trial_count * cfg.user_count).reshape(
             cfg.trial_count, cfg.user_count
         )
         rng = np.random.default_rng(0)
         audit_trials = rng.choice(cfg.trial_count, size=3, replace=False)
+        t_beam = cfg.array.d_tilde * np.sin(phi[audit_trials])
+        beyond = (np.abs(t_beam) > cfg.array.max_index).any(axis=1)
+        assert beyond.all() if beyond_span else not beyond.any()
         for t in audit_trials:
             freqs = np.sin(phi[t])
             for l in range(cfg.user_count):
                 expect = user_total_interference(cfg.array, l, freqs)
                 got = res.exact_totals[t, l]
                 assert got == pytest.approx(expect, rel=1e-9, abs=1e-12)
+                direct = sum(pairwise_interference_direct(cfg.array, freqs[l], freqs[k])
+                             for k in range(cfg.user_count) if k != l)
+                assert got == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
 class TestBounds:

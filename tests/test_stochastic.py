@@ -12,6 +12,7 @@ cross-checked as central differences of that same CDF.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from lensmimo import (
     spatial_freq_pdf,
     theta_pdf,
 )
-from lensmimo.stochastic import _unit_stream
+from lensmimo.stochastic import _map_ranges, _unit_stream
 
 HALF_WIDTH = math.pi / 3.0
 S_MAX = math.sin(HALF_WIDTH)
@@ -331,6 +332,47 @@ class TestEffectiveProbMc:
             effective_prob_mc(10.0, sample_count=0, seed=1)
         with pytest.raises(ValueError):
             effective_prob_mc(-1.0, sample_count=10, seed=1)
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads"):
+                effective_prob_mc(10.0, sample_count=1000, seed=1, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        effective_prob_quadrature,
+        effective_prob_closed,
+        lambda d_tilde: effective_prob_mc(d_tilde, sample_count=1000, seed=1),
+        lambda d_tilde: theta_pdf(0.5, d_tilde),
+    ],
+    ids=["quadrature", "closed", "mc", "theta_pdf"],
+)
+def test_nan_dimension_rejected(fn):
+    # NaN fails every comparison, so each guard is written to fail for it too
+    with pytest.raises(ValueError, match="d_tilde"):
+        fn(math.nan)
+
+
+class TestMapRanges:
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_ranges_tile_the_count_in_order(self, threads):
+        got = _map_ranges(lambda a, b: (a, b), 10, 3, threads)
+        assert got == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert _map_ranges(lambda a, b: (a, b), 5, 8, threads) == [(0, 5)]
+
+    def test_results_keep_range_order_when_later_ranges_finish_first(self):
+        def slow_first(a, b):
+            time.sleep(0.01 * (8 - a))
+            return a
+
+        assert _map_ranges(slow_first, 8, 2, threads=4) == [0, 2, 4, 6]
+
+    @pytest.mark.parametrize("threads", [0, -3, math.nan])
+    def test_thread_count_below_one_rejected(self, threads):
+        calls = []
+        with pytest.raises(ValueError, match="threads"):
+            _map_ranges(lambda a, b: calls.append(a), 10, 3, threads)
+        assert calls == []
 
 
 class TestSampleDoas:
