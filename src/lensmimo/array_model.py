@@ -57,10 +57,13 @@ class LensArrayConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.phi0):
+            raise ValueError(f"phi0 must be finite, got {self.phi0}")
         if self.element_count is None:
             object.__setattr__(self, "element_count", derive_element_count(self.d_tilde))
         m = self.element_count
-        if not isinstance(m, numbers.Integral) or m < 1 or m % 2 == 0:
+        # bool is an Integral, but True is not an element count
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1 or m % 2 == 0:
             raise ValueError(f"element_count must be an odd positive integer, got {m}")
         object.__setattr__(self, "element_count", int(m))
         if (m - 1) / 2 > self.d_tilde:

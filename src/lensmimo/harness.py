@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import LensArrayConfig
-from .interference import _pair_powers
-from .stochastic import DEFAULT_SECTOR, SectorModel, _map_ranges, sample_doas
+from .interference import BLOCK_DOUBLES, _pair_powers, _row_differences
+from .stochastic import DEFAULT_SECTOR, SectorModel, _check_seed, _map_ranges, sample_doas
 
 CDF_POINTS = 256
 
@@ -32,8 +32,7 @@ class ScenarioConfig:
             raise ValueError(f"user_count must be positive, got {self.user_count}")
         if self.trial_count < 1:
             raise ValueError(f"trial_count must be positive, got {self.trial_count}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -63,13 +62,16 @@ def _trial_block(config: ScenarioConfig, phi: np.ndarray):
     """Exact totals, effective totals, and effective counts for one chunk.
 
     phi has shape (trials, L). _pair_powers gives every pairwise
-    interference power of a drop at once, self-pairs zeroed. The mainlobe
-    gate |Theta| <= 1 uses the raw spatial-frequency separations.
+    interference power of a drop at once, self-pairs zeroed. One scratch
+    array of the powers' shape takes the kernel's divisor and then the
+    mainlobe gate's |Theta|, which uses the raw spatial-frequency
+    separations, so a chunk holds two (trials, L, L) float arrays.
     """
     arr = config.array
     st = np.sin(phi)
-    power = _pair_powers(arr, st)
-    theta = st[:, :, None] - st[:, None, :]
+    scratch = np.empty(st.shape + st.shape[-1:])
+    power = _pair_powers(arr, st, scratch=scratch)
+    theta = _row_differences(st, st, scratch)
     theta *= arr.d_tilde
     eff_mask = np.abs(theta, out=theta) <= 1.0
     self_pair = np.arange(st.shape[1])
@@ -79,16 +81,15 @@ def _trial_block(config: ScenarioConfig, phi: np.ndarray):
     # The same summation with the gated-out powers zeroed keeps effective <= exact
     power *= eff_mask
     effective = power.sum(axis=2)
-    counts = eff_mask.sum(axis=2)
+    counts = np.count_nonzero(eff_mask, axis=2)
     return exact, effective, counts
 
 
-def _trial_chunk(user_count: int, element_count: int) -> int:
-    # Trials per chunk, capping per-chunk storage near 32 MB of doubles: per
-    # trial, each L x L pair array and the L x M profiles that rows with a
-    # user beyond the element span take.
-    per_trial = max(1, user_count * max(user_count, element_count))
-    return max(1, 4_000_000 // per_trial)
+def _trial_chunk(user_count: int) -> int:
+    # Trials per chunk: each (chunk, L, L) pair array stays within
+    # BLOCK_DOUBLES, so the block's passes over it run in cache. A drop
+    # larger than that runs alone.
+    return max(1, BLOCK_DOUBLES // (user_count * user_count))
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1, doas: np.ndarray = None) -> ScenarioResult:
@@ -113,7 +114,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1, doas: np.ndarray = No
             phi = doas[a:b]
         return _trial_block(config, phi)
 
-    chunk = _trial_chunk(L, config.array.element_count)
+    chunk = _trial_chunk(L)
     parts = _map_ranges(block, T, chunk, threads)
 
     exact = np.concatenate([p[0] for p in parts], axis=0)

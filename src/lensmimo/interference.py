@@ -60,6 +60,11 @@ from .array_model import (
 # limit's midpoint expansion errs by about gap^2/4 of the tail.
 COINCIDENT_GAP = 1e-5
 
+# Float64 elements in one chunk-sized intermediate, about 3.2 MB: small
+# enough that the passes over a drop ensemble's pair arrays and over the
+# beyond-span profiles stay in cache.
+BLOCK_DOUBLES = 400_000
+
 # Powers are clamped here before dB conversion so emitted series stay finite.
 DB_FLOOR = 1e-300
 
@@ -139,19 +144,38 @@ def _profile_gram(config: LensArrayConfig, t_l: np.ndarray, t_k: np.ndarray) -> 
     return prof_l @ _sinc_array(m - t_k[..., None]).transpose(0, 2, 1)
 
 
-def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
+def _row_differences(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """x[:, :, None] - y[:, None, :] for 2-D x and y, written into out if given.
+
+    Filling out with x and subtracting y in place gives the same bits as
+    the broadcast subtraction in about two thirds of its time, because
+    NumPy's inner loop then runs over two arrays instead of a repeated
+    scalar and an array.
+    """
+    if out is None:
+        out = np.empty(x.shape + y.shape[-1:])
+    out[...] = x[:, :, None]
+    out -= y[:, None, :]
+    return out
+
+
+def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.ndarray:
     """Signed G between every user of sf_l and every user of sf_k.
 
     sf_l and sf_k have shapes (..., L) and (..., N) with the same leading
     shape, and the result has shape (..., L, N). Without sf_k the pairs are
     those of sf_l with itself, and the self-pairs, which the drop ensembles
-    exclude, read 0.
+    exclude, read 0. The divisor a - b is written into scratch, a float
+    array of shape (rows, L, N) with rows the size of the leading shape,
+    when one is given; it holds no meaning afterwards.
 
     The numerators u_l v_k - v_l u_k are one rank-2 matrix product per
     row, so the special functions are called O(L + N) times per row.
     Coincident pairs are rare: only rows whose sorted coordinates have a
     gap below COINCIDENT_GAP are searched for them.
-    Rows with a user beyond the span take the profile sum.
+    Rows with a user beyond the span take the profile sum, a few rows at a
+    time, so their (rows, L, M) profiles stay within BLOCK_DOUBLES unless a
+    single row exceeds it.
     """
     t_l = np.asarray(_beam_coords(config, sf_l))
     t_k = t_l if sf_k is None else np.asarray(_beam_coords(config, sf_k))
@@ -163,7 +187,7 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
     v_l, u_l = _beam_terms(t_l, k)
     v_k, u_k = (v_l, u_l) if sf_k is None else _beam_terms(t_k, k)
     g = np.stack((u_l, -v_l), 2) @ np.stack((v_k, u_k), 1)
-    diff = t_l[:, :, None] - t_k[:, None, :]
+    diff = _row_differences(t_l, t_k, scratch)
     if sf_k is None:
         pool = t_l
         # Self-pairs are zeroed below, so any divisor serves there.
@@ -177,17 +201,19 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
     diff[r, i, j] = 1.0
     g /= diff
     g[r, i, j] = _coincident_gram(t_l[r, i], t_k[r, j], v_l[r, i], v_k[r, j], k)
-    beyond = (np.abs(t_l) > k).any(axis=1) | (np.abs(t_k) > k).any(axis=1)
-    if beyond.any():
-        g[beyond] = _profile_gram(config, t_l[beyond], t_k[beyond])
+    beyond = np.flatnonzero((np.abs(t_l) > k).any(axis=1) | (np.abs(t_k) > k).any(axis=1))
+    step = max(1, BLOCK_DOUBLES // (config.element_count * max(g.shape[1], g.shape[2])))
+    for start in range(0, beyond.size, step):
+        part = beyond[start : start + step]
+        g[part] = _profile_gram(config, t_l[part], t_k[part])
     if sf_k is None:
         g[:, self_pair, self_pair] = 0.0
     return g.reshape(shape)
 
 
-def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
+def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.ndarray:
     """Interference (A^2/M) G^2 between the users of sf_l and sf_k, as _pair_gram."""
-    g = _pair_gram(config, sf_l, sf_k)
+    g = _pair_gram(config, sf_l, sf_k, scratch)
     np.square(g, out=g)
     a = config.aperture
     g *= a * a / config.element_count

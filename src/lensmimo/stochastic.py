@@ -69,6 +69,12 @@ def _map_ranges(fn, count: int, chunk: int, threads: int) -> list:
         return list(pool.map(fn, *zip(*ranges)))
 
 
+def _check_seed(seed: int) -> None:
+    # Philox keys are 128-bit; its own error for others names no argument
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+
+
 def _unit_stream(seed: int, offset: int, count: int) -> np.ndarray:
     """Doubles [offset, offset + count) of the uniform stream keyed by seed.
 
@@ -77,6 +83,7 @@ def _unit_stream(seed: int, offset: int, count: int) -> np.ndarray:
     the in-block remainder. Disjoint ranges therefore reproduce the serial
     sequence exactly, whatever the partitioning.
     """
+    _check_seed(seed)
     bitgen = Philox(key=seed)
     skip, rem = divmod(offset, 4)
     if skip:

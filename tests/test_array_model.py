@@ -72,6 +72,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             LensArrayConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, value):
+        with pytest.raises(ValueError, match="phi0 must be finite"):
+            LensArrayConfig(d_tilde=10.0, phi0=value)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_count_rejected(self, value):
+        # bool is a numbers.Integral, so True would otherwise pass as M = 1
+        with pytest.raises(ValueError, match="element_count"):
+            LensArrayConfig(d_tilde=10.0, element_count=value)
+
     def test_numpy_integer_count_accepted(self):
         cfg = LensArrayConfig(d_tilde=10.0, element_count=np.int64(21))
         assert cfg.element_count == 21

@@ -15,7 +15,10 @@ from lensmimo import (
     sample_doas,
     user_total_interference,
 )
+from lensmimo import harness, interference
+from lensmimo.array_model import _beam_coords
 from lensmimo.harness import _trial_chunk
+from lensmimo.interference import BLOCK_DOUBLES
 
 TRUE_P10 = 0.1122673842  # see test_stochastic for the independent oracle
 
@@ -42,6 +45,11 @@ class TestValidation:
         cfg = _cfg(users=3, trials=4)
         with pytest.raises(ValueError):
             run_scenario(cfg, doas=np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_rejects_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            _cfg(seed=seed)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_rejects_thread_count_below_one(self, threads):
@@ -76,12 +84,33 @@ class TestDeterminism:
     def test_thread_count_invariant(self):
         cfg = _cfg(trials=1000, users=100)
         # the pool only runs when the trials span several chunks
-        assert _trial_chunk(100, cfg.array.element_count) < 1000
+        assert _trial_chunk(100) < 1000
         serial = run_scenario(cfg, threads=1)
         for threads in (2, 3, 7):
             par = run_scenario(cfg, threads=threads)
             assert np.array_equal(serial.exact_totals, par.exact_totals)
             assert np.array_equal(serial.effective_totals, par.effective_totals)
+            assert np.array_equal(serial.effective_counts, par.effective_counts)
+
+    def test_chunk_size_invariant(self, monkeypatch):
+        # trial t is a pure function of its stream range, so the chunk size
+        # changes no output bit
+        cfg = _cfg(d_tilde=5.0, users=100, trials=50)
+        assert _trial_chunk(100) < 50
+        runs = [run_scenario(cfg)]
+        for chunk in (1, 7):
+            monkeypatch.setattr(harness, "_trial_chunk", lambda user_count, c=chunk: c)
+            runs.append(run_scenario(cfg))
+        ref = runs[0]
+        for res in runs[1:]:
+            for field in ("exact_totals", "effective_totals", "effective_counts",
+                          "cdf_grid", "cdf_values"):
+                assert np.array_equal(getattr(ref, field), getattr(res, field)), field
+            assert res.effective_counts.dtype == ref.effective_counts.dtype
+            assert res.exact_summary == ref.exact_summary
+            assert res.effective_summary == ref.effective_summary
+            assert res.mean_effective_count == ref.mean_effective_count
+            assert res.mean_effective_count_se == ref.mean_effective_count_se
 
     def test_different_seeds_differ(self):
         r1 = run_scenario(_cfg(seed=1, trials=50))
@@ -98,13 +127,46 @@ class TestDeterminism:
 
 class TestChunking:
     def test_many_users_bound_every_pair_array(self):
-        # each float64 (chunk, L, L) intermediate stays within 4e6 doubles
-        assert _trial_chunk(1000, 41) * 1000 * 1000 <= 4_000_000
+        # each float64 (chunk, L, L) intermediate stays within BLOCK_DOUBLES
+        assert BLOCK_DOUBLES == 400_000
+        for users in (100, 200, 632):
+            assert _trial_chunk(users) * users * users <= BLOCK_DOUBLES
+        assert _trial_chunk(200) == 10
         # a single drop too large for the budget still runs, one trial a chunk
-        assert _trial_chunk(3000, 41) == 1
+        assert _trial_chunk(1000) == 1
+        assert _trial_chunk(3000) == 1
 
-    def test_profiles_bound_wide_arrays(self):
-        assert _trial_chunk(10, 4001) * 10 * 4001 <= 4_000_000
+    def test_small_drops_share_one_chunk(self):
+        # the budget counts only the L x L arrays, so a wide array with few
+        # users keeps a long ensemble in one chunk
+        assert _trial_chunk(10) >= 1500
+
+    def test_profiles_bound_wide_arrays(self, monkeypatch):
+        # M = 4001 leaves users with |t| > 2000 beyond the span, so most rows
+        # take the profile sum; each call's (rows, L, M) profiles must fit
+        arr = LensArrayConfig(d_tilde=3000.0, element_count=4001)
+        sf = np.sin(sample_doas(4, 40 * 10)).reshape(40, 10)
+        rows_beyond = (np.abs(arr.d_tilde * sf) > arr.max_index).any(axis=1)
+        assert rows_beyond.sum() > BLOCK_DOUBLES // (10 * 4001)
+        shapes = []
+        whole = interference._profile_gram
+
+        def record(config, t_l, t_k):
+            shapes.append(t_l.shape)
+            return whole(config, t_l, t_k)
+
+        monkeypatch.setattr(interference, "_profile_gram", record)
+        g = interference._pair_gram(arr, sf)
+        assert sum(rows for rows, _ in shapes) == rows_beyond.sum()
+        assert len(shapes) > 1
+        for rows, users in shapes:
+            assert rows * users * arr.element_count <= BLOCK_DOUBLES
+        # row by row the profile sum gives the same bits
+        t = _beam_coords(arr, sf)
+        for r in np.flatnonzero(rows_beyond)[:3]:
+            expect = whole(arr, t[r : r + 1], t[r : r + 1])[0]
+            np.fill_diagonal(expect, 0.0)
+            assert np.array_equal(g[r], expect)
 
 
 class TestAdditivity:

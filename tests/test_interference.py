@@ -24,7 +24,7 @@ from lensmimo import (
     user_total_interference,
 )
 from lensmimo.array_model import _profile_matrix
-from lensmimo.interference import SIDELOBE_PEAK_X, SIDELOBE_RATIO_DB
+from lensmimo.interference import SIDELOBE_PEAK_X, SIDELOBE_RATIO_DB, _row_differences
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 
@@ -178,6 +178,16 @@ def _assert_kernel_matches_direct(cfg, pairs):
     for direct, *fast in _kernel_paths(cfg, pairs):
         for value in fast:
             assert _agree(direct, value), f"direct {direct!r} fast {fast!r}"
+
+
+def test_row_differences_match_broadcast_subtraction():
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-87.0, 87.0, (4, 9)), rng.uniform(-87.0, 87.0, (4, 6))
+    expect = x[:, :, None] - y[:, None, :]
+    assert np.array_equal(_row_differences(x, y), expect)
+    out = np.full((4, 9, 6), np.nan)
+    assert _row_differences(x, y, out) is out
+    assert np.array_equal(out, expect)
 
 
 class TestPairKernel:

@@ -418,6 +418,25 @@ class TestUnitStream:
         assert np.array_equal(full, np.concatenate(parts))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda seed: effective_prob_mc(10.0, sample_count=1000, seed=seed),
+        lambda seed: sample_doas(seed, 10),
+    ],
+    ids=["mc", "sample_doas"],
+)
+def test_seed_outside_philox_key_range_rejected(fn, seed):
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
+        fn(seed)
+
+
+def test_seed_range_ends_accepted():
+    assert sample_doas(0, 3).shape == (3,)
+    assert sample_doas(2**128 - 1, 3).shape == (3,)
+
+
 class TestProbEstimate:
     def test_fields(self):
         est = ProbEstimate(value=0.5, std_error=0.01, sample_count=100, seed=1)
