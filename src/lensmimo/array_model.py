@@ -15,7 +15,6 @@ the beamspace picture exact on the grid.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +37,15 @@ def derive_element_count(d_tilde: float) -> int:
 
 @dataclass(frozen=True)
 class LensArrayConfig:
-    """Normalized lens dimensions, element count and common phase.
+    """Normalized lens dimensions and common phase.
 
     d_tilde is the azimuth lens dimension over the carrier wavelength and
-    a_z the vertical one, so the aperture gain is A = d_tilde * a_z.
-    element_count defaults to the largest valid odd M for the given
-    d_tilde; an explicit override is validated against the placement
-    constraint (element_count - 1) / 2 <= d_tilde.
+    a_z the vertical one, so the aperture gain is A = d_tilde * a_z. The
+    element count is always derived from d_tilde; see element_count.
     """
 
     d_tilde: float
     a_z: float = 1.0
-    element_count: int = None
     phi0: float = 0.0
 
     def __post_init__(self):
@@ -59,17 +55,11 @@ class LensArrayConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not math.isfinite(self.phi0):
             raise ValueError(f"phi0 must be finite, got {self.phi0}")
-        if self.element_count is None:
-            object.__setattr__(self, "element_count", derive_element_count(self.d_tilde))
-        m = self.element_count
-        # bool is an Integral, but True is not an element count
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1 or m % 2 == 0:
-            raise ValueError(f"element_count must be an odd positive integer, got {m}")
-        object.__setattr__(self, "element_count", int(m))
-        if (m - 1) / 2 > self.d_tilde:
-            raise ValueError(
-                f"element_count {m} places elements beyond end-fire for d_tilde {self.d_tilde}"
-            )
+
+    @functools.cached_property
+    def element_count(self) -> int:
+        """M = derive_element_count(d_tilde), the largest valid odd count."""
+        return derive_element_count(self.d_tilde)
 
     @property
     def aperture(self) -> float:

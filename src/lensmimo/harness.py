@@ -13,10 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import LensArrayConfig
-from .interference import BLOCK_DOUBLES, _pair_powers, _row_differences
+from .interference import _pair_powers, _row_differences
 from .stochastic import DEFAULT_SECTOR, SectorModel, _check_seed, _map_ranges, sample_doas
 
 CDF_POINTS = 256
+
+# Float64 elements in one chunk's (trials, L, L) pair array, about 3.2 MB:
+# small enough that the block's passes over it stay in cache.
+BLOCK_DOUBLES = 400_000
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,7 @@ def _trial_block(config: ScenarioConfig, phi: np.ndarray):
 
 
 def _trial_chunk(user_count: int) -> int:
-    # Trials per chunk: each (chunk, L, L) pair array stays within
-    # BLOCK_DOUBLES, so the block's passes over it run in cache. A drop
-    # larger than that runs alone.
+    # Trials per chunk within BLOCK_DOUBLES; a drop larger than that runs alone.
     return max(1, BLOCK_DOUBLES // (user_count * user_count))
 
 

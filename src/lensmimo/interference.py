@@ -23,12 +23,17 @@ c = cos(pi t) and
     u = v S(t) = v [psi(K + 1 - t) - psi(K + 1 + t)] - c,
 
 G(a, b) = (u_a v_b - v_a u_b) / (a - b). Users beyond the element span,
-|t| > K, take the O(M) profile sum, because the digamma difference loses
-its digits to cancellation there; this is the only O(M) path. Pairs closer than COINCIDENT_GAP use
-the limit instead: the sum over all integers m is sinc(a - b), so G is
-sinc(a - b) less the tail |m| > K, whose terms are taken at the midpoint
-through Hurwitz zeta functions. pairwise_interference_closed evaluates G
-on Python floats.
+K < |t| <= d_tilde, occur near end-fire when d_tilde is fractional, since
+K = floor(d_tilde). No grid pole lies there, so the recurrence alone sums
+S without cancellation, S(t) = sign(t) [psi(|t| - K) - psi(|t| + K + 1)],
+and c = 0.
+
+Pairs closer than COINCIDENT_GAP use the limit instead, with each
+1/((m - a)(m - b)) taken as 1/(m - x)^2 at the midpoint x and summed
+through Hurwitz zeta functions. Within the span the sum over all integers
+m is sinc(a - b), and G is sinc(a - b) less the tail |m| > K; beyond it,
+G is the nearest element's term plus the other elements.
+pairwise_interference_closed evaluates G on Python floats.
 
 pairwise_interference_direct builds both channel vectors and takes their
 Hermitian inner product; it is the oracle the kernel is tested against.
@@ -49,21 +54,16 @@ from scipy.special import digamma, zeta
 from .array_model import (
     LensArrayConfig,
     _beam_coords,
-    _element_grid,
     _sinc_array,
     _validate_spatial_freq,
     array_response,
+    sinc,
 )
 
 # Beam-coordinate pairs closer than this take the coincident-pair limit of
 # the kernel: the difference quotient would lose about eps/gap of G, the
 # limit's midpoint expansion errs by about gap^2/4 of the tail.
 COINCIDENT_GAP = 1e-5
-
-# Float64 elements in one chunk-sized intermediate, about 3.2 MB: small
-# enough that the passes over a drop ensemble's pair arrays and over the
-# beyond-span profiles stay in cache.
-BLOCK_DOUBLES = 400_000
 
 # Powers are clamped here before dB conversion so emitted series stay finite.
 DB_FLOOR = 1e-300
@@ -110,38 +110,46 @@ def _beam_terms(t: np.ndarray, max_index: int):
     """Per-user kernel terms v = sin(pi t)/pi and u = v S(t) of beam coordinates t.
 
     sin and cos are taken of the offset from the nearest integer, so grid
-    users give v = 0 exactly. Coordinates beyond the span, |t| > K, get
-    finite placeholders for u; their rows take the profile sum instead.
+    users give v = 0 exactly. Coordinates beyond the span, |t| > K, take
+    the recurrence form of S with c = 0; only those entries are redone.
     """
     n = np.rint(t)
     e = np.pi * (t - n)
     sign = 1.0 - 2.0 * (n % 2.0)
     v = sign * np.sin(e) / np.pi
     k1 = max_index + 1.0
-    t = np.clip(t, -max_index, max_index)
-    return v, v * (digamma(k1 - t) - digamma(k1 + t)) - sign * np.cos(e)
+    # 0 * inf where a grid user snaps to t = +-(K + 1); such entries are redone below
+    with np.errstate(invalid="ignore"):
+        u = v * (digamma(k1 - t) - digamma(k1 + t)) - sign * np.cos(e)
+    out = np.abs(t) > max_index
+    if out.any():
+        s = np.abs(t[out])
+        u[out] = np.sign(t[out]) * v[out] * (digamma(s - max_index) - digamma(s + k1))
+    return v, u
 
 
 def _coincident_gram(a, b, v_a, v_b, max_index: int):
-    """G(a, b) for |a - b| < COINCIDENT_GAP, both within the span.
+    """G(a, b) for |a - b| < COINCIDENT_GAP.
 
-    The sum over all m is sinc(a - b). The tail |m| > K is subtracted with
-    each 1/((m - a)(m - b)) taken as 1/(m - x)^2 at the midpoint x, which
-    lies at least 1 from every tail index, and summed by the Hurwitz zeta
-    function zeta(2, q) = sum_{j >= 0} 1/(j + q)^2. Pairs beyond the span
-    get finite placeholders, as in _beam_terms.
+    Each 1/((m - a)(m - b)) at least 1 from the midpoint x is taken as
+    1/(m - x)^2 and summed by the Hurwitz zeta function
+    zeta(2, q) = sum_{j >= 0} 1/(j + q)^2. With |x| <= K the sum over all m
+    is sinc(a - b), less the tail |m| > K. With |x| > K the nearest element
+    +-K is taken exactly and the other 2K elements are summed.
     """
-    x = np.clip(0.5 * (a + b), -max_index, max_index)
+    x = 0.5 * (a + b)
     k1 = max_index + 1.0
-    return np.sinc(a - b) - v_a * v_b * (zeta(2.0, k1 - x) + zeta(2.0, k1 + x))
-
-
-def _profile_gram(config: LensArrayConfig, t_l: np.ndarray, t_k: np.ndarray) -> np.ndarray:
-    """G by the O(M) sum over sinc profiles, for beam coordinates of shapes
-    (R, L) and (R, N); the result has shape (R, L, N)."""
-    m = _element_grid(config.max_index)
-    prof_l = _sinc_array(m - t_l[..., None])
-    return prof_l @ _sinc_array(m - t_k[..., None]).transpose(0, 2, 1)
+    # 0 * inf where both users snap to x = +-(K + 1); such entries are redone below
+    with np.errstate(invalid="ignore"):
+        g = np.sinc(a - b) - v_a * v_b * (zeta(2.0, k1 - x) + zeta(2.0, k1 + x))
+    out = np.abs(x) > max_index
+    if out.any():
+        x, s = x[out], np.abs(x[out])
+        edge = np.copysign(max_index, x)
+        near = _sinc_array(edge - a[out]) * _sinc_array(edge - b[out])
+        rest = zeta(2.0, s - max_index + 1.0) - zeta(2.0, s + k1)
+        g[out] = near + v_a[out] * v_b[out] * rest
+    return g
 
 
 def _row_differences(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
@@ -170,12 +178,10 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.nda
     when one is given; it holds no meaning afterwards.
 
     The numerators u_l v_k - v_l u_k are one rank-2 matrix product per
-    row, so the special functions are called O(L + N) times per row.
+    row, so the special functions are called O(L + N) times per row,
+    whatever M and wherever the users lie.
     Coincident pairs are rare: only rows whose sorted coordinates have a
     gap below COINCIDENT_GAP are searched for them.
-    Rows with a user beyond the span take the profile sum, a few rows at a
-    time, so their (rows, L, M) profiles stay within BLOCK_DOUBLES unless a
-    single row exceeds it.
     """
     t_l = np.asarray(_beam_coords(config, sf_l))
     t_k = t_l if sf_k is None else np.asarray(_beam_coords(config, sf_k))
@@ -201,11 +207,6 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.nda
     diff[r, i, j] = 1.0
     g /= diff
     g[r, i, j] = _coincident_gram(t_l[r, i], t_k[r, j], v_l[r, i], v_k[r, j], k)
-    beyond = np.flatnonzero((np.abs(t_l) > k).any(axis=1) | (np.abs(t_k) > k).any(axis=1))
-    step = max(1, BLOCK_DOUBLES // (config.element_count * max(g.shape[1], g.shape[2])))
-    for start in range(0, beyond.size, step):
-        part = beyond[start : start + step]
-        g[part] = _profile_gram(config, t_l[part], t_k[part])
     if sf_k is None:
         g[:, self_pair, self_pair] = 0.0
     return g.reshape(shape)
@@ -221,7 +222,7 @@ def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.n
 
 
 def _gram_float(a: float, b: float, max_index: int) -> float:
-    """G(a, b) of two beam coordinates within the span, on Python floats.
+    """G(a, b) of two beam coordinates on Python floats.
 
     The kernel of _beam_terms, _coincident_gram and _pair_gram written with
     math and scalar scipy calls, because NumPy's per-call overhead on 0-d
@@ -236,14 +237,23 @@ def _gram_float(a: float, b: float, max_index: int) -> float:
         c = math.cos(e)
         if n % 2:
             v, c = -v, -c
-        terms.append((v, v * float(digamma(k1 - t) - digamma(k1 + t)) - c))
+        p, q = k1 - t, k1 + t
+        if t > max_index:
+            p, q, c = t - max_index, t + k1, 0.0
+        elif t < -max_index:
+            p, q, c = k1 - t, -max_index - t, 0.0
+        terms.append((v, v * float(digamma(p) - digamma(q)) - c))
     (v_a, u_a), (v_b, u_b) = terms
     d = a - b
     if abs(d) >= COINCIDENT_GAP:
         return (u_a * v_b - v_a * u_b) / d
     x = 0.5 * (a + b)
-    s = 1.0 if d == 0.0 else math.sin(math.pi * d) / (math.pi * d)
-    return s - v_a * v_b * float(zeta(2.0, k1 - x) + zeta(2.0, k1 + x))
+    s = abs(x)
+    if s > max_index:
+        edge = math.copysign(max_index, x)
+        rest = float(zeta(2.0, s - max_index + 1.0) - zeta(2.0, s + k1))
+        return sinc(edge - a) * sinc(edge - b) + v_a * v_b * rest
+    return sinc(d) - v_a * v_b * float(zeta(2.0, k1 - x) + zeta(2.0, k1 + x))
 
 
 def pairwise_interference_direct(
@@ -265,15 +275,11 @@ def pairwise_interference_closed(
 ) -> float:
     """Closed-form interference, identical to the direct path to rounding.
 
-    O(1) work whatever the element count, for users within the element
-    span; a user beyond it takes the O(M) profile sum.
+    O(1) work whatever the element count, for every pair of users.
     """
     a = _beam_coords(config, float(phi_tilde_l))
     b = _beam_coords(config, float(phi_tilde_k))
-    k = config.max_index
-    if max(abs(a), abs(b)) > k:
-        return float(_pair_powers(config, [phi_tilde_l], [phi_tilde_k])[0, 0])
-    g = _gram_float(a, b, k)
+    g = _gram_float(a, b, config.max_index)
     return config.aperture**2 / config.element_count * g * g
 
 

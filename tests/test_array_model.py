@@ -51,13 +51,14 @@ class TestConfigValidation:
         cfg = LensArrayConfig(d_tilde=10.0, a_z=10.0)
         assert cfg.aperture == 100.0
 
-    def test_override_beyond_endfire_rejected(self):
-        with pytest.raises(ValueError):
-            LensArrayConfig(d_tilde=10.0, element_count=23)
+    def test_element_count_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            LensArrayConfig(10.0, element_count=21)
 
-    def test_even_count_rejected(self):
-        with pytest.raises(ValueError):
-            LensArrayConfig(d_tilde=10.0, element_count=20)
+    @given(st.floats(min_value=1e-3, max_value=500.0, allow_nan=False))
+    @settings(max_examples=100)
+    def test_count_is_always_derived(self, d_tilde):
+        assert LensArrayConfig(d_tilde=d_tilde).element_count == derive_element_count(d_tilde)
 
     def test_nonpositive_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -76,18 +77,6 @@ class TestConfigValidation:
     def test_non_finite_phase_rejected(self, value):
         with pytest.raises(ValueError, match="phi0 must be finite"):
             LensArrayConfig(d_tilde=10.0, phi0=value)
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_bool_count_rejected(self, value):
-        # bool is a numbers.Integral, so True would otherwise pass as M = 1
-        with pytest.raises(ValueError, match="element_count"):
-            LensArrayConfig(d_tilde=10.0, element_count=value)
-
-    def test_numpy_integer_count_accepted(self):
-        cfg = LensArrayConfig(d_tilde=10.0, element_count=np.int64(21))
-        assert cfg.element_count == 21
-        assert type(cfg.element_count) is int
-        assert cfg == LensArrayConfig(d_tilde=10.0)
 
 
 class TestSinc:

@@ -15,17 +15,15 @@ from lensmimo import (
     sample_doas,
     user_total_interference,
 )
-from lensmimo import harness, interference
-from lensmimo.array_model import _beam_coords
-from lensmimo.harness import _trial_chunk
-from lensmimo.interference import BLOCK_DOUBLES
+from lensmimo import harness
+from lensmimo.harness import BLOCK_DOUBLES, _trial_chunk
 
 TRUE_P10 = 0.1122673842  # see test_stochastic for the independent oracle
 
 
-def _cfg(d_tilde=10.0, users=10, trials=2000, seed=1, a_z=1.0, element_count=None):
+def _cfg(d_tilde=10.0, users=10, trials=2000, seed=1, a_z=1.0):
     return ScenarioConfig(
-        array=LensArrayConfig(d_tilde=d_tilde, a_z=a_z, element_count=element_count),
+        array=LensArrayConfig(d_tilde=d_tilde, a_z=a_z),
         user_count=users,
         trial_count=trials,
         seed=seed,
@@ -141,56 +139,34 @@ class TestChunking:
         # users keeps a long ensemble in one chunk
         assert _trial_chunk(10) >= 1500
 
-    def test_profiles_bound_wide_arrays(self, monkeypatch):
-        # M = 4001 leaves users with |t| > 2000 beyond the span, so most rows
-        # take the profile sum; each call's (rows, L, M) profiles must fit
-        arr = LensArrayConfig(d_tilde=3000.0, element_count=4001)
-        sf = np.sin(sample_doas(4, 40 * 10)).reshape(40, 10)
-        rows_beyond = (np.abs(arr.d_tilde * sf) > arr.max_index).any(axis=1)
-        assert rows_beyond.sum() > BLOCK_DOUBLES // (10 * 4001)
-        shapes = []
-        whole = interference._profile_gram
-
-        def record(config, t_l, t_k):
-            shapes.append(t_l.shape)
-            return whole(config, t_l, t_k)
-
-        monkeypatch.setattr(interference, "_profile_gram", record)
-        g = interference._pair_gram(arr, sf)
-        assert sum(rows for rows, _ in shapes) == rows_beyond.sum()
-        assert len(shapes) > 1
-        for rows, users in shapes:
-            assert rows * users * arr.element_count <= BLOCK_DOUBLES
-        # row by row the profile sum gives the same bits
-        t = _beam_coords(arr, sf)
-        for r in np.flatnonzero(rows_beyond)[:3]:
-            expect = whole(arr, t[r : r + 1], t[r : r + 1])[0]
-            np.fill_diagonal(expect, 0.0)
-            assert np.array_equal(g[r], expect)
-
 
 class TestAdditivity:
     def test_per_user_totals_match_pairwise_sums(self):
         self._audit(_cfg(users=6, trials=300, d_tilde=5.0, a_z=2.0, seed=3))
 
     def test_beyond_span_totals_match_pairwise_sums(self):
-        # With M = 5 < 2 d_tilde + 1, users with |d_tilde sin(phi)| > 2 lie
-        # beyond the element span, so their drops take the O(M) profile sum.
-        cfg = _cfg(users=6, trials=300, d_tilde=5.0, a_z=2.0, seed=3, element_count=5)
+        # d_tilde = 2.5 derives K = 2, so users with |sin(phi)| > 0.8 lie
+        # beyond the element span
+        cfg = _cfg(users=6, trials=300, d_tilde=2.5, a_z=2.0, seed=3)
         self._audit(cfg, beyond_span=True)
 
     @staticmethod
     def _audit(cfg, beyond_span=False):
-        # audit 1% of trials against the batch path and the direct oracle
+        # audit 1% of trials against the batch path and the direct oracle;
+        # with beyond_span, only trials that hold a user beyond the span
         res = run_scenario(cfg)
         phi = sample_doas(cfg.seed, cfg.trial_count * cfg.user_count).reshape(
             cfg.trial_count, cfg.user_count
         )
-        rng = np.random.default_rng(0)
-        audit_trials = rng.choice(cfg.trial_count, size=3, replace=False)
-        t_beam = cfg.array.d_tilde * np.sin(phi[audit_trials])
+        t_beam = cfg.array.d_tilde * np.sin(phi)
         beyond = (np.abs(t_beam) > cfg.array.max_index).any(axis=1)
-        assert beyond.all() if beyond_span else not beyond.any()
+        if beyond_span:
+            pool = np.flatnonzero(beyond)
+        else:
+            assert not beyond.any()
+            pool = cfg.trial_count
+        rng = np.random.default_rng(0)
+        audit_trials = rng.choice(pool, size=3, replace=False)
         for t in audit_trials:
             freqs = np.sin(phi[t])
             for l in range(cfg.user_count):

@@ -232,26 +232,48 @@ class TestPairKernel:
                     pairs.append((phi_l, phi_l - (n + eps) / d_tilde))
         _assert_kernel_matches_direct(cfg, pairs)
 
-    @pytest.mark.parametrize("d_tilde, count", [(20.0, 11), (20.0, 1), (57.3, 21)])
-    def test_overridden_element_count(self, d_tilde, count):
-        # users beyond the element span, |t| > K, including coincident ones
-        cfg = LensArrayConfig(d_tilde=d_tilde, element_count=count, a_z=2.0)
+    @pytest.mark.parametrize("d_tilde", [0.95, 20.95, 57.3])
+    def test_beyond_span_pairs(self, d_tilde):
+        # K = floor(d_tilde) leaves users with |t| in (K, d_tilde] beyond the
+        # element span; pairs among them, coincident ones included
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
         k = cfg.max_index
         rng = np.random.default_rng(29)
         pairs = list(rng.uniform(-1.0, 1.0, size=(40, 2)))
-        for t in (k - 1e-7, k, k + 2e-9, k + 0.5, k + 1.0, k + 3.3, -(k + 0.7)):
+        for t in (k - 1e-7, k, k + 2e-9, 0.5 * (k + d_tilde), d_tilde, -(k + 0.7 * (d_tilde - k))):
             for gap in (0.0, 1e-12, 1e-7, 1.01e-5, 1e-3, 0.4):
-                pairs.append((t / d_tilde, (t + gap) / d_tilde))
+                # the partner steps toward broadside, so it stays admissible
+                pairs.append((t / d_tilde, (t - math.copysign(gap, t)) / d_tilde))
         _assert_kernel_matches_direct(cfg, pairs)
 
     def test_span_edge_with_derived_count(self):
-        # d_tilde = 5.9 derives K = 5, so |t| in (5, 5.9] lies beyond the span
-        cfg = LensArrayConfig(d_tilde=5.9)
-        pairs = [(t / 5.9, (t + gap) / 5.9)
-                 for t in (4.9999, 5.0, 5.2, 5.8, -5.5)
-                 for gap in (0.0, 1e-9, 2e-5, 0.05)
-                 if abs(t + gap) <= 5.9]
-        _assert_kernel_matches_direct(cfg, pairs)
+        # pairs at, across and beyond the span edges +-K, at K = 0, 2, 5 and 5,
+        # the last with end-fire users snapped to the grid index K + 1
+        for d_tilde in (0.7, 2.5, 5.9, 5.9999999995):
+            cfg = LensArrayConfig(d_tilde=d_tilde)
+            k = cfg.max_index
+            beyond = d_tilde - k
+            pairs = []
+            for side in (1.0, -1.0):
+                for t in (k - 1e-4, k, k + 0.4 * beyond, d_tilde - 0.01, d_tilde):
+                    for gap in (0.0, 1e-12, 1e-9, 2e-5, 0.05, -1e-12, -1e-9, -2e-5, -0.05):
+                        if abs(t + gap) <= d_tilde:
+                            pairs.append((side * t / d_tilde, side * (t + gap) / d_tilde))
+                # straddling K, coincident with the midpoint on either side of it, and not
+                for a, b in ((-2e-9, 5e-9), (-5e-9, 2e-9), (-3e-6, 4e-6), (-2e-5, 3e-5)):
+                    pairs.append((side * (k + a) / d_tilde, side * (k + b) / d_tilde))
+            _assert_kernel_matches_direct(cfg, pairs)
+
+    def test_grid_user_beyond_span_is_orthogonal(self):
+        # K = 5, and sin(phi) = +-1 snaps to the grid index +-6 = +-(K + 1),
+        # whose profile is zero on every element
+        d_tilde = 5.9999999995
+        cfg = LensArrayConfig(d_tilde=d_tilde)
+        others = [1.0, -1.0, 1.0 - 1e-12, 0.0, 0.37, -0.999, 5.0 / d_tilde, 5.5 / d_tilde]
+        pairs = [(edge, other) for edge in (1.0, -1.0) for other in others]
+        for direct, *fast in _kernel_paths(cfg, pairs):
+            assert direct == 0.0
+            assert fast == [0.0, 0.0, 0.0]
 
     def test_nan_spatial_frequency_rejected(self):
         cfg = LensArrayConfig(d_tilde=10.0)
@@ -469,9 +491,10 @@ class TestPatternMetricsAgainstScan:
         assert SIDELOBE_RATIO_DB == pytest.approx(13.261458884048285, rel=1e-15)
 
     def test_grid_index_beyond_element_span_has_no_null(self):
-        # t = 3 with K = 2: the profile is zero, so the pattern has no null
-        with pytest.raises(NullNotFoundError):
-            first_null(LensArrayConfig(d_tilde=10.0, element_count=5), 0.3)
+        # K = 5, and sin(phi) = 1 snaps to the grid index 6: the profile is
+        # zero, so the pattern has no null
+        with pytest.raises(NullNotFoundError, match="grid index 6"):
+            first_null(LensArrayConfig(d_tilde=5.9999999995), 1.0)
 
     def test_null_with_interferer_at_end_fire(self):
         # 1 + (-0.9) rounds below 0.1, yet the interferer at -1 is admissible
