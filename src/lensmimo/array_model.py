@@ -177,6 +177,14 @@ def _profile_matrix(config: LensArrayConfig, spatial_freqs) -> np.ndarray:
     return _sinc_array(m - t[..., None])
 
 
+def _channel_matrix(config: LensArrayConfig, spatial_freqs) -> np.ndarray:
+    """Complex channel vectors exp(-j phi0) sqrt(A) sinc(m - d_tilde * phi_tilde)
+    of a batch of terminals, shape spatial_freqs.shape + (M,)."""
+    scale = math.sqrt(config.aperture)
+    phase = complex(math.cos(config.phi0), -math.sin(config.phi0))
+    return (scale * phase) * _profile_matrix(config, spatial_freqs)
+
+
 def array_response(config: LensArrayConfig, spatial_freq: float) -> ChannelVector:
     """Array response vector of one terminal at the given spatial frequency.
 
@@ -185,9 +193,6 @@ def array_response(config: LensArrayConfig, spatial_freq: float) -> ChannelVecto
     for the terminal it belongs to.
     """
     spatial_freq = float(spatial_freq)
-    prof = _profile_matrix(config, spatial_freq)
-    scale = math.sqrt(config.aperture)
-    phase = complex(math.cos(config.phi0), -math.sin(config.phi0))
-    entries = (scale * phase) * prof
+    entries = _channel_matrix(config, spatial_freq)
     entries.setflags(write=False)
     return ChannelVector(entries=entries, source_spatial_freq=spatial_freq)

@@ -35,8 +35,9 @@ m is sinc(a - b), and G is sinc(a - b) less the tail |m| > K; beyond it,
 G is the nearest element's term plus the other elements.
 pairwise_interference_closed evaluates G on Python floats.
 
-pairwise_interference_direct builds both channel vectors and takes their
-Hermitian inner product; it is the oracle the kernel is tested against.
+pairwise_interference_direct builds the channel vectors of a broadcast
+batch of pairs and takes their Hermitian inner products along the element
+axis; it is the oracle the kernel is tested against.
 The module also provides the mainlobe-gated "effective" interference and
 two pattern metrics in closed form. A desired user on the beam grid has a
 one-hot profile, so its pattern is exactly (A^2/M) sinc^2(d_tilde * delta):
@@ -54,9 +55,9 @@ from scipy.special import digamma, zeta
 from .array_model import (
     LensArrayConfig,
     _beam_coords,
+    _channel_matrix,
     _sinc_array,
     _validate_spatial_freq,
-    array_response,
     sinc,
 )
 
@@ -256,18 +257,24 @@ def _gram_float(a: float, b: float, max_index: int) -> float:
     return sinc(d) - v_a * v_b * float(zeta(2.0, k1 - x) + zeta(2.0, k1 + x))
 
 
-def pairwise_interference_direct(
-    config: LensArrayConfig, phi_tilde_l: float, phi_tilde_k: float
-) -> float:
+def pairwise_interference_direct(config: LensArrayConfig, phi_tilde_l, phi_tilde_k):
     """Interference via explicit channel vectors and a Hermitian inner product.
 
-    The common phase cancels in h_l^H h_k, so the result does not depend
-    on phi0.
+    phi_tilde_l and phi_tilde_k broadcast against each other, and each
+    becomes a stack of channel vectors of shape (..., M), scaled like
+    array_response. The result is (1/M) |h_l^H h_k|^2 along the element
+    axis, one power per broadcast pair; two floats give a float. A NaN or
+    a magnitude above 1 anywhere raises ValueError. The common phase
+    cancels in h_l^H h_k, so the result does not depend on phi0. It costs
+    O(M) per pair and is the oracle the pair kernel is tested against.
     """
-    h_l = array_response(config, phi_tilde_l)
-    h_k = array_response(config, phi_tilde_k)
-    inner = np.vdot(h_l.entries, h_k.entries)
-    return float(abs(inner) ** 2 / config.element_count)
+    h_l = _channel_matrix(config, phi_tilde_l)
+    h_k = _channel_matrix(config, phi_tilde_k)
+    inner = (h_l.conj()[..., None, :] @ h_k[..., :, None])[..., 0, 0]
+    power = np.square(np.abs(inner)) / config.element_count
+    if power.ndim == 0:
+        return float(power)
+    return power
 
 
 def pairwise_interference_closed(

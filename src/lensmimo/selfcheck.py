@@ -1,9 +1,10 @@
 """Built-in verification suite run by the CLI selfcheck command.
 
 Every check exercises a property that must hold in a healthy build:
-oracle equivalence between the two interference paths, exact grid
-behavior, pattern metrics, density normalization, cross-method agreement
-of the probability estimators, and determinism of the stochastic layers.
+agreement of both closed-form paths, scalar and array, with the direct
+oracle, exact grid behavior, pattern metrics, density normalization,
+cross-method agreement of the probability estimators, and determinism of
+the stochastic layers across thread counts.
 """
 
 import math
@@ -15,6 +16,7 @@ from .array_model import LensArrayConfig
 from .harness import ScenarioConfig, approximation_quality, run_scenario
 from .interference import (
     SIDELOBE_PEAK_X,
+    _pair_powers,
     first_null,
     pairwise_interference_closed,
     pairwise_interference_direct,
@@ -30,6 +32,15 @@ from .stochastic import (
 )
 
 
+# Shapes of the determinism check, each large enough to split into at least
+# two pieces, so the threaded runs really run in parallel: 100,000 Monte
+# Carlo pairs are two ranges, and 2 drops of 448 users are two chunks of
+# one drop, the smallest chunks that any two-chunk ensemble can have.
+DETERMINISM_MC_SAMPLES = 100_000
+DETERMINISM_USERS = 448
+DETERMINISM_TRIALS = 2
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -37,26 +48,36 @@ class CheckResult:
     detail: str
 
 
+def _worst_error(closed: np.ndarray, direct: np.ndarray) -> float:
+    """Largest error, relative where either power exceeds 1e-6, else absolute."""
+    err = np.abs(closed - direct)
+    big = np.maximum(closed, direct)
+    return float(np.divide(err, big, out=err, where=big > 1e-6).max())
+
+
 def _check_closed_vs_direct(corrupt: bool) -> CheckResult:
+    """The scalar and the array closed forms against one batched oracle call
+    per aperture, over the same 2000 pairs."""
     worst = 0.0
+    s = math.sqrt(3.0) / 2.0
     for i, d_tilde in enumerate((5.0, 10.0, 20.0)):
         config = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
-        s = math.sqrt(3.0) / 2.0
         u = _unit_stream(seed=1234 + i, offset=0, count=4000).reshape(-1, 2)
-        pairs = (2.0 * u - 1.0) * s
-        for sf_l, sf_k in pairs:
-            direct = pairwise_interference_direct(config, sf_l, sf_k)
-            closed = pairwise_interference_closed(config, sf_l, sf_k)
+        sf_l, sf_k = ((2.0 * u - 1.0) * s).T
+        direct = pairwise_interference_direct(config, sf_l, sf_k)
+        scalar = np.array([
+            pairwise_interference_closed(config, a, b)
+            for a, b in zip(sf_l.tolist(), sf_k.tolist())
+        ])
+        batch = _pair_powers(config, sf_l[:, None], sf_k[:, None])[:, 0, 0]
+        for closed in (scalar, batch):
             if corrupt:
                 closed *= 1.0 + 1e-6
-            err = abs(closed - direct)
-            if max(direct, closed) > 1e-6:
-                err /= max(direct, closed)
-            worst = max(worst, err)
+            worst = max(worst, _worst_error(closed, direct))
     return CheckResult(
         name="closed form matches direct inner product",
         passed=worst <= 1e-9,
-        detail=f"worst relative error {worst:.3e} over 6000 pairs (tol 1e-9)",
+        detail=f"worst relative error {worst:.3e} over 6000 pairs, scalar and array (tol 1e-9)",
     )
 
 
@@ -151,10 +172,15 @@ def _check_determinism() -> CheckResult:
     a = sample_doas(seed=77, count=1000)
     b = sample_doas(seed=77, count=1000)
     doas_ok = np.array_equal(a, b)
-    m1 = effective_prob_mc(10.0, sample_count=100_000, seed=5, threads=1)
-    m4 = effective_prob_mc(10.0, sample_count=100_000, seed=5, threads=4)
+    m1 = effective_prob_mc(10.0, sample_count=DETERMINISM_MC_SAMPLES, seed=5, threads=1)
+    m4 = effective_prob_mc(10.0, sample_count=DETERMINISM_MC_SAMPLES, seed=5, threads=4)
     mc_ok = m1.value == m4.value
-    cfg = ScenarioConfig(array=LensArrayConfig(d_tilde=10.0), user_count=4, trial_count=200, seed=9)
+    cfg = ScenarioConfig(
+        array=LensArrayConfig(d_tilde=10.0),
+        user_count=DETERMINISM_USERS,
+        trial_count=DETERMINISM_TRIALS,
+        seed=9,
+    )
     r1 = run_scenario(cfg)
     r2 = run_scenario(cfg, threads=3)
     scen_ok = np.array_equal(r1.exact_totals, r2.exact_totals) and np.array_equal(

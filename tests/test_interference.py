@@ -96,6 +96,67 @@ class TestPairwiseDirect:
         assert va == pytest.approx(vb, rel=1e-12)
 
 
+class TestBatchedDirect:
+    """The oracle over arrays agrees with its own per-pair calls."""
+
+    def _per_pair(self, cfg, sf_l, sf_k):
+        sf_l, sf_k = np.broadcast_arrays(np.asarray(sf_l, dtype=float), np.asarray(sf_k, dtype=float))
+        return np.array([
+            pairwise_interference_direct(cfg, a, b) for a, b in zip(sf_l.ravel().tolist(), sf_k.ravel().tolist())
+        ]).reshape(sf_l.shape)
+
+    @pytest.mark.parametrize("d_tilde", [0.7, 5.0, 5.9, 20.0])
+    def test_matches_per_pair_calls(self, d_tilde):
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0, phi0=0.4)
+        rng = np.random.default_rng(17)
+        pairs = rng.uniform(-1.0, 1.0, size=(400, 2))
+        # near-coincident pairs, and grid points m/d_tilde with |m| <= d_tilde
+        pairs[:40, 1] = pairs[:40, 0] * (1.0 - 1e-7)
+        pairs[40:60] = np.trunc(pairs[40:60] * d_tilde) / d_tilde
+        batch = pairwise_interference_direct(cfg, pairs[:, 0], pairs[:, 1])
+        assert batch.shape == (400,)
+        for got, want in zip(batch, self._per_pair(cfg, pairs[:, 0], pairs[:, 1])):
+            assert _agree(got, want, rel=1e-12), f"batch {got!r} per pair {want!r}"
+
+    @pytest.mark.parametrize(
+        "shape_l, shape_k, shape",
+        [((5, 1), (1, 7), (5, 7)), ((3,), (), (3,)), ((), (4,), (4,)), ((2, 3, 1), (4,), (2, 3, 4))],
+    )
+    def test_broadcast_shapes(self, shape_l, shape_k, shape):
+        cfg = LensArrayConfig(d_tilde=10.0)
+        rng = np.random.default_rng(5)
+        sf_l = rng.uniform(-0.9, 0.9, size=shape_l)
+        sf_k = rng.uniform(-0.9, 0.9, size=shape_k)
+        got = pairwise_interference_direct(cfg, sf_l, sf_k)
+        assert got.shape == shape
+        want = self._per_pair(cfg, sf_l, sf_k)
+        assert all(_agree(g, w, rel=1e-12) for g, w in zip(got.ravel(), want.ravel()))
+
+    def test_distinct_grid_pairs_exactly_zero(self):
+        cfg = LensArrayConfig(d_tilde=10.0, a_z=3.0, phi0=1.1)
+        grid = np.arange(-10, 11) / 10.0
+        got = pairwise_interference_direct(cfg, grid[:, None], grid[None, :])
+        off = ~np.eye(grid.size, dtype=bool)
+        assert np.all(got[off] == 0.0)
+        assert np.all(got[~off] > 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0000001, -1.5, math.inf])
+    @pytest.mark.parametrize("side", ["l", "k"])
+    def test_invalid_entry_anywhere_rejected(self, bad, side):
+        cfg = LensArrayConfig(d_tilde=10.0)
+        sf = np.linspace(-0.5, 0.5, 9)
+        sf[6] = bad
+        other = np.zeros(9)
+        args = (sf, other) if side == "l" else (other, sf)
+        with pytest.raises(ValueError, match="spatial frequency"):
+            pairwise_interference_direct(cfg, *args)
+
+    def test_float_pair_gives_float(self):
+        cfg = LensArrayConfig(d_tilde=10.0)
+        assert type(pairwise_interference_direct(cfg, 0.13, 0.31)) is float
+        assert type(pairwise_interference_direct(cfg, np.float64(0.13), 0)) is float
+
+
 class TestClosedFormEquivalence:
     def test_reference_pair(self):
         cfg = LensArrayConfig(d_tilde=10.0)

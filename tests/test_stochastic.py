@@ -31,7 +31,7 @@ from lensmimo import (
     spatial_freq_pdf,
     theta_pdf,
 )
-from lensmimo.stochastic import _map_ranges, _unit_stream
+from lensmimo.stochastic import MC_RANGE_PAIRS, _count_effective, _map_ranges, _unit_stream
 
 HALF_WIDTH = math.pi / 3.0
 S_MAX = math.sin(HALF_WIDTH)
@@ -373,6 +373,18 @@ class TestMapRanges:
         with pytest.raises(ValueError, match="threads"):
             _map_ranges(lambda a, b: calls.append(a), 10, 3, threads)
         assert calls == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_hits_do_not_depend_on_the_range_size(threads):
+    n = 3 * MC_RANGE_PAIRS + 1234
+    est = effective_prob_mc(10.0, sample_count=n, seed=21, threads=threads)
+    hits = _count_effective(10.0, 21, HALF_WIDTH, 0, n)
+    assert est.value == hits / n
+    # the in-place steps count the same hits as the plain expressions
+    phi = (2.0 * _unit_stream(21, 0, 2 * n).reshape(-1, 2) - 1.0) * HALF_WIDTH
+    theta = 10.0 * (np.sin(phi[:, 0]) - np.sin(phi[:, 1]))
+    assert hits == np.count_nonzero(np.abs(theta) <= 1.0)
 
 
 class TestSampleDoas:
