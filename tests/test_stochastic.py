@@ -31,7 +31,14 @@ from lensmimo import (
     spatial_freq_pdf,
     theta_pdf,
 )
-from lensmimo.stochastic import MC_RANGE_PAIRS, _count_effective, _map_ranges, _unit_stream
+from lensmimo.stochastic import (
+    MC_RANGE_PAIRS,
+    _classify_pairs,
+    _count_effective,
+    _gate_band,
+    _map_ranges,
+    _unit_stream,
+)
 
 HALF_WIDTH = math.pi / 3.0
 S_MAX = math.sin(HALF_WIDTH)
@@ -375,6 +382,13 @@ class TestMapRanges:
         assert calls == []
 
 
+def full_sin_hits(u, d_tilde, half_width):
+    """Per pair (u[2i], u[2i+1]), whether |Theta| <= 1 from the plain expressions."""
+    phi = (2.0 * u.reshape(-1, 2) - 1.0) * half_width
+    theta = d_tilde * (np.sin(phi[:, 0]) - np.sin(phi[:, 1]))
+    return np.abs(theta) <= 1.0
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_mc_hits_do_not_depend_on_the_range_size(threads):
     n = 3 * MC_RANGE_PAIRS + 1234
@@ -382,9 +396,71 @@ def test_mc_hits_do_not_depend_on_the_range_size(threads):
     hits = _count_effective(10.0, 21, HALF_WIDTH, 0, n)
     assert est.value == hits / n
     # the in-place steps count the same hits as the plain expressions
-    phi = (2.0 * _unit_stream(21, 0, 2 * n).reshape(-1, 2) - 1.0) * HALF_WIDTH
-    theta = 10.0 * (np.sin(phi[:, 0]) - np.sin(phi[:, 1]))
-    assert hits == np.count_nonzero(np.abs(theta) <= 1.0)
+    assert hits == np.count_nonzero(full_sin_hits(_unit_stream(21, 0, 2 * n), 10.0, HALF_WIDTH))
+
+
+BAND_HALF_WIDTHS = [0.3, math.pi / 3.0, math.pi / 2.0 - 1e-3, math.pi / 2.0]
+
+
+class TestGateBand:
+    """Pairs decided from their DOA gap count the hits of the full-sine gate."""
+
+    @pytest.mark.parametrize("half_width", BAND_HALF_WIDTHS)
+    @pytest.mark.parametrize("d_tilde", [0.2, 0.7, 2.0, 5.0, 10.0, 57.3, 1e4, 1e6])
+    def test_hits_equal_the_full_sine_count(self, d_tilde, half_width):
+        n = 2 * MC_RANGE_PAIRS + 4321
+        sector = SectorModel(half_width)
+        for seed in (1, 77, 2**100 + 5):
+            expect = np.count_nonzero(full_sin_hits(_unit_stream(seed, 0, 2 * n), d_tilde, half_width))
+            for threads in (1, 4):
+                est = effective_prob_mc(d_tilde, sample_count=n, seed=seed, threads=threads, sector=sector)
+                assert est.value == expect / n
+
+    @pytest.mark.parametrize("half_width", [0.3, math.pi / 3.0])
+    @pytest.mark.parametrize("d_tilde", [5.0, 10.0, 1e6])
+    def test_gaps_on_and_one_ulp_beside_each_bound(self, d_tilde, half_width):
+        lo, hi = _gate_band(d_tilde, half_width)
+        assert 0.0 < lo < hi < 1.0
+        below, above = np.nextafter([lo, hi], 0.0), np.nextafter([lo, hi], 1.0)
+        gaps = [below[0], lo, above[0], below[1], hi, above[1]]
+        # u_k = 0 makes each gap exact; the swapped pair gives the same gap
+        u = np.array([[g, 0.0] for g in gaps] + [[0.0, g] for g in gaps]).ravel()
+        sure, undecided = _classify_pairs(u, d_tilde, half_width)
+        expect_sure = [True, False, False, False, False, False] * 2
+        expect_undecided = [False, True, True, True, True, False] * 2
+        assert sure.tolist() == expect_sure
+        assert undecided.tolist() == expect_undecided
+
+    @pytest.mark.parametrize("half_width", [0.3, math.pi / 3.0, math.pi / 2.0 - 1e-3])
+    @pytest.mark.parametrize("d_tilde", [1e9, 1e12, 1e16])
+    def test_pairs_at_the_bounds_without_margin_are_decided_right(self, d_tilde, half_width):
+        # Gaps around 1/(2 h d) and 1/(2 h d cos h), next to the lower
+        # sector edge, above the centre and in the upper half. There the
+        # rounding of the computed Theta, about d eps, is far larger than
+        # the distance of the exact Theta from the gate.
+        rng = np.random.default_rng(int(math.log10(d_tilde)))
+        bases = np.concatenate([1e-3 * rng.random(8), 0.5 + 1e-3 * rng.random(8), 1.0 - 0.5 * rng.random(8)])
+        pairs = []
+        for bound in (1.0 / (2.0 * half_width * d_tilde),
+                      1.0 / (2.0 * half_width * d_tilde * math.cos(half_width))):
+            gap = bound * (1.0 + np.linspace(-1e-2, 1e-2, 4001))
+            for b in bases:
+                other = np.clip(b + gap if b < 0.5 else b - gap, 0.0, np.nextafter(1.0, 0.0))
+                pairs.append(np.column_stack([other, np.full_like(other, b)]))
+        u = np.concatenate(pairs).ravel()
+        sure, undecided = _classify_pairs(u, d_tilde, half_width)
+        hits = full_sin_hits(u, d_tilde, half_width)
+        assert not np.any(sure & ~hits)
+        assert not np.any(~sure & ~undecided & hits)
+
+    @pytest.mark.parametrize("d_tilde", [0.2, 10.0, 1e6, 1e15, 1e300])
+    def test_sure_miss_switches_off_at_the_half_space(self, d_tilde):
+        assert _gate_band(d_tilde, math.pi / 2.0)[1] > 1.0
+
+    def test_tiny_aperture_is_all_sure_hits(self):
+        u = _unit_stream(3, 0, 20_000)
+        sure, undecided = _classify_pairs(u, 0.2, HALF_WIDTH)
+        assert sure.all() and not undecided.any()
 
 
 class TestSampleDoas:
