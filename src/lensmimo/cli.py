@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 domain error.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -295,10 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser as it was, so one serves every main call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ import pytest
 
 import lensmimo
 from lensmimo import effective_prob_closed, effective_prob_quadrature, selfcheck
-from lensmimo.cli import _write_json, main
+from lensmimo.cli import _parser, _write_json, main
 from lensmimo.harness import _trial_chunk
 from lensmimo.stochastic import MC_RANGE_PAIRS, _map_ranges
 
@@ -309,6 +309,38 @@ class TestManifestParameters:
         manifest = json.loads((tmp_path / "out.dat.manifest.json").read_text())
         assert manifest["command"] == argv[0]
         assert manifest["parameters"] == expect
+
+
+class TestSuccessiveCalls:
+    """main reuses one parser; no call leaves state for the next."""
+
+    def test_parser_is_built_once(self):
+        assert _parser() is _parser()
+
+    def test_mc_without_samples_after_one_with_them(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        assert run_cli("prob", "--d-tilde", 10, "--method", "mc", "--samples", 1000,
+                       "--seed", 1, "--out", out) == 0
+        assert run_cli("prob", "--d-tilde", 10, "--method", "mc", "--seed", 1, "--out", out) == 2
+        assert "--samples" in capsys.readouterr().err
+
+    def test_pattern_after_prob_gets_its_own_defaults(self, tmp_path):
+        assert run_cli("pattern", "--d-tilde", 10, "--a-z", 2, "--phi-l-sf", 0.3,
+                       "--delta-min", -0.2, "--steps", 11, "--out", tmp_path / "a.csv") == 0
+        assert run_cli("prob", "--d-tilde", 10, "--method", "mc", "--samples", 1000,
+                       "--seed", 1, "--threads", 2, "--out", tmp_path / "p.json") == 0
+        assert run_cli("pattern", "--d-tilde", 10, "--out", tmp_path / "b.csv") == 0
+        manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+        assert manifest["parameters"] == {
+            "d_tilde": 10.0, "a_z": 1.0, "phi_l_deg": 0.0, "phi_l_sf": None,
+            "delta_min": -0.5, "delta_max": 0.5, "steps": 2001,
+        }
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run_cli("prob", "--d-tilde", 10, "--method", "bogus", "--out", out) == 2
+        assert run_cli("prob", "--d-tilde", 10, "--method", "closed", "--out", out) == 0
+        assert json.loads(out.read_text())["method"] == "closed"
 
 
 class TestPlumbing:
