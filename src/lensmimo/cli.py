@@ -166,6 +166,7 @@ def _cmd_prob(args) -> int:
         record.update(
             value=est.value,
             std_error=est.std_error,
+            wilson_95=list(est.wilson_interval),
             sample_count=est.sample_count,
             seed=est.seed,
         )

@@ -58,12 +58,35 @@ class SectorModel:
 DEFAULT_SECTOR = SectorModel()
 
 
+# Two-sided 95% quantile of the standard normal distribution.
+_Z95 = 1.959963984540054
+
+
 @dataclass(frozen=True)
 class ProbEstimate:
+    """A Monte Carlo probability with its binomial standard error."""
+
     value: float
     std_error: float
     sample_count: int
     seed: int
+
+    @property
+    def wilson_interval(self) -> tuple:
+        """The 95% Wilson score interval (Wilson, JASA 1927) for the probability.
+
+        Unlike value +- 1.96 std_error it stays inside [0, 1], and it keeps
+        a nonzero width when value is 0 or 1, where std_error is 0. With
+        c = z^2 / (2n) and r = z sqrt(p q / n + c / (2n)), q = 1 - p, the
+        ends (p + c -+ r) / (1 + 2c) are written as p^2 / (p + c + r) and
+        1 - q^2 / (q + c + r), so they are exactly 0 at p = 0 and exactly 1
+        at p = 1.
+        """
+        n, p = self.sample_count, self.value
+        q = 1.0 - p
+        c = 0.5 * _Z95 * _Z95 / n
+        r = _Z95 * math.sqrt(p * q / n + 0.5 * c / n)
+        return p * p / (p + c + r), 1.0 - q * q / (q + c + r)
 
 
 def _map_ranges(fn, count: int, chunk: int, threads: int) -> list:

@@ -110,6 +110,9 @@ class TestProb:
         assert record["sample_count"] == 200_000
         assert record["seed"] == 7
         assert abs(record["value"] - TRUE_P10) <= 4.0 * record["std_error"]
+        lo, hi = record["wilson_95"]
+        assert lo < record["value"] < hi
+        assert hi - lo == pytest.approx(2.0 * 1.96 * record["std_error"], rel=1e-3)
 
     def test_mc_thread_invariance(self, tmp_path):
         outs = []

@@ -529,3 +529,19 @@ class TestProbEstimate:
     def test_fields(self):
         est = ProbEstimate(value=0.5, std_error=0.01, sample_count=100, seed=1)
         assert est.value == 0.5 and est.sample_count == 100
+
+    @pytest.mark.parametrize("hits,n", [(0, 1000), (1000, 1000), (1, 7), (37, 100), (500, 1000), (112_010, 1_000_000)])
+    def test_wilson_interval_matches_scipy(self, hits, n):
+        p = hits / n
+        est = ProbEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n), sample_count=n, seed=1)
+        ci = stats.binomtest(hits, n).proportion_ci(confidence_level=0.95, method="wilson")
+        assert est.wilson_interval == pytest.approx((ci.low, ci.high), rel=1e-12, abs=1e-15)
+
+    def test_wilson_interval_is_not_degenerate_at_zero_and_one(self):
+        sure = effective_prob_mc(0.001, 1000, 1)
+        assert sure.value == 1.0 and sure.std_error == 0.0
+        lo, hi = sure.wilson_interval
+        assert 0.99 < lo < hi == 1.0
+        never = ProbEstimate(value=0.0, std_error=0.0, sample_count=1000, seed=1)
+        lo, hi = never.wilson_interval
+        assert 0.0 == lo < hi < 0.01
