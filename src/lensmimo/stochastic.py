@@ -242,9 +242,10 @@ _EPS = 2.0**-53
 def _gate_band(d_tilde: float, half_width: float) -> tuple:
     """Bounds (lo, hi) on the uniform gap |u_l - u_k| of a Monte Carlo pair.
 
-    A pair whose gap is below lo is a sure hit and one above hi a sure miss
-    of the gate |Theta| <= 1 as _count_effective rounds it. With
-    gap = |phi_l - phi_k| = 2h |u_l - u_k| and d = d_tilde, the bounds are
+    A pair whose uniform gap is below lo is a sure hit and one above hi a
+    sure miss of the gate |Theta| <= 1 as _count_effective rounds it. With
+    the DOA gap gap = |phi_l - phi_k| = 2h |u_l - u_k| and d = d_tilde, lo
+    and hi are the bounds below divided by 2h:
 
         sure hit:   d gap < 1 - m,
         sure miss:  d cos(h) gap > 1 + m,   m = (16 + 40 d) eps,
@@ -257,11 +258,11 @@ def _gate_band(d_tilde: float, half_width: float) -> tuple:
     16 eps (8 ulps; NumPy's float64 sine matched the C library exactly on
     2e6 points on an AVX-512 Xeon), and the difference and the product by
     d each by a factor 1 + eps. So the computed Theta is within
-    3 eps |Theta| + 39 d eps of the exact one, which needs m >= 3 eps +
-    39 d eps on either side. The rest of the constant covers the rounding
-    of the gap (exact for stream uniforms) and of the two bounds, up to 8
-    eps relative. As h -> pi/2, cos h -> 0 pushes hi above 1, the largest
-    gap a pair can have, so the sure-miss case switches itself off.
+    3 eps |Theta| + 39 d eps of the exact one, and both decisions hold
+    once m >= 3 eps + 39 d eps. The rest of the constant covers the
+    rounding of the uniform gap (exact for stream uniforms) and of lo and
+    hi, up to 8 eps relative. As h -> pi/2, cos h -> 0 pushes hi above 1,
+    past every uniform gap, so the sure-miss case switches itself off.
     """
     r = 1.0 / d_tilde
     width = 2.0 * half_width
