@@ -12,11 +12,8 @@ __version__ = "0.1.0"
 
 from .array_model import (
     GRID_SNAP_TOL,
-    ChannelVector,
     LensArrayConfig,
-    array_response,
-    derive_element_count,
-    element_indices,
+    channel_vectors,
     sinc,
     snap_to_grid,
 )
@@ -37,7 +34,6 @@ from .interference import (
     power_to_db,
     sidelobe_ratio_db,
     sweep_pattern,
-    user_total_interference,
 )
 from .selfcheck import CheckResult, run_checks
 from .stochastic import (
@@ -55,11 +51,8 @@ from .stochastic import (
 __all__ = [
     "__version__",
     "GRID_SNAP_TOL",
-    "ChannelVector",
     "LensArrayConfig",
-    "array_response",
-    "derive_element_count",
-    "element_indices",
+    "channel_vectors",
     "sinc",
     "snap_to_grid",
     "NullNotFoundError",
@@ -71,7 +64,6 @@ __all__ = [
     "power_to_db",
     "sidelobe_ratio_db",
     "sweep_pattern",
-    "user_total_interference",
     "ProbEstimate",
     "QuadratureError",
     "SectorModel",

@@ -24,17 +24,6 @@ import numpy as np
 GRID_SNAP_TOL = 1e-9
 
 
-def derive_element_count(d_tilde: float) -> int:
-    """Largest odd element count M with every theta_tilde = m/d_tilde in [-1, 1].
-
-    Returns 1 + 2*floor(d_tilde), which is odd by construction and never
-    places an element beyond the end-fire directions.
-    """
-    if d_tilde <= 0:
-        raise ValueError(f"d_tilde must be positive, got {d_tilde}")
-    return 1 + 2 * math.floor(d_tilde)
-
-
 @dataclass(frozen=True)
 class LensArrayConfig:
     """Normalized lens dimensions and common phase.
@@ -58,8 +47,12 @@ class LensArrayConfig:
 
     @functools.cached_property
     def element_count(self) -> int:
-        """M = derive_element_count(d_tilde), the largest valid odd count."""
-        return derive_element_count(self.d_tilde)
+        """Largest odd element count M with every theta_tilde = m/d_tilde in [-1, 1].
+
+        M = 1 + 2*floor(d_tilde), which is odd by construction and never
+        places an element beyond the end-fire directions.
+        """
+        return 1 + 2 * math.floor(self.d_tilde)
 
     @property
     def aperture(self) -> float:
@@ -69,23 +62,6 @@ class LensArrayConfig:
     @property
     def max_index(self) -> int:
         return (self.element_count - 1) // 2
-
-
-@dataclass(frozen=True)
-class ChannelVector:
-    """M complex element responses for one terminal, ascending element index."""
-
-    entries: np.ndarray
-    source_spatial_freq: float
-
-    def __len__(self):
-        return len(self.entries)
-
-
-def element_indices(config: LensArrayConfig) -> np.ndarray:
-    """Signed element indices {0, +-1, ..., +-(M-1)/2} in ascending order."""
-    k = config.max_index
-    return np.arange(-k, k + 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -110,8 +86,9 @@ def sinc(x: float) -> float:
     return math.sin(u) / u
 
 
-def snap_to_grid(t, tol: float = GRID_SNAP_TOL):
-    """Snap beam coordinates t = d_tilde * phi_tilde to nearby integers.
+def snap_to_grid(t):
+    """Snap beam coordinates t = d_tilde * phi_tilde within GRID_SNAP_TOL of
+    an integer to that integer.
 
     Keeps responses exactly one-hot for inputs that are grid points up to
     floating-point representation of the intended value. Python and NumPy
@@ -123,14 +100,14 @@ def snap_to_grid(t, tol: float = GRID_SNAP_TOL):
         t = float(t)
         if math.isfinite(t):
             n = float(round(t))
-            if abs(t - n) < tol:
+            if abs(t - n) < GRID_SNAP_TOL:
                 return math.copysign(n, t)
         return t
     t = np.asarray(t, dtype=float)
     n = np.round(t)
     with np.errstate(invalid="ignore"):
         # inf - inf is NaN, which fails the test and passes t through
-        snapped = np.where(np.abs(t - n) < tol, n, t)
+        snapped = np.where(np.abs(t - n) < GRID_SNAP_TOL, n, t)
     if snapped.ndim == 0:
         return float(snapped)
     return snapped
@@ -177,22 +154,14 @@ def _profile_matrix(config: LensArrayConfig, spatial_freqs) -> np.ndarray:
     return _sinc_array(m - t[..., None])
 
 
-def _channel_matrix(config: LensArrayConfig, spatial_freqs) -> np.ndarray:
-    """Complex channel vectors exp(-j phi0) sqrt(A) sinc(m - d_tilde * phi_tilde)
-    of a batch of terminals, shape spatial_freqs.shape + (M,)."""
+def channel_vectors(config: LensArrayConfig, spatial_freqs) -> np.ndarray:
+    """Channel vectors exp(-j phi0) sqrt(A) sinc(m - d_tilde * phi_tilde) of
+    a batch of terminals, shape spatial_freqs.shape + (M,) in ascending
+    element index; a single spatial frequency gives shape (M,).
+
+    Under maximum-ratio combining a terminal's channel vector also serves
+    as its combiner.
+    """
     scale = math.sqrt(config.aperture)
     phase = complex(math.cos(config.phi0), -math.sin(config.phi0))
     return (scale * phase) * _profile_matrix(config, spatial_freqs)
-
-
-def array_response(config: LensArrayConfig, spatial_freq: float) -> ChannelVector:
-    """Array response vector of one terminal at the given spatial frequency.
-
-    Entry m equals exp(-j phi0) * sqrt(A) * sinc(m - d_tilde * spatial_freq).
-    Under maximum-ratio combining this same vector serves as the combiner
-    for the terminal it belongs to.
-    """
-    spatial_freq = float(spatial_freq)
-    entries = _channel_matrix(config, spatial_freq)
-    entries.setflags(write=False)
-    return ChannelVector(entries=entries, source_spatial_freq=spatial_freq)

@@ -183,19 +183,17 @@ def _empirical_cdf(values: np.ndarray):
 
 
 def approximation_quality(
-    config: ScenarioConfig,
-    threads: int = 1,
-    doas: np.ndarray = None,
-    scenario_result: ScenarioResult = None,
+    config: ScenarioConfig, scenario_result: ScenarioResult = None
 ) -> ApproximationReport:
-    """Ensemble means of exact and effective totals and the captured fraction.
+    """Ensemble means of exact and effective totals and the captured fraction
+    of a ScenarioResult, or of a fresh serial run_scenario(config) without one.
 
     The fraction is the share of ensemble-average interference the mainlobe
     gate retains. A fully orthogonal (zero-interference) ensemble reports
     fraction 1 by convention.
     """
     if scenario_result is None:
-        scenario_result = run_scenario(config, threads=threads, doas=doas)
+        scenario_result = run_scenario(config)
     mean_exact = float(scenario_result.exact_totals.mean())
     mean_eff = float(scenario_result.effective_totals.mean())
     fraction = mean_eff / mean_exact if mean_exact > 0.0 else 1.0

@@ -55,9 +55,9 @@ from scipy.special import digamma, zeta
 from .array_model import (
     LensArrayConfig,
     _beam_coords,
-    _channel_matrix,
     _sinc_array,
     _validate_spatial_freq,
+    channel_vectors,
     sinc,
 )
 
@@ -261,15 +261,15 @@ def pairwise_interference_direct(config: LensArrayConfig, phi_tilde_l, phi_tilde
     """Interference via explicit channel vectors and a Hermitian inner product.
 
     phi_tilde_l and phi_tilde_k broadcast against each other, and each
-    becomes a stack of channel vectors of shape (..., M), scaled like
-    array_response. The result is (1/M) |h_l^H h_k|^2 along the element
-    axis, one power per broadcast pair; two floats give a float. A NaN or
-    a magnitude above 1 anywhere raises ValueError. The common phase
-    cancels in h_l^H h_k, so the result does not depend on phi0. It costs
-    O(M) per pair and is the oracle the pair kernel is tested against.
+    becomes a stack of channel_vectors of shape (..., M). The result is
+    (1/M) |h_l^H h_k|^2 along the element axis, one power per broadcast
+    pair; two floats give a float. A NaN or a magnitude above 1 anywhere
+    raises ValueError. The common phase cancels in h_l^H h_k, so the result
+    does not depend on phi0. It costs O(M) per pair and is the oracle the
+    pair kernel is tested against.
     """
-    h_l = _channel_matrix(config, phi_tilde_l)
-    h_k = _channel_matrix(config, phi_tilde_k)
+    h_l = channel_vectors(config, phi_tilde_l)
+    h_k = channel_vectors(config, phi_tilde_k)
     inner = (h_l.conj()[..., None, :] @ h_k[..., :, None])[..., 0, 0]
     power = np.square(np.abs(inner)) / config.element_count
     if power.ndim == 0:
@@ -303,20 +303,6 @@ def effective_interference(
     if abs(config.d_tilde * (phi_tilde_l - phi_tilde_k)) <= 1.0:
         return pairwise_interference_closed(config, phi_tilde_l, phi_tilde_k)
     return 0.0
-
-
-def user_total_interference(config: LensArrayConfig, index_l: int, spatial_freqs) -> float:
-    """Total interference on user index_l from every other user in the drop."""
-    sf = np.asarray(spatial_freqs, dtype=float)
-    if sf.ndim != 1 or sf.size == 0:
-        raise ValueError("spatial_freqs must be a non-empty 1-D sequence")
-    if not 0 <= index_l < sf.size:
-        raise ValueError(f"index_l {index_l} out of range for {sf.size} users")
-    others = np.delete(sf, index_l)
-    if others.size == 0:
-        return 0.0
-    powers = _pair_powers(config, sf[index_l : index_l + 1], others)
-    return float(powers.sum())
 
 
 def sweep_pattern(config: LensArrayConfig, phi_tilde_l: float, delta_grid) -> PatternSeries:

@@ -113,6 +113,12 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
 
 
+def _check_d_tilde(d_tilde: float) -> None:
+    # inf passes d_tilde > 0 and would give P = 0; NaN fails every comparison
+    if not (math.isfinite(d_tilde) and d_tilde > 0):
+        raise ValueError(f"d_tilde must be finite and positive, got {d_tilde}")
+
+
 def _unit_stream(seed: int, offset: int, count: int) -> np.ndarray:
     """Doubles [offset, offset + count) of the uniform stream keyed by seed.
 
@@ -180,8 +186,7 @@ def theta_pdf(z, d_tilde: float, sector: SectorModel = DEFAULT_SECTOR):
     |z| < 2 s d_tilde and infinite at z = 0 for the half-space sector,
     s = 1. A float z gives a float; an array gives an array.
     """
-    if not d_tilde > 0:
-        raise ValueError(f"d_tilde must be positive, got {d_tilde}")
+    _check_d_tilde(d_tilde)
     s = sector.max_spatial_freq
     a = np.abs(np.asarray(z, dtype=float)) / d_tilde
     # The upper end s - a is rounded first, so g > 0 exactly when -s < s - a.
@@ -209,8 +214,7 @@ def effective_prob_quadrature(d_tilde: float, sector: SectorModel = DEFAULT_SECT
     and is doubled; this also keeps the corner of the density at z = 0 off
     the interior of the quadrature interval.
     """
-    if not d_tilde > 0:
-        raise ValueError(f"d_tilde must be positive, got {d_tilde}")
+    _check_d_tilde(d_tilde)
     edge = 2.0 * sector.max_spatial_freq * d_tilde
     upper = min(1.0, edge)
     val, err = integrate.quad(
@@ -227,7 +231,8 @@ def effective_prob_closed(d_tilde: float, sector: SectorModel = DEFAULT_SECTOR) 
     For the default sector this is 9 artanh(sqrt(3)/2) / (pi^2 d_tilde).
     The expansion assumes a large array, so d_tilde < 2 is rejected.
     """
-    if not d_tilde >= 2.0:
+    _check_d_tilde(d_tilde)
+    if d_tilde < 2.0:
         raise ValueError(
             f"closed form requires d_tilde >= 2 (large-array regime), got {d_tilde}"
         )
@@ -323,8 +328,7 @@ def effective_prob_mc(
     the hits are those of d_tilde (sin phi_l - sin phi_k) taken for every
     pair.
     """
-    if not d_tilde > 0:
-        raise ValueError(f"d_tilde must be positive, got {d_tilde}")
+    _check_d_tilde(d_tilde)
     if sample_count < 1:
         raise ValueError(f"sample_count must be positive, got {sample_count}")
     count = functools.partial(_count_effective, d_tilde, seed, sector.half_width)

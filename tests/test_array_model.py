@@ -8,35 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lensmimo import (
-    LensArrayConfig,
-    array_response,
-    derive_element_count,
-    element_indices,
-    sinc,
-    snap_to_grid,
-)
+from lensmimo import LensArrayConfig, channel_vectors, sinc, snap_to_grid
 
 
 class TestDeriveElementCount:
     def test_integer_dimension(self):
-        assert derive_element_count(10.0) == 21
+        assert LensArrayConfig(10.0).element_count == 21
 
     def test_subunit_dimension_collapses_to_one(self):
-        assert derive_element_count(0.5) == 1
+        assert LensArrayConfig(0.5).element_count == 1
 
     def test_fractional_dimension_keeps_odd_count(self):
         # 1 + floor(2 * 10.6) would be 22 (even); the odd-guarantee rule floors first
-        assert derive_element_count(10.6) == 21
+        assert LensArrayConfig(10.6).element_count == 21
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            derive_element_count(0.0)
+            LensArrayConfig(0.0)
 
     @given(st.floats(min_value=0.1, max_value=500.0, allow_nan=False))
     @settings(max_examples=100)
     def test_count_is_odd_and_placement_valid(self, d_tilde):
-        m = derive_element_count(d_tilde)
+        m = LensArrayConfig(d_tilde).element_count
         assert m % 2 == 1
         assert (m - 1) / 2 <= d_tilde
 
@@ -58,7 +51,7 @@ class TestConfigValidation:
     @given(st.floats(min_value=1e-3, max_value=500.0, allow_nan=False))
     @settings(max_examples=100)
     def test_count_is_always_derived(self, d_tilde):
-        assert LensArrayConfig(d_tilde=d_tilde).element_count == derive_element_count(d_tilde)
+        assert LensArrayConfig(d_tilde=d_tilde).element_count == 1 + 2 * math.floor(d_tilde)
 
     def test_nonpositive_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -128,49 +121,61 @@ class TestSnapToGrid:
 class TestArrayResponse:
     def test_one_hot_at_broadside(self):
         cfg = LensArrayConfig(d_tilde=10.0, a_z=10.0)
-        h = array_response(cfg, 0.0)
-        assert h.entries[cfg.max_index] == 10.0 + 0.0j
-        others = np.delete(h.entries, cfg.max_index)
+        h = channel_vectors(cfg, 0.0)
+        assert h[cfg.max_index] == 10.0 + 0.0j
+        others = np.delete(h, cfg.max_index)
         assert np.all(others == 0.0)
 
     def test_one_hot_at_grid_point(self):
         cfg = LensArrayConfig(d_tilde=10.0, a_z=10.0)
-        h = array_response(cfg, 0.5)
-        assert h.entries[cfg.max_index + 5] == pytest.approx(10.0, rel=1e-15)
-        assert np.count_nonzero(h.entries) == 1
+        h = channel_vectors(cfg, 0.5)
+        assert h[cfg.max_index + 5] == pytest.approx(10.0, rel=1e-15)
+        assert np.count_nonzero(h) == 1
 
     def test_off_grid_center_entry(self):
         cfg = LensArrayConfig(d_tilde=10.0, a_z=10.0)
-        h = array_response(cfg, 0.05)
+        h = channel_vectors(cfg, 0.05)
         # sqrt(A) * sinc(-0.5) = 10 * 2/pi
-        assert h.entries[cfg.max_index].real == pytest.approx(6.366197723675814, rel=1e-14)
+        assert h[cfg.max_index].real == pytest.approx(6.366197723675814, rel=1e-14)
 
     def test_out_of_range_rejected(self):
         cfg = LensArrayConfig(d_tilde=10.0)
         with pytest.raises(ValueError):
-            array_response(cfg, 1.5)
+            channel_vectors(cfg, 1.5)
+
+    @pytest.mark.parametrize("d_tilde", [5.0, 10.3, 20.0])
+    def test_batch_matches_per_terminal_calls(self, d_tilde):
+        # grid points (one-hot rows), off-grid points and the end-fire edges
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0, phi0=0.4)
+        sf = np.array([
+            [0.0, 1.0 / d_tilde, -3.0 / d_tilde, 0.05],
+            [0.31, -0.47, 2.0 / d_tilde, 0.6],
+            [-0.2, 0.7, -1.0, 1.0],
+        ])
+        batch = channel_vectors(cfg, sf)
+        assert batch.shape == (3, 4, cfg.element_count)
+        single = np.array([channel_vectors(cfg, float(x)) for x in sf.ravel()])
+        assert batch.tobytes() == single.reshape(batch.shape).tobytes()
 
     def test_real_entries_without_common_phase(self):
         cfg = LensArrayConfig(d_tilde=5.0)
-        h = array_response(cfg, 0.3)
-        assert np.all(h.entries.imag == 0.0)
+        h = channel_vectors(cfg, 0.3)
+        assert np.all(h.imag == 0.0)
 
     def test_common_phase_rotates_uniformly(self):
         base = LensArrayConfig(d_tilde=5.0)
         rot = LensArrayConfig(d_tilde=5.0, phi0=0.7)
-        h0 = array_response(base, 0.3)
-        h1 = array_response(rot, 0.3)
-        np.testing.assert_allclose(
-            h1.entries, h0.entries * complex(math.cos(0.7), -math.sin(0.7)), rtol=1e-15
-        )
+        h0 = channel_vectors(base, 0.3)
+        h1 = channel_vectors(rot, 0.3)
+        np.testing.assert_allclose(h1, h0 * complex(math.cos(0.7), -math.sin(0.7)), rtol=1e-15)
 
     @given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=50)
     def test_negation_reverses_entries(self, phi_tilde):
         cfg = LensArrayConfig(d_tilde=7.0, a_z=3.0)
-        fwd = array_response(cfg, phi_tilde)
-        rev = array_response(cfg, -phi_tilde)
-        assert np.array_equal(rev.entries, fwd.entries[::-1])
+        fwd = channel_vectors(cfg, phi_tilde)
+        rev = channel_vectors(cfg, -phi_tilde)
+        assert np.array_equal(rev, fwd[::-1])
 
     @given(
         st.integers(min_value=-10, max_value=10),
@@ -180,9 +185,9 @@ class TestArrayResponse:
     @settings(max_examples=60)
     def test_grid_orthogonality_exact(self, p, q, phi0):
         cfg = LensArrayConfig(d_tilde=10.0, a_z=2.0, phi0=phi0)
-        h_a = array_response(cfg, p / 10.0)
-        h_b = array_response(cfg, q / 10.0)
-        inner = np.vdot(h_a.entries, h_b.entries)
+        h_a = channel_vectors(cfg, p / 10.0)
+        h_b = channel_vectors(cfg, q / 10.0)
+        inner = np.vdot(h_a, h_b)
         if p == q:
             assert abs(inner) == pytest.approx(cfg.aperture, rel=1e-12)
         else:
@@ -197,10 +202,8 @@ class TestArrayResponse:
     def test_inner_product_magnitude_ignores_common_phase(self, phi0, sf_a, sf_b):
         plain = LensArrayConfig(d_tilde=8.0)
         shifted = LensArrayConfig(d_tilde=8.0, phi0=phi0)
-        ref = abs(np.vdot(array_response(plain, sf_a).entries, array_response(plain, sf_b).entries))
-        got = abs(
-            np.vdot(array_response(shifted, sf_a).entries, array_response(shifted, sf_b).entries)
-        )
+        ref = abs(np.vdot(channel_vectors(plain, sf_a), channel_vectors(plain, sf_b)))
+        got = abs(np.vdot(channel_vectors(shifted, sf_a), channel_vectors(shifted, sf_b)))
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
@@ -214,5 +217,5 @@ class TestSincInterpolationIdentity:
         # The shifted-sinc family is orthonormal over the integers; a 41-term
         # truncation reproduces sinc(a - b) to within 0.05 for central a, b.
         cfg = LensArrayConfig(d_tilde=20.0)
-        total = sum(sinc(m - a) * sinc(m - b) for m in element_indices(cfg))
+        total = sum(sinc(m - a) * sinc(m - b) for m in range(-cfg.max_index, cfg.max_index + 1))
         assert abs(total - sinc(a - b)) <= 0.05

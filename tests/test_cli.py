@@ -386,11 +386,10 @@ class TestPlumbing:
                     if not name.startswith("_") and not isinstance(value, types.ModuleType)}
         assert exported == set(lensmimo.__all__) - {"__version__"}
         assert exported == {
-            "GRID_SNAP_TOL", "ChannelVector", "LensArrayConfig", "array_response",
-            "derive_element_count", "element_indices", "sinc", "snap_to_grid",
+            "GRID_SNAP_TOL", "LensArrayConfig", "channel_vectors", "sinc", "snap_to_grid",
             "NullNotFoundError", "PatternSeries", "effective_interference", "first_null",
             "pairwise_interference_closed", "pairwise_interference_direct", "power_to_db",
-            "sidelobe_ratio_db", "sweep_pattern", "user_total_interference",
+            "sidelobe_ratio_db", "sweep_pattern",
             "ProbEstimate", "QuadratureError", "SectorModel", "effective_prob_closed",
             "effective_prob_mc", "effective_prob_quadrature", "sample_doas",
             "spatial_freq_pdf", "theta_pdf", "ApproximationReport", "ScenarioConfig",

@@ -21,10 +21,14 @@ from lensmimo import (
     run_scenario,
     sidelobe_ratio_db,
     sweep_pattern,
-    user_total_interference,
 )
 from lensmimo.array_model import _profile_matrix
-from lensmimo.interference import SIDELOBE_PEAK_X, SIDELOBE_RATIO_DB, _row_differences
+from lensmimo.interference import (
+    SIDELOBE_PEAK_X,
+    SIDELOBE_RATIO_DB,
+    _pair_powers,
+    _row_differences,
+)
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 
@@ -231,7 +235,7 @@ def _kernel_paths(cfg, pairs):
         rows.append((
             pairwise_interference_direct(cfg, sf_l, sf_k),
             pairwise_interference_closed(cfg, sf_l, sf_k),
-            user_total_interference(cfg, 0, [sf_l, sf_k]),
+            _pair_powers(cfg, [sf_l], [sf_k])[0, 0],
             float(from_ensemble),
         ))
     return rows
@@ -343,7 +347,7 @@ class TestPairKernel:
         with pytest.raises(ValueError, match="magnitude at most 1"):
             pairwise_interference_closed(cfg, math.nan, 0.1)
         with pytest.raises(ValueError, match="magnitude at most 1"):
-            user_total_interference(cfg, 0, [0.1, math.nan])
+            _pair_powers(cfg, [0.1], [math.nan])
 
     @pytest.mark.parametrize("d_tilde", APERTURES)
     def test_grid_pairs_exact(self, d_tilde):
@@ -395,32 +399,6 @@ class TestEffectiveInterference:
         for pair in ((1.2, 0.0), (0.0, -1.2), (math.nan, 0.0), (0.0, math.nan)):
             with pytest.raises(ValueError):
                 effective_interference(cfg, *pair)
-
-
-class TestUserTotal:
-    def test_single_user_has_no_interference(self):
-        cfg = LensArrayConfig(d_tilde=10.0)
-        assert user_total_interference(cfg, 0, [0.3]) == 0.0
-
-    def test_grid_drop_is_orthogonal(self):
-        cfg = LensArrayConfig(d_tilde=10.0)
-        assert user_total_interference(cfg, 0, [0.0, 0.3, 0.7]) == 0.0
-
-    def test_additivity_over_pairs(self):
-        cfg = LensArrayConfig(d_tilde=10.0, a_z=2.0)
-        freqs = [0.0, 0.03, 0.6]
-        total = user_total_interference(cfg, 0, freqs)
-        expected = pairwise_interference_direct(cfg, 0.0, 0.03) + pairwise_interference_direct(
-            cfg, 0.0, 0.6
-        )
-        assert total == pytest.approx(expected, rel=1e-9)
-
-    def test_rejects_bad_index_and_empty_list(self):
-        cfg = LensArrayConfig(d_tilde=10.0)
-        with pytest.raises(ValueError):
-            user_total_interference(cfg, 3, [0.1, 0.2])
-        with pytest.raises(ValueError):
-            user_total_interference(cfg, 0, [])
 
 
 class TestSweepPattern:

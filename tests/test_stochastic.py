@@ -344,20 +344,25 @@ class TestEffectiveProbMc:
                 effective_prob_mc(10.0, sample_count=1000, seed=1, threads=threads)
 
 
+D_TILDE_CONSUMERS = {
+    "quadrature": effective_prob_quadrature,
+    "closed": effective_prob_closed,
+    "mc": lambda d_tilde: effective_prob_mc(d_tilde, sample_count=1000, seed=1),
+    "theta_pdf": lambda d_tilde: theta_pdf(0.5, d_tilde),
+}
+
+
 @pytest.mark.parametrize(
-    "fn",
-    [
-        effective_prob_quadrature,
-        effective_prob_closed,
-        lambda d_tilde: effective_prob_mc(d_tilde, sample_count=1000, seed=1),
-        lambda d_tilde: theta_pdf(0.5, d_tilde),
-    ],
-    ids=["quadrature", "closed", "mc", "theta_pdf"],
+    "fn, value",
+    [pytest.param(fn, value, id=name + suffix)
+     for value, suffix in ((math.nan, ""), (math.inf, "-inf"))
+     for name, fn in D_TILDE_CONSUMERS.items()],
 )
-def test_nan_dimension_rejected(fn):
-    # NaN fails every comparison, so each guard is written to fail for it too
-    with pytest.raises(ValueError, match="d_tilde"):
-        fn(math.nan)
+def test_nan_dimension_rejected(fn, value):
+    # NaN fails every comparison and inf passes d_tilde > 0, where each
+    # estimator would return 0.0; the shared guard rejects both
+    with pytest.raises(ValueError, match="d_tilde must be finite"):
+        fn(value)
 
 
 class TestMapRanges:
