@@ -78,9 +78,15 @@ def _params(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("func", "out", "command")}
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits: round-trip safe for IEEE doubles."""
-    return f"{x:.17g}"
+def _csv(header: str, row_format: str, *columns) -> str:
+    """A CSV table of equal-length columns, one %-format per row.
+
+    %.17g gives 17 significant digits, round-trip safe for IEEE doubles,
+    and the same text as format(x, ".17g"), since both use the float
+    formatter.
+    """
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    return "\n".join([header, *(row_format % row for row in rows)]) + "\n"
 
 
 def _resolve_out(path: str) -> str:
@@ -131,20 +137,12 @@ def _cmd_pattern(args) -> int:
     series = sweep_pattern(config, phi_l, grid)
 
     out = _resolve_out(args.out)
-    lines = ["delta,theta_norm,power_linear,power_db,effective"]
-    for i in range(len(series)):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(series.deltas[i]),
-                    _fmt(series.theta_norms[i]),
-                    _fmt(series.powers_linear[i]),
-                    _fmt(series.powers_db[i]),
-                    "true" if series.effective[i] else "false",
-                )
-            )
-        )
-    _write_text(out, "\n".join(lines) + "\n")
+    _write_text(out, _csv(
+        "delta,theta_norm,power_linear,power_db,effective",
+        "%.17g,%.17g,%.17g,%.17g,%s",
+        series.deltas, series.theta_norms, series.powers_linear, series.powers_db,
+        np.where(series.effective, "true", "false"),
+    ))
     _write_manifest(out, "pattern", _params(args), [out], started,
                     extra={"skipped_points": series.skipped_count})
     return EXIT_OK
@@ -186,10 +184,7 @@ def _cmd_density(args) -> int:
     values = theta_pdf(grid, args.d_tilde)
 
     out = _resolve_out(args.out)
-    lines = ["z,f_theta"]
-    for z, f in zip(grid, values):
-        lines.append(f"{_fmt(z)},{_fmt(f)}")
-    _write_text(out, "\n".join(lines) + "\n")
+    _write_text(out, _csv("z,f_theta", "%.17g,%.17g", grid, values))
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     integral = float(trapezoid(values, grid))
     _write_manifest(out, "density", _params(args), [out], started,
@@ -226,10 +221,7 @@ def _cmd_scenario(args) -> int:
         "effective_summary": result.effective_summary,
     }
     _write_json(out, summary)
-    lines = ["power,cdf"]
-    for p, c in zip(result.cdf_grid, result.cdf_values):
-        lines.append(f"{_fmt(p)},{_fmt(c)}")
-    _write_text(cdf_path, "\n".join(lines) + "\n")
+    _write_text(cdf_path, _csv("power,cdf", "%.17g,%.17g", result.cdf_grid, result.cdf_values))
     _write_manifest(out, "scenario", _params(args), [out, cdf_path], started)
     return EXIT_OK
 

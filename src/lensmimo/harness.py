@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import LensArrayConfig
+from .array_model import GRID_SNAP_TOL, LensArrayConfig
 from .interference import _pair_powers, _row_differences
 from .stochastic import DEFAULT_SECTOR, SectorModel, _check_seed, _map_ranges, sample_doas
 
@@ -66,18 +66,37 @@ def _trial_block(config: ScenarioConfig, phi: np.ndarray):
     """Exact totals, effective totals, and effective counts for one chunk.
 
     phi has shape (trials, L). _pair_powers gives every pairwise
-    interference power of a drop at once, self-pairs zeroed. One scratch
-    array of the powers' shape takes the kernel's divisor and then the
-    mainlobe gate's |Theta|, which uses the raw spatial-frequency
-    separations, so a chunk holds two (trials, L, L) float arrays.
+    interference power of a drop at once, self-pairs zeroed, and leaves
+    its divisor, the beam-coordinate differences t_l - t_k, in a scratch
+    array of the powers' shape, so a chunk holds two (trials, L, L) float
+    arrays.
+
+    The mainlobe gate is |Theta| <= 1 for Theta = d (s_l - s_k) as rounded,
+    with d = d_tilde and s = sin(phi). It is read off the divisor: a pair
+    with |t_l - t_k| <= 1 - m is in and one with |t_l - t_k| > 1 + m is out,
+    for the margin m = 2 GRID_SNAP_TOL + (2 d + 16) eps, eps = 2^-53. Each t
+    is d s rounded, within d eps of the exact product since |s| <= 1, and
+    then snapped to the grid by less than GRID_SNAP_TOL. So the exact
+    difference of the two t is within 2 GRID_SNAP_TOL + 2 d eps of the
+    exact d (s_l - s_k); rounding that difference, and the difference and
+    product in Theta, adds at most 4 eps wherever |Theta| or |t_l - t_k| is
+    near 1. The rest of the constant covers the rounding of 1 -+ m. The
+    kernel leaves 0 at the self-pairs, which are then cleared, and at the
+    coincident pairs, which lie well inside the mainlobe. A chunk whose
+    divisors put any pair in the band (1 - m, 1 + m] takes the sine gate
+    for every pair instead.
     """
     arr = config.array
     st = np.sin(phi)
     scratch = np.empty(st.shape + st.shape[-1:])
     power = _pair_powers(arr, st, scratch=scratch)
-    theta = _row_differences(st, st, scratch)
-    theta *= arr.d_tilde
-    eff_mask = np.abs(theta, out=theta) <= 1.0
+    margin = 2.0 * GRID_SNAP_TOL + (2.0 * arr.d_tilde + 16.0) * 2.0**-53
+    gap = np.abs(scratch, out=scratch)
+    eff_mask = gap <= 1.0 - margin
+    if np.count_nonzero(gap <= 1.0 + margin) != np.count_nonzero(eff_mask):
+        theta = _row_differences(st, st, scratch)
+        theta *= arr.d_tilde
+        eff_mask = np.abs(theta, out=theta) <= 1.0
     self_pair = np.arange(st.shape[1])
     eff_mask[:, self_pair, self_pair] = False
 
@@ -190,10 +209,13 @@ def approximation_quality(
 
     The fraction is the share of ensemble-average interference the mainlobe
     gate retains. A fully orthogonal (zero-interference) ensemble reports
-    fraction 1 by convention.
+    fraction 1 by convention. A result computed for another config raises
+    ValueError.
     """
     if scenario_result is None:
         scenario_result = run_scenario(config)
+    elif scenario_result.config != config:
+        raise ValueError("scenario_result was computed for another config")
     mean_exact = float(scenario_result.exact_totals.mean())
     mean_eff = float(scenario_result.effective_totals.mean())
     fraction = mean_eff / mean_exact if mean_exact > 0.0 else 1.0

@@ -176,7 +176,10 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.nda
     those of sf_l with itself, and the self-pairs, which the drop ensembles
     exclude, read 0. The divisor a - b is written into scratch, a float
     array of shape (rows, L, N) with rows the size of the leading shape,
-    when one is given; it holds no meaning afterwards.
+    when one is given. Afterwards scratch holds the beam-coordinate
+    differences t_l - t_k of the snapped coordinates, except at the
+    self-pairs and at the coincident pairs, |t_l - t_k| < COINCIDENT_GAP,
+    where it holds 0.
 
     The numerators u_l v_k - v_l u_k are one rank-2 matrix product per
     row, so the special functions are called O(L + N) times per row,
@@ -207,9 +210,11 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.nda
     r = rows[r]
     diff[r, i, j] = 1.0
     g /= diff
+    diff[r, i, j] = 0.0
     g[r, i, j] = _coincident_gram(t_l[r, i], t_k[r, j], v_l[r, i], v_k[r, j], k)
     if sf_k is None:
         g[:, self_pair, self_pair] = 0.0
+        diff[:, self_pair, self_pair] = 0.0
     return g.reshape(shape)
 
 
@@ -222,6 +227,22 @@ def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.n
     return g
 
 
+def _terms_float(t: float, max_index: int) -> tuple:
+    """(v, u) of _beam_terms for one beam coordinate on Python floats."""
+    n = round(t)
+    e = math.pi * (t - n)
+    v = math.sin(e) / math.pi
+    c = math.cos(e)
+    if n % 2:
+        v, c = -v, -c
+    k1 = max_index + 1.0
+    if t > max_index:
+        return v, v * float(digamma(t - max_index) - digamma(t + k1))
+    if t < -max_index:
+        return v, v * float(digamma(k1 - t) - digamma(-max_index - t))
+    return v, v * float(digamma(k1 - t) - digamma(k1 + t)) - c
+
+
 def _gram_float(a: float, b: float, max_index: int) -> float:
     """G(a, b) of two beam coordinates on Python floats.
 
@@ -229,25 +250,12 @@ def _gram_float(a: float, b: float, max_index: int) -> float:
     math and scalar scipy calls, because NumPy's per-call overhead on 0-d
     arrays would dominate a single pair.
     """
-    k1 = max_index + 1.0
-    terms = []
-    for t in (a, b):
-        n = round(t)
-        e = math.pi * (t - n)
-        v = math.sin(e) / math.pi
-        c = math.cos(e)
-        if n % 2:
-            v, c = -v, -c
-        p, q = k1 - t, k1 + t
-        if t > max_index:
-            p, q, c = t - max_index, t + k1, 0.0
-        elif t < -max_index:
-            p, q, c = k1 - t, -max_index - t, 0.0
-        terms.append((v, v * float(digamma(p) - digamma(q)) - c))
-    (v_a, u_a), (v_b, u_b) = terms
+    v_a, u_a = _terms_float(a, max_index)
+    v_b, u_b = _terms_float(b, max_index)
     d = a - b
     if abs(d) >= COINCIDENT_GAP:
         return (u_a * v_b - v_a * u_b) / d
+    k1 = max_index + 1.0
     x = 0.5 * (a + b)
     s = abs(x)
     if s > max_index:

@@ -20,6 +20,7 @@ band between take a sine.
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -92,7 +93,15 @@ class ProbEstimate:
 
 def _map_ranges(fn, count: int, chunk: int, threads: int) -> list:
     """fn(a, b) for the ranges [a, b) that split [0, count) into pieces of
-    at most chunk indices, in range order, on up to threads worker threads.
+    at most chunk indices, in range order, on up to threads threads.
+
+    The calling thread works too. It runs range 0 while n helper threads
+    start on ranges 1 to n, with n = min(threads, ranges) - 1, and then
+    every thread takes the next unclaimed range from one shared counter
+    until none is left. Results are stored by range index. No helper is
+    started that would find no range, so no idle thread holds a malloc
+    arena. The first exception stops every thread after its current range
+    and reaches the caller.
 
     The ranges depend only on count and chunk, so a caller whose fn is a
     pure function of its range gets the same results whatever the thread
@@ -101,10 +110,32 @@ def _map_ranges(fn, count: int, chunk: int, threads: int) -> list:
     if not threads >= 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     ranges = [(a, min(a + chunk, count)) for a in range(0, count, chunk)]
-    if threads == 1 or len(ranges) == 1:
+    helpers = min(threads, len(ranges)) - 1
+    if helpers == 0:
         return [fn(a, b) for a, b in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, *zip(*ranges)))
+    results = [None] * len(ranges)
+    lock = threading.Lock()
+    next_index = helpers + 1
+
+    def work(i):
+        nonlocal next_index
+        while i < len(ranges):
+            try:
+                results[i] = fn(*ranges[i])
+            except BaseException:
+                with lock:
+                    next_index = len(ranges)
+                raise
+            with lock:
+                i = next_index
+                next_index += 1
+
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futures = [pool.submit(work, i) for i in range(1, helpers + 1)]
+        work(0)
+    for future in futures:
+        future.result()
+    return results
 
 
 def _check_seed(seed: int) -> None:
@@ -185,23 +216,40 @@ def theta_pdf(z, d_tilde: float, sector: SectorModel = DEFAULT_SECTOR):
     the left-hand sides squared. The density is 0 outside the support
     |z| < 2 s d_tilde and infinite at z = 0 for the half-space sector,
     s = 1. A float z gives a float; an array gives an array.
+
+    A Python or NumPy float z, as quad passes, skips the support masks and
+    runs the same expressions on Python floats with one scalar R_F call, so
+    it returns the same bits as a one-element array without NumPy's
+    per-call cost on 0-d arrays.
     """
     _check_d_tilde(d_tilde)
     s = sector.max_spatial_freq
-    a = np.abs(np.asarray(z, dtype=float)) / d_tilde
-    # The upper end s - a is rounded first, so g > 0 exactly when -s < s - a.
-    g = (s - a) + s
-    outside = g <= 0.0
-    # Points outside the support are evaluated at z = 0 and then dropped.
-    a = np.where(outside, 0.0, a)
-    g = np.where(outside, 2.0 * s, g)
+    scalar = isinstance(z, float)
+    if scalar:
+        d = float(d_tilde)
+        a = abs(float(z)) / d
+        g = (s - a) + s
+        if g <= 0.0:
+            return 0.0
+    else:
+        d = d_tilde
+        a = np.abs(np.asarray(z, dtype=float)) / d
+        # The upper end s - a is rounded first, so g > 0 exactly when -s < s - a.
+        g = (s - a) + s
+        outside = g <= 0.0
+        # Points outside the support are evaluated at z = 0 and then dropped.
+        a = np.where(outside, 0.0, a)
+        g = np.where(outside, 2.0 * s, g)
     q = 1.0 - s
     c = q * (1.0 + s)
     n12 = 2.0 * c + a * g
     n13 = 2.0 * (c + s * g)
     inner = 2.0 * g * elliprf(n12 * n12, n13 * n13, 4.0 * c * (q + a) * (q + g))
     h2 = 2.0 * sector.half_width
-    val = np.where(outside, 0.0, inner / (d_tilde * h2 * h2))
+    val = inner / (d * h2 * h2)
+    if scalar:
+        return float(val)
+    val = np.where(outside, 0.0, val)
     if val.ndim == 0:
         return float(val)
     return val

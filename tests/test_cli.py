@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 import lensmimo
-from lensmimo import effective_prob_closed, effective_prob_quadrature, selfcheck
+from lensmimo import (
+    LensArrayConfig,
+    ScenarioConfig,
+    effective_prob_closed,
+    effective_prob_quadrature,
+    run_scenario,
+    selfcheck,
+    sweep_pattern,
+    theta_pdf,
+)
 from lensmimo.cli import _parser, _write_json, main
 from lensmimo.harness import _trial_chunk
 from lensmimo.stochastic import MC_RANGE_PAIRS, _map_ranges
@@ -217,6 +226,52 @@ class TestScenario:
                 "--out", out)
         manifest = json.loads((tmp_path / "scen.json.manifest.json").read_text())
         assert manifest["outputs"] == ["scen.json", "scen.cdf.csv"]
+
+
+def per_value_csv(header, *columns):
+    """A CSV rendered one value at a time with format(x, ".17g")."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvBytes:
+    """Every CSV equals a per-value rendering of the arrays it was written from."""
+
+    @pytest.mark.parametrize("d_tilde, sf", [(10.3, 0.123), (20.0, 0.0), (100.0, 0.0)])
+    def test_pattern(self, tmp_path, d_tilde, sf):
+        out = tmp_path / "pat.csv"
+        # d_tilde 20 and 100 put the broadside user's nulls on the grid,
+        # where power_db reads the -3000 dB floor
+        assert run_cli("pattern", "--d-tilde", d_tilde, "--phi-l-sf", sf, "--delta-min", -0.5,
+                       "--delta-max", 0.5, "--steps", 2001, "--out", out) == 0
+        series = sweep_pattern(LensArrayConfig(d_tilde), sf, np.linspace(-0.5, 0.5, 2001))
+        assert np.any(series.powers_db == -3000.0) == (sf == 0.0)
+        expect = per_value_csv(
+            "delta,theta_norm,power_linear,power_db,effective",
+            series.deltas, series.theta_norms, series.powers_linear, series.powers_db,
+            ["true" if e else "false" for e in series.effective],
+        )
+        assert out.read_text(encoding="utf-8") == expect
+
+    @pytest.mark.parametrize("d_tilde, z_max", [(10.01, 18.0), (2.0, 40.0)])
+    def test_density(self, tmp_path, d_tilde, z_max):
+        out = tmp_path / "den.csv"
+        assert run_cli("density", "--d-tilde", d_tilde, "--z-min", -z_max, "--z-max", z_max,
+                       "--steps", 801, "--out", out) == 0
+        grid = np.linspace(-z_max, z_max, 801)
+        expect = per_value_csv("z,f_theta", grid, theta_pdf(grid, d_tilde))
+        assert out.read_text(encoding="utf-8") == expect
+
+    @pytest.mark.parametrize("users", [1, 12])
+    def test_scenario_cdf(self, tmp_path, users):
+        out = tmp_path / "scen.json"
+        assert run_cli("scenario", "--d-tilde", 10.3, "--users", users, "--trials", 300,
+                       "--seed", 4, "--out", out) == 0
+        res = run_scenario(ScenarioConfig(LensArrayConfig(10.3), users, 300, 4))
+        expect = per_value_csv("power,cdf", res.cdf_grid, res.cdf_values)
+        assert (tmp_path / "scen.cdf.csv").read_text(encoding="utf-8") == expect
 
 
 class TestSelfcheck:

@@ -1,5 +1,6 @@
 """Ensemble harness tests: determinism, additivity, bounds, capture quality."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,10 @@ from lensmimo import (
     sample_doas,
 )
 from lensmimo import harness
+from lensmimo.array_model import GRID_SNAP_TOL
 from lensmimo.harness import BLOCK_DOUBLES, _trial_chunk
+from lensmimo.interference import _pair_powers
+from lensmimo.stochastic import SectorModel
 
 TRUE_P10 = 0.1122673842  # see test_stochastic for the independent oracle
 
@@ -230,6 +234,91 @@ class TestForcedGeometries:
         assert np.all(res.exact_totals == 0.0)
         rep = approximation_quality(cfg, scenario_result=res)
         assert rep.captured_fraction == 1.0
+
+
+def sine_gate(config, doas):
+    """Counts and (exact, effective) totals under |d_tilde (sin phi_l - sin phi_k)| <= 1."""
+    st = np.sin(doas)
+    theta = config.array.d_tilde * (st[:, :, None] - st[:, None, :])
+    mask = np.abs(theta) <= 1.0
+    self_pair = np.arange(st.shape[1])
+    mask[:, self_pair, self_pair] = False
+    power = _pair_powers(config.array, st)
+    exact = power.sum(axis=2)
+    power *= mask
+    return np.count_nonzero(mask, axis=2), exact, power.sum(axis=2)
+
+
+def assert_gate_matches_sines(config, doas):
+    res = run_scenario(config, doas=doas)
+    counts, exact, effective = sine_gate(config, doas)
+    assert np.array_equal(res.effective_counts, counts)
+    assert np.array_equal(res.exact_totals, exact)
+    assert np.array_equal(res.effective_totals, effective)
+    return counts
+
+
+class TestDivisorGate:
+    """The gate read off the kernel's divisor decides every pair as the sines do."""
+
+    @staticmethod
+    def margin(d_tilde):
+        return 2.0 * GRID_SNAP_TOL + (2.0 * d_tilde + 16.0) * 2.0**-53
+
+    @pytest.mark.parametrize("d_tilde", [10.0, 10.3])
+    def test_grid_neighbours_and_near_grid_users(self, d_tilde):
+        # Grid neighbours sit at |t_l - t_k| = 1 exactly, also after users
+        # within GRID_SNAP_TOL of the grid are snapped onto it, while their
+        # sine separations fall on either side of 1.
+        for offset in (0.0, 5e-10, -5e-10, 9e-10, -9e-10):
+            beams = np.array([-3.0, -2.0, -1.0 + offset, 0.0, 1.0 + offset, 2.0, 5.0, 6.0 - offset])
+            doas = np.arcsin(beams / d_tilde)[None, :]
+            cfg = _cfg(d_tilde=d_tilde, users=beams.size, trials=1)
+            counts = assert_gate_matches_sines(cfg, doas)
+            assert counts.sum() > 0
+
+    @pytest.mark.parametrize("d_tilde", [10.0, 10.3])
+    def test_pairs_at_the_margin_and_one_ulp_beyond(self, d_tilde):
+        m = self.margin(d_tilde)
+        for edge in (1.0 - m, 1.0 + m):
+            for beam in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0)):
+                for base in (0.0, 3.0):
+                    doas = np.arcsin(np.array([[base, base + beam]]) / d_tilde)
+                    assert_gate_matches_sines(_cfg(d_tilde=d_tilde, users=2, trials=1), doas)
+
+    @pytest.mark.parametrize("d_tilde", [2.5, 5.0, 10.3, 100.0, 1e6])
+    def test_random_drops(self, d_tilde):
+        cfg = _cfg(d_tilde=d_tilde, users=10, trials=1000, seed=17)
+        doas = sample_doas(cfg.seed, 10_000).reshape(1000, 10)
+        res = run_scenario(cfg)
+        counts, exact, effective = sine_gate(cfg, doas)
+        assert np.array_equal(res.effective_counts, counts)
+        assert np.array_equal(res.exact_totals, exact)
+        assert np.array_equal(res.effective_totals, effective)
+
+    def test_half_space_sector_reaches_end_fire(self):
+        cfg = ScenarioConfig(LensArrayConfig(7.5), 20, 200, 3, sector=SectorModel(math.pi / 2.0))
+        doas = sample_doas(3, 4000, sector=cfg.sector).reshape(200, 20)
+        res = run_scenario(cfg)
+        assert np.array_equal(res.effective_counts, sine_gate(cfg, doas)[0])
+
+
+class TestApproximationQuality:
+    @pytest.mark.parametrize("field, other", [
+        pytest.param("array", LensArrayConfig(d_tilde=10.0, a_z=2.0), id="a_z"),
+        pytest.param("array", LensArrayConfig(d_tilde=10.5), id="d_tilde"),
+        pytest.param("user_count", 11, id="user_count"),
+        pytest.param("trial_count", 41, id="trial_count"),
+        pytest.param("seed", 2, id="seed"),
+        pytest.param("sector", SectorModel(1.0), id="sector"),
+    ])
+    def test_result_of_another_config_rejected(self, field, other):
+        cfg = _cfg(trials=40)
+        res = run_scenario(cfg)
+        other_cfg = dataclasses.replace(cfg, **{field: other})
+        with pytest.raises(ValueError, match="another config"):
+            approximation_quality(other_cfg, scenario_result=res)
+        assert approximation_quality(_cfg(trials=40), scenario_result=res).mean_exact > 0.0
 
 
 class TestCaptureQuality:

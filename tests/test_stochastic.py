@@ -12,6 +12,8 @@ cross-checked as central differences of that same CDF.
 """
 
 import math
+import sys
+import threading
 import time
 import warnings
 
@@ -248,6 +250,52 @@ class TestThetaPdfClosedForm:
         assert value == pytest.approx(nested_quad_theta_pdf(1.0, 10.0, sector), rel=1e-9)
 
 
+def same_bits(x, y) -> bool:
+    """Equal as doubles bit for bit, with any NaN equal to any NaN."""
+    x, y = np.float64(x), np.float64(y)
+    if math.isnan(x):
+        return math.isnan(y)
+    return x.tobytes() == y.tobytes()
+
+
+class TestThetaPdfFloatPath:
+    """A float z takes Python float arithmetic; it must give the array path's bits."""
+
+    @pytest.mark.parametrize("half_width", [HALF_WIDTH, math.pi / 2.0, 0.1])
+    @pytest.mark.parametrize("d_tilde", [2.0, 10.0, 10.003, 50.0])
+    def test_float_equals_one_element_array(self, d_tilde, half_width):
+        sector = SectorModel(half_width)
+        edge = 2.0 * sector.max_spatial_freq * d_tilde
+        zs = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5 * edge, -1e6 * edge]
+        for e in (edge, -edge):
+            zs += [e, np.nextafter(e, 0.0), np.nextafter(e, 2.0 * e)]
+        zs += np.random.default_rng(5).uniform(-edge, edge, 500).tolist()
+        for z in zs:
+            want = theta_pdf(np.array([z]), d_tilde, sector)[0]
+            for arg in (float(z), np.float64(z)):
+                got = theta_pdf(arg, d_tilde, sector)
+                assert type(got) is float
+                assert same_bits(got, want), (z, got, want)
+
+    def test_half_space_center_is_infinite_on_both_paths(self):
+        sector = SectorModel(math.pi / 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert theta_pdf(0.0, 10.0, sector) == math.inf
+            assert theta_pdf(np.array([0.0]), 10.0, sector)[0] == math.inf
+
+    @pytest.mark.parametrize("half_width", [HALF_WIDTH, 0.1, 1.5])
+    @pytest.mark.parametrize("d_tilde", [0.3, 2.0, 5.0, 10.0, 10.003, 50.0])
+    def test_quadrature_equals_quad_through_the_array_path(self, d_tilde, half_width):
+        sector = SectorModel(half_width)
+        upper = min(1.0, 2.0 * sector.max_spatial_freq * d_tilde)
+        val, _ = integrate.quad(
+            lambda z: theta_pdf(np.array([z]), d_tilde, sector)[0],
+            0.0, upper, epsabs=1e-8, limit=200,
+        )
+        assert effective_prob_quadrature(d_tilde, sector) == min(1.0, 2.0 * val)
+
+
 class TestEffectiveProbQuadrature:
     @pytest.mark.parametrize("d_tilde", [5.0, 10.0, 20.0])
     def test_matches_independent_oracle(self, d_tilde):
@@ -385,6 +433,50 @@ class TestMapRanges:
         with pytest.raises(ValueError, match="threads"):
             _map_ranges(lambda a, b: calls.append(a), 10, 3, threads)
         assert calls == []
+
+
+class TestMapRangesCallerJoins:
+    """The calling thread runs ranges too, beside at most threads - 1 helpers."""
+
+    @pytest.mark.parametrize("ranges", [2, 3, 9])
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_caller_works_and_threads_are_capped(self, threads, ranges):
+        runners = []
+
+        def fn(a, b):
+            runners.append(threading.get_ident())
+            time.sleep(0.002)
+            return a
+
+        assert _map_ranges(fn, 5 * ranges - 1, 5, threads) == list(range(0, 5 * ranges, 5))
+        assert len(runners) == ranges
+        assert threading.get_ident() in runners
+        assert len(set(runners)) <= min(threads, ranges)
+
+    @pytest.mark.parametrize("ranges", [2, 3, 9])
+    @pytest.mark.parametrize("threads", [2, 3, 8])
+    def test_exception_in_any_range_reaches_the_caller(self, threads, ranges):
+        for bad in range(ranges):
+            def fn(a, b, bad=bad):
+                if a == 5 * bad:
+                    raise KeyError(bad)
+                return a
+
+            with pytest.raises(KeyError) as info:
+                _map_ranges(fn, 5 * ranges, 5, threads)
+            assert info.value.args == (bad,)
+
+    def test_every_range_runs_once_under_frequent_switches(self):
+        # A lost update of the shared counter would run a range twice or never.
+        starts = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _map_ranges(lambda a, b: starts.append(a) or a, 2000, 1, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == list(range(2000))
+        assert sorted(starts) == list(range(2000))
 
 
 def full_sin_hits(u, d_tilde, half_width):
