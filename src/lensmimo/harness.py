@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import GRID_SNAP_TOL, LensArrayConfig
-from .interference import _pair_powers, _row_differences
+from .interference import _pair_powers, _row_differences, _self_pairs
 from .stochastic import DEFAULT_SECTOR, SectorModel, _check_seed, _map_ranges, sample_doas
 
 CDF_POINTS = 256
@@ -62,8 +62,9 @@ class ApproximationReport:
     captured_fraction: float
 
 
-def _trial_block(config: ScenarioConfig, phi: np.ndarray):
-    """Exact totals, effective totals, and effective counts for one chunk.
+def _trial_block(config: ScenarioConfig, phi: np.ndarray, exact, effective, counts) -> None:
+    """Exact totals, effective totals, and effective counts for one chunk,
+    written into the (trials, L) rows exact, effective and counts.
 
     phi has shape (trials, L). _pair_powers gives every pairwise
     interference power of a drop at once, self-pairs zeroed, and leaves
@@ -97,15 +98,14 @@ def _trial_block(config: ScenarioConfig, phi: np.ndarray):
         theta = _row_differences(st, st, scratch)
         theta *= arr.d_tilde
         eff_mask = np.abs(theta, out=theta) <= 1.0
-    self_pair = np.arange(st.shape[1])
-    eff_mask[:, self_pair, self_pair] = False
+    _self_pairs(eff_mask)[...] = False
 
-    exact = power.sum(axis=2)
+    power.sum(axis=2, out=exact)
     # The same summation with the gated-out powers zeroed keeps effective <= exact
     power *= eff_mask
-    effective = power.sum(axis=2)
-    counts = np.count_nonzero(eff_mask, axis=2)
-    return exact, effective, counts
+    power.sum(axis=2, out=effective)
+    # The intp counts np.count_nonzero(eff_mask, axis=2) would allocate
+    eff_mask.sum(axis=2, dtype=np.intp, out=counts)
 
 
 def _trial_chunk(user_count: int) -> int:
@@ -127,22 +127,25 @@ def run_scenario(config: ScenarioConfig, threads: int = 1, doas: np.ndarray = No
         if doas.shape != (T, L):
             raise ValueError(f"doas must have shape {(T, L)}, got {doas.shape}")
 
+    exact = np.empty((T, L))
+    effective = np.empty((T, L))
+    counts = np.empty((T, L), dtype=np.intp)
+
     def block(a, b):
         if doas is None:
             phi = sample_doas(config.seed, (b - a) * L, offset=a * L, sector=config.sector)
             phi = phi.reshape(b - a, L)
         else:
             phi = doas[a:b]
-        return _trial_block(config, phi)
+        _trial_block(config, phi, exact[a:b], effective[a:b], counts[a:b])
 
-    chunk = _trial_chunk(L)
-    parts = _map_ranges(block, T, chunk, threads)
+    _map_ranges(block, T, _trial_chunk(L), threads)
 
-    exact = np.concatenate([p[0] for p in parts], axis=0)
-    effective = np.concatenate([p[1] for p in parts], axis=0)
-    counts = np.concatenate([p[2] for p in parts], axis=0)
-
-    grid, cdf = _empirical_cdf(exact.ravel())
+    # One buffer holds each of the two sorted totals in turn
+    ordered = np.empty(T * L)
+    exact_summary = _summary(exact, ordered)
+    grid, cdf = _empirical_cdf(ordered)
+    effective_summary = _summary(effective, ordered)
     mean_count = float(counts.mean())
     if T > 1:
         per_trial = counts.mean(axis=1)
@@ -157,18 +160,25 @@ def run_scenario(config: ScenarioConfig, threads: int = 1, doas: np.ndarray = No
         effective_counts=counts,
         cdf_grid=grid,
         cdf_values=cdf,
-        exact_summary=_summary(exact),
-        effective_summary=_summary(effective),
+        exact_summary=exact_summary,
+        effective_summary=effective_summary,
         mean_effective_count=mean_count,
         mean_effective_count_se=se,
     )
 
 
-def _summary(totals: np.ndarray) -> dict:
-    flat = totals.ravel()
-    q10, q50, q90, q99 = np.quantile(flat, [0.10, 0.50, 0.90, 0.99])
+def _summary(totals: np.ndarray, ordered: np.ndarray) -> dict:
+    """Mean and quantiles of totals, whose values are left sorted in ordered,
+    a float array of totals.size.
+
+    Quantiles depend only on order statistics, so they have the bits of
+    np.quantile on totals; its partition is cheap on sorted values.
+    """
+    ordered[...] = totals.ravel()
+    ordered.sort()
+    q10, q50, q90, q99 = np.quantile(ordered, [0.10, 0.50, 0.90, 0.99])
     return {
-        "mean": float(flat.mean()),
+        "mean": float(totals.mean()),
         "median": float(q50),
         "q10": float(q10),
         "q90": float(q90),
@@ -176,28 +186,28 @@ def _summary(totals: np.ndarray) -> dict:
     }
 
 
-def _empirical_cdf(values: np.ndarray):
-    """Log-spaced CDF grid between the 0.1% and 99.9% quantiles.
+def _empirical_cdf(ordered: np.ndarray):
+    """Log-spaced CDF grid between the 0.1% and 99.9% quantiles of the
+    sorted 1-D values ordered, and the empirical CDF on it.
 
     Interference spans many dB across an ensemble, so the grid is geometric.
     Exact zeros (orthogonal or single-user drops) cannot anchor a log grid;
     the grid falls back to the smallest positive value, or to an all-zero
     grid when the ensemble is identically zero.
     """
-    n = values.size
-    sorted_vals = np.sort(values)
-    lo, hi = np.quantile(sorted_vals, [0.001, 0.999])
-    positive = sorted_vals[sorted_vals > 0.0]
-    if positive.size == 0:
+    n = ordered.size
+    lo, hi = np.quantile(ordered, [0.001, 0.999])
+    first_positive = np.searchsorted(ordered, 0.0, side="right")
+    if first_positive == n:
         grid = np.zeros(CDF_POINTS)
         return grid, np.ones(CDF_POINTS)
     if lo <= 0.0:
-        lo = float(positive[0])
+        lo = float(ordered[first_positive])
     if hi <= lo:
         grid = np.full(CDF_POINTS, lo)
     else:
         grid = np.geomspace(lo, hi, CDF_POINTS)
-    cdf = np.searchsorted(sorted_vals, grid, side="right") / n
+    cdf = np.searchsorted(ordered, grid, side="right") / n
     return grid, cdf
 
 
@@ -216,8 +226,8 @@ def approximation_quality(
         scenario_result = run_scenario(config)
     elif scenario_result.config != config:
         raise ValueError("scenario_result was computed for another config")
-    mean_exact = float(scenario_result.exact_totals.mean())
-    mean_eff = float(scenario_result.effective_totals.mean())
+    mean_exact = scenario_result.exact_summary["mean"]
+    mean_eff = scenario_result.effective_summary["mean"]
     fraction = mean_eff / mean_exact if mean_exact > 0.0 else 1.0
     return ApproximationReport(
         mean_exact=mean_exact, mean_effective=mean_eff, captured_fraction=fraction

@@ -116,7 +116,8 @@ def _beam_terms(t: np.ndarray, max_index: int):
     """
     n = np.rint(t)
     e = np.pi * (t - n)
-    sign = 1.0 - 2.0 * (n % 2.0)
+    # n - 2 floor(n / 2) is n mod 2, exactly, for every integral double n
+    sign = 1.0 - 2.0 * (n - 2.0 * np.floor(0.5 * n))
     v = sign * np.sin(e) / np.pi
     k1 = max_index + 1.0
     # 0 * inf where a grid user snaps to t = +-(K + 1); such entries are redone below
@@ -151,6 +152,17 @@ def _coincident_gram(a, b, v_a, v_b, max_index: int):
         rest = zeta(2.0, s - max_index + 1.0) - zeta(2.0, s + k1)
         g[out] = near + v_a[out] * v_b[out] * rest
     return g
+
+
+def _self_pairs(a: np.ndarray) -> np.ndarray:
+    """The (rows, L) view of the self-pairs a[:, i, i] of a (rows, L, L) array.
+
+    A C-contiguous array reshapes to (rows, L * L) without a copy, and its
+    diagonals are every (L + 1)-th element of each row, so one strided view
+    reaches them all.
+    """
+    assert a.flags.c_contiguous
+    return a.reshape(a.shape[0], -1)[:, :: a.shape[1] + 1]
 
 
 def _row_differences(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
@@ -192,7 +204,6 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.nda
     shape = t_l.shape + t_k.shape[-1:]
     t_l = t_l.reshape(-1, t_l.shape[-1])
     t_k = t_k.reshape(-1, t_k.shape[-1])
-    self_pair = np.arange(t_l.shape[1])
     k = config.max_index
     v_l, u_l = _beam_terms(t_l, k)
     v_k, u_k = (v_l, u_l) if sf_k is None else _beam_terms(t_k, k)
@@ -201,20 +212,23 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.nda
     if sf_k is None:
         pool = t_l
         # Self-pairs are zeroed below, so any divisor serves there.
-        diff[:, self_pair, self_pair] = 1.0
+        _self_pairs(diff)[...] = 1.0
     else:
         pool = np.concatenate((t_l, t_k), axis=1)
     gaps = np.diff(np.sort(pool, axis=1), axis=1)
     rows = np.nonzero((gaps < COINCIDENT_GAP).any(axis=1))[0]
-    r, i, j = np.nonzero(np.abs(diff[rows]) < COINCIDENT_GAP)
-    r = rows[r]
-    diff[r, i, j] = 1.0
-    g /= diff
-    diff[r, i, j] = 0.0
-    g[r, i, j] = _coincident_gram(t_l[r, i], t_k[r, j], v_l[r, i], v_k[r, j], k)
+    if rows.size:
+        r, i, j = np.nonzero(np.abs(diff[rows]) < COINCIDENT_GAP)
+        r = rows[r]
+        diff[r, i, j] = 1.0
+        g /= diff
+        diff[r, i, j] = 0.0
+        g[r, i, j] = _coincident_gram(t_l[r, i], t_k[r, j], v_l[r, i], v_k[r, j], k)
+    else:
+        g /= diff
     if sf_k is None:
-        g[:, self_pair, self_pair] = 0.0
-        diff[:, self_pair, self_pair] = 0.0
+        _self_pairs(g)[...] = 0.0
+        _self_pairs(diff)[...] = 0.0
     return g.reshape(shape)
 
 

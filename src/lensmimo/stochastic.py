@@ -174,8 +174,11 @@ def sample_doas(seed: int, count: int, offset: int = 0, sector: SectorModel = DE
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     u = _unit_stream(seed, offset, count)
-    h = sector.half_width
-    return (2.0 * u - 1.0) * h
+    # (2u - 1) h, rounded step by step as written, in place
+    u *= 2.0
+    u -= 1.0
+    u *= sector.half_width
+    return u
 
 
 def spatial_freq_pdf(y, sector: SectorModel = DEFAULT_SECTOR):

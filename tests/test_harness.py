@@ -94,24 +94,43 @@ class TestDeterminism:
             assert np.array_equal(serial.effective_counts, par.effective_counts)
 
     def test_chunk_size_invariant(self, monkeypatch):
-        # trial t is a pure function of its stream range, so the chunk size
-        # changes no output bit
-        cfg = _cfg(d_tilde=5.0, users=100, trials=50)
+        # trial t is a pure function of its stream range, or of its forced
+        # DOAs, so neither the chunk size nor the thread count changes an
+        # output bit
         assert _trial_chunk(100) < 50
-        runs = [run_scenario(cfg)]
-        for chunk in (1, 7):
-            monkeypatch.setattr(harness, "_trial_chunk", lambda user_count, c=chunk: c)
-            runs.append(run_scenario(cfg))
-        ref = runs[0]
-        for res in runs[1:]:
-            for field in ("exact_totals", "effective_totals", "effective_counts",
-                          "cdf_grid", "cdf_values"):
-                assert np.array_equal(getattr(ref, field), getattr(res, field)), field
-            assert res.effective_counts.dtype == ref.effective_counts.dtype
-            assert res.exact_summary == ref.exact_summary
-            assert res.effective_summary == ref.effective_summary
-            assert res.mean_effective_count == ref.mean_effective_count
-            assert res.mean_effective_count_se == ref.mean_effective_count_se
+        rng = np.random.default_rng(8)
+        for users in (100, 1, 2):
+            cfg = _cfg(d_tilde=5.0, users=users, trials=50)
+            forced = sample_doas(9, 50 * users).reshape(50, users)
+            # grid users and coincident pairs in the forced drops
+            forced[::3, 0] = np.arcsin(rng.integers(-4, 5, 17) / 5.0)
+            forced[1::4, -1] = forced[1::4, 0]
+            for doas in (None, forced):
+                ref = run_scenario(cfg, doas=doas)
+                runs = [ref]
+                for chunk in (1, 7, 49):
+                    with monkeypatch.context() as m:
+                        m.setattr(harness, "_trial_chunk", lambda user_count, c=chunk: c)
+                        runs += [run_scenario(cfg, threads=threads, doas=doas) for threads in (1, 2, 3)]
+                for res in runs:
+                    for field, dtype in (("exact_totals", np.float64), ("effective_totals", np.float64),
+                                         ("effective_counts", np.intp)):
+                        out = getattr(res, field)
+                        assert out.shape == (50, users) and out.dtype == dtype, field
+                        assert out.flags.c_contiguous, field
+                        assert np.array_equal(getattr(ref, field), out), field
+                    for field in ("cdf_grid", "cdf_values"):
+                        assert np.array_equal(getattr(ref, field), getattr(res, field)), field
+                    assert res.exact_summary == ref.exact_summary
+                    assert res.effective_summary == ref.effective_summary
+                    assert res.mean_effective_count == ref.mean_effective_count
+                    assert res.mean_effective_count_se == ref.mean_effective_count_se
+            # a caller's scratch holds the divisors, and 0 at the self-pairs
+            scratch = np.full((50, users, users), np.nan)
+            power = _pair_powers(cfg.array, np.sin(forced), scratch=scratch)
+            assert np.all(np.diagonal(scratch, axis1=1, axis2=2) == 0.0)
+            assert np.all(np.diagonal(power, axis1=1, axis2=2) == 0.0)
+            assert not np.isnan(scratch).any()
 
     def test_different_seeds_differ(self):
         r1 = run_scenario(_cfg(seed=1, trials=50))
@@ -141,6 +160,27 @@ class TestChunking:
         # the budget counts only the L x L arrays, so a wide array with few
         # users keeps a long ensemble in one chunk
         assert _trial_chunk(10) >= 1500
+
+    def test_block_sees_each_chunk_of_doas_second(self, monkeypatch):
+        # A timing wrapper reads a chunk's size off args[1], the (trials, L)
+        # DOA array, as bench/tracing.py counts harness.chunks and
+        # harness.chunk_bytes_max.
+        cfg = _cfg(d_tilde=5.0, users=200, trials=25, seed=4)
+        seen = []
+        block = harness._trial_block
+
+        def wrapped(*args, **kwargs):
+            seen.append(np.array(args[1]))
+            return block(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_trial_block", wrapped)
+        res = run_scenario(cfg, threads=2)
+        assert sorted(phi.shape for phi in seen) == [(5, 200), (10, 200), (10, 200)]
+        doas = sample_doas(cfg.seed, 25 * 200).reshape(25, 200)
+        starts = [a for phi in seen for a in (0, 10, 20) if np.array_equal(doas[a:a + len(phi)], phi)]
+        assert sorted(starts) == [0, 10, 20]
+        monkeypatch.undo()
+        assert np.array_equal(res.exact_totals, run_scenario(cfg).exact_totals)
 
 
 class TestAdditivity:
@@ -236,6 +276,84 @@ class TestForcedGeometries:
         assert rep.captured_fraction == 1.0
 
 
+def reference_summary(totals):
+    """Mean and quantiles by np.quantile on the unsorted totals."""
+    flat = totals.ravel()
+    q10, q50, q90, q99 = np.quantile(flat, [0.10, 0.50, 0.90, 0.99])
+    return {"mean": float(flat.mean()), "median": float(q50), "q10": float(q10),
+            "q90": float(q90), "q99": float(q99)}
+
+
+def reference_cdf(totals):
+    """The log-grid CDF from a fresh sort and the positive totals copied out."""
+    values = np.sort(totals.ravel())
+    lo, hi = np.quantile(values, [0.001, 0.999])
+    positive = values[values > 0.0]
+    if positive.size == 0:
+        return np.zeros(harness.CDF_POINTS), np.ones(harness.CDF_POINTS)
+    if lo <= 0.0:
+        lo = float(positive[0])
+    grid = np.full(harness.CDF_POINTS, lo) if hi <= lo else np.geomspace(lo, hi, harness.CDF_POINTS)
+    return grid, np.searchsorted(values, grid, side="right") / values.size
+
+
+def float_bits(summary):
+    return {key: float(value).hex() for key, value in summary.items()}
+
+
+class TestSortedReductions:
+    """The summaries and the CDF read from one reused sorted buffer have
+    the bits of np.quantile and a fresh sort on the unsorted totals."""
+
+    @staticmethod
+    def totals(case):
+        rng = np.random.default_rng(12)
+        if case == "random":
+            return rng.random((300, 7)) ** 4
+        if case == "ties":
+            return rng.integers(0, 4, (300, 7)) * 0.125
+        if case == "zeros":
+            x = rng.random((300, 7))
+            x[x < 0.3] = 0.0
+            return x
+        if case == "mostly_zero":
+            x = np.zeros((300, 7))
+            x[5, 3] = 2.5
+            x[17, 0] = 1e-300
+            return x
+        if case == "all_zero":
+            return np.zeros((40, 3))
+        if case == "single":
+            return np.array([[0.7]])
+        assert case == "single_zero"
+        return np.zeros((1, 1))
+
+    @pytest.mark.parametrize("case", ["random", "ties", "zeros", "mostly_zero", "all_zero",
+                                      "single", "single_zero"])
+    def test_shared_buffer_gives_the_unsorted_bits(self, case):
+        exact = self.totals(case)
+        # effective totals: a gated share of the exact ones, zeros included
+        effective = exact * (np.arange(exact.size).reshape(exact.shape) % 3 != 0)
+        ordered = np.full(exact.size, np.nan)
+        exact_summary = harness._summary(exact, ordered)
+        grid, cdf = harness._empirical_cdf(ordered)
+        effective_summary = harness._summary(effective, ordered)
+        assert float_bits(exact_summary) == float_bits(reference_summary(exact))
+        assert float_bits(effective_summary) == float_bits(reference_summary(effective))
+        ref_grid, ref_cdf = reference_cdf(exact)
+        assert grid.tobytes() == ref_grid.tobytes()
+        assert cdf.tobytes() == ref_cdf.tobytes()
+        assert exact_summary["mean"] == float(exact.mean())
+
+    def test_run_scenario_matches_the_references(self):
+        res = run_scenario(_cfg(d_tilde=10.3, users=12, trials=700, seed=6), threads=2)
+        assert float_bits(res.exact_summary) == float_bits(reference_summary(res.exact_totals))
+        assert float_bits(res.effective_summary) == float_bits(reference_summary(res.effective_totals))
+        grid, cdf = reference_cdf(res.exact_totals)
+        assert res.cdf_grid.tobytes() == grid.tobytes()
+        assert res.cdf_values.tobytes() == cdf.tobytes()
+
+
 def sine_gate(config, doas):
     """Counts and (exact, effective) totals under |d_tilde (sin phi_l - sin phi_k)| <= 1."""
     st = np.sin(doas)
@@ -319,6 +437,18 @@ class TestApproximationQuality:
         with pytest.raises(ValueError, match="another config"):
             approximation_quality(other_cfg, scenario_result=res)
         assert approximation_quality(_cfg(trials=40), scenario_result=res).mean_exact > 0.0
+
+
+    @pytest.mark.parametrize("users, trials, threads", [(1, 5, 1), (2, 1, 1), (10, 1500, 1),
+                                                        (12, 333, 2), (200, 25, 3)])
+    def test_means_are_the_full_array_means(self, users, trials, threads):
+        # the report reads the summaries' means, which reduce the C-contiguous
+        # (T, L) arrays in the order exact_totals.mean() does
+        cfg = _cfg(d_tilde=7.3, users=users, trials=trials, seed=9)
+        res = run_scenario(cfg, threads=threads)
+        rep = approximation_quality(cfg, scenario_result=res)
+        assert rep.mean_exact.hex() == float(res.exact_totals.mean()).hex()
+        assert rep.mean_effective.hex() == float(res.effective_totals.mean()).hex()
 
 
 class TestCaptureQuality:

@@ -26,9 +26,11 @@ from lensmimo.array_model import _profile_matrix
 from lensmimo.interference import (
     SIDELOBE_PEAK_X,
     SIDELOBE_RATIO_DB,
+    _beam_terms,
     _pair_powers,
     _row_differences,
 )
+from scipy.special import digamma
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 
@@ -255,6 +257,53 @@ def test_row_differences_match_broadcast_subtraction():
     out = np.full((4, 9, 6), np.nan)
     assert _row_differences(x, y, out) is out
     assert np.array_equal(out, expect)
+
+
+def beam_terms_mod_reference(t, max_index):
+    """_beam_terms with the parity of n = rint(t) taken as n % 2.0."""
+    n = np.rint(t)
+    e = np.pi * (t - n)
+    sign = 1.0 - 2.0 * (n % 2.0)
+    v = sign * np.sin(e) / np.pi
+    k1 = max_index + 1.0
+    with np.errstate(invalid="ignore"):
+        u = v * (digamma(k1 - t) - digamma(k1 + t)) - sign * np.cos(e)
+    out = np.abs(t) > max_index
+    s = np.abs(t[out])
+    u[out] = np.sign(t[out]) * v[out] * (digamma(s - max_index) - digamma(s + k1))
+    return v, u
+
+
+class TestBeamTermsParity:
+    """The floor form of the parity gives the bits of n % 2.0."""
+
+    HUGE = [2.0**52 - 1.0, 2.0**52, 2.0**53]
+
+    @pytest.mark.parametrize("d_tilde", [2.5, 10.3, 100.0])
+    def test_bits_equal_the_remainder_form(self, d_tilde):
+        k = LensArrayConfig(d_tilde=d_tilde).max_index
+        grid = np.arange(-k - 1.0, k + 2.0)
+        special = [0.0, -0.0, -1.0, -2.0, -3.0, -4.0, 3.0, 4.0] + self.HUGE + [-x for x in self.HUGE]
+        rng = np.random.default_rng(5)
+        t = np.concatenate([
+            grid, special,
+            grid + 0.25, grid - 0.4999, grid + 1e-9,
+            # beyond the span, K < |t| <= d_tilde, where d_tilde is fractional
+            np.linspace(k, d_tilde, 7), -np.linspace(k, d_tilde, 7),
+            rng.uniform(-d_tilde, d_tilde, 500),
+        ]).reshape(2, -1)
+        v, u = _beam_terms(t, k)
+        v_ref, u_ref = beam_terms_mod_reference(t, k)
+        assert v.tobytes() == v_ref.tobytes()
+        assert u.tobytes() == u_ref.tobytes()
+
+    def test_signed_zero_and_huge_parities(self):
+        k = 10
+        t = np.array([0.0, -0.0, -1.0, -2.0, 2.0**52 - 1.0, -(2.0**52 - 1.0), 2.0**52, 2.0**53])
+        v, _ = _beam_terms(t, k)
+        sign = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+        # v = sign sin(0) / pi is a zero of the parity's sign
+        assert np.array_equal(np.signbit(v), sign < 0.0)
 
 
 class TestPairKernel:

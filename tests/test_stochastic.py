@@ -573,6 +573,12 @@ class TestSampleDoas:
         tol = 3.0 * (HALF_WIDTH / math.sqrt(3.0)) / math.sqrt(1_000_000)
         assert abs(phi.mean()) <= tol
 
+    @pytest.mark.parametrize("half_width", [HALF_WIDTH, math.pi / 2.0, 0.1])
+    def test_scaled_from_the_unit_stream_as_written(self, half_width):
+        u = _unit_stream(3, 5, 999)
+        expect = (2.0 * u - 1.0) * half_width
+        assert sample_doas(3, 999, offset=5, sector=SectorModel(half_width)).tobytes() == expect.tobytes()
+
     def test_offset_reconstructs_the_tail(self):
         full = sample_doas(31, 100)
         tail = sample_doas(31, 63, offset=37)
