@@ -64,21 +64,20 @@ class LensArrayConfig:
         return (self.element_count - 1) // 2
 
 
-@functools.lru_cache(maxsize=64)
-def _element_grid(max_index: int) -> np.ndarray:
-    # Float element indices, built once per array size and shared read-only.
-    m = np.arange(-max_index, max_index + 1, dtype=float)
-    m.setflags(write=False)
-    return m
-
-
-def sinc(x: float) -> float:
-    """Normalized cardinal sine sin(pi x)/(pi x).
+def sinc(x):
+    """Normalized cardinal sine sin(pi x)/(pi x) of a number or an ndarray.
 
     Unit at 0 and exactly zero at the nonzero integers. Any other argument
     has pi x != 0, and for tiny x sin(pi x) rounds to pi x, so the quotient
-    needs no series near 0.
+    needs no series near 0. An ndarray gives an ndarray of its shape.
     """
+    if isinstance(x, np.ndarray):
+        exact = x == np.rint(x)
+        if exact.any():
+            return np.where(exact, np.where(x == 0.0, 1.0, 0.0), np.sinc(x))
+        # np.sinc without its guard for x == 0, which cannot occur here
+        y = np.pi * x
+        return np.sin(y) / y
     n = round(x)
     if x == n:
         return 1.0 if n == 0 else 0.0
@@ -113,15 +112,6 @@ def snap_to_grid(t):
     return snapped
 
 
-def _sinc_array(x: np.ndarray) -> np.ndarray:
-    exact = x == np.rint(x)
-    if exact.any():
-        return np.where(exact, np.where(x == 0.0, 1.0, 0.0), np.sinc(x))
-    # np.sinc without its guard for x == 0, which cannot occur here
-    y = np.pi * x
-    return np.sin(y) / y
-
-
 def _validate_spatial_freq(phi_tilde) -> None:
     # Written so that NaN fails the test too
     if isinstance(phi_tilde, float):
@@ -150,8 +140,8 @@ def _profile_matrix(config: LensArrayConfig, spatial_freqs) -> np.ndarray:
     to the grid before evaluation.
     """
     t = np.asarray(_beam_coords(config, spatial_freqs))
-    m = _element_grid(config.max_index)
-    return _sinc_array(m - t[..., None])
+    m = np.arange(-config.max_index, config.max_index + 1, dtype=float)
+    return sinc(m - t[..., None])
 
 
 def channel_vectors(config: LensArrayConfig, spatial_freqs) -> np.ndarray:

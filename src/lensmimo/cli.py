@@ -227,7 +227,7 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    results = run_checks(corrupt_closed_form=args.corrupt_closed_form)
+    results = run_checks()
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     scen.set_defaults(func=_cmd_scenario)
 
     chk = sub.add_parser("selfcheck", help="run the built-in verification suite")
-    chk.add_argument("--corrupt-closed-form", action="store_true", help=argparse.SUPPRESS)
     chk.set_defaults(func=_cmd_selfcheck)
 
     return parser

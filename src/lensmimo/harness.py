@@ -14,7 +14,7 @@ import numpy as np
 
 from .array_model import GRID_SNAP_TOL, LensArrayConfig
 from .interference import _pair_powers, _row_differences, _self_pairs
-from .stochastic import DEFAULT_SECTOR, SectorModel, _check_seed, _map_ranges, sample_doas
+from .stochastic import DEFAULT_SECTOR, SectorModel, _check_seed, _is_integer, _map_ranges, sample_doas
 
 CDF_POINTS = 256
 
@@ -32,10 +32,10 @@ class ScenarioConfig:
     sector: SectorModel = DEFAULT_SECTOR
 
     def __post_init__(self):
-        if self.user_count < 1:
-            raise ValueError(f"user_count must be positive, got {self.user_count}")
-        if self.trial_count < 1:
-            raise ValueError(f"trial_count must be positive, got {self.trial_count}")
+        for name in ("user_count", "trial_count"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value}")
         _check_seed(self.seed)
 
 

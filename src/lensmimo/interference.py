@@ -33,7 +33,8 @@ Pairs closer than COINCIDENT_GAP use the limit instead, with each
 through Hurwitz zeta functions. Within the span the sum over all integers
 m is sinc(a - b), and G is sinc(a - b) less the tail |m| > K; beyond it,
 G is the nearest element's term plus the other elements.
-pairwise_interference_closed evaluates G on Python floats.
+pairwise_interference_closed evaluates the difference quotient on Python
+floats and takes a coincident pair through the array kernel.
 
 pairwise_interference_direct builds the channel vectors of a broadcast
 batch of pairs and takes their Hermitian inner products along the element
@@ -55,7 +56,6 @@ from scipy.special import digamma, zeta
 from .array_model import (
     LensArrayConfig,
     _beam_coords,
-    _sinc_array,
     _validate_spatial_freq,
     channel_vectors,
     sinc,
@@ -143,12 +143,12 @@ def _coincident_gram(a, b, v_a, v_b, max_index: int):
     k1 = max_index + 1.0
     # 0 * inf where both users snap to x = +-(K + 1); such entries are redone below
     with np.errstate(invalid="ignore"):
-        g = np.sinc(a - b) - v_a * v_b * (zeta(2.0, k1 - x) + zeta(2.0, k1 + x))
+        g = sinc(a - b) - v_a * v_b * (zeta(2.0, k1 - x) + zeta(2.0, k1 + x))
     out = np.abs(x) > max_index
     if out.any():
         x, s = x[out], np.abs(x[out])
         edge = np.copysign(max_index, x)
-        near = _sinc_array(edge - a[out]) * _sinc_array(edge - b[out])
+        near = sinc(edge - a[out]) * sinc(edge - b[out])
         rest = zeta(2.0, s - max_index + 1.0) - zeta(2.0, s + k1)
         g[out] = near + v_a[out] * v_b[out] * rest
     return g
@@ -242,7 +242,8 @@ def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.n
 
 
 def _terms_float(t: float, max_index: int) -> tuple:
-    """(v, u) of _beam_terms for one beam coordinate on Python floats."""
+    """(v, u) of _beam_terms for one beam coordinate on Python floats, where
+    NumPy's per-call overhead on 0-d arrays would dominate a single pair."""
     n = round(t)
     e = math.pi * (t - n)
     v = math.sin(e) / math.pi
@@ -255,28 +256,6 @@ def _terms_float(t: float, max_index: int) -> tuple:
     if t < -max_index:
         return v, v * float(digamma(k1 - t) - digamma(-max_index - t))
     return v, v * float(digamma(k1 - t) - digamma(k1 + t)) - c
-
-
-def _gram_float(a: float, b: float, max_index: int) -> float:
-    """G(a, b) of two beam coordinates on Python floats.
-
-    The kernel of _beam_terms, _coincident_gram and _pair_gram written with
-    math and scalar scipy calls, because NumPy's per-call overhead on 0-d
-    arrays would dominate a single pair.
-    """
-    v_a, u_a = _terms_float(a, max_index)
-    v_b, u_b = _terms_float(b, max_index)
-    d = a - b
-    if abs(d) >= COINCIDENT_GAP:
-        return (u_a * v_b - v_a * u_b) / d
-    k1 = max_index + 1.0
-    x = 0.5 * (a + b)
-    s = abs(x)
-    if s > max_index:
-        edge = math.copysign(max_index, x)
-        rest = float(zeta(2.0, s - max_index + 1.0) - zeta(2.0, s + k1))
-        return sinc(edge - a) * sinc(edge - b) + v_a * v_b * rest
-    return sinc(d) - v_a * v_b * float(zeta(2.0, k1 - x) + zeta(2.0, k1 + x))
 
 
 def pairwise_interference_direct(config: LensArrayConfig, phi_tilde_l, phi_tilde_k):
@@ -304,11 +283,17 @@ def pairwise_interference_closed(
 ) -> float:
     """Closed-form interference, identical to the direct path to rounding.
 
-    O(1) work whatever the element count, for every pair of users.
+    O(1) work whatever the element count, for every pair of users. A
+    coincident pair, |t_l - t_k| < COINCIDENT_GAP, takes the array kernel.
     """
-    a = _beam_coords(config, float(phi_tilde_l))
-    b = _beam_coords(config, float(phi_tilde_k))
-    g = _gram_float(a, b, config.max_index)
+    sf_l, sf_k = float(phi_tilde_l), float(phi_tilde_k)
+    a, b = _beam_coords(config, sf_l), _beam_coords(config, sf_k)
+    if abs(a - b) < COINCIDENT_GAP:
+        g = float(_pair_gram(config, [sf_l], [sf_k])[0, 0])
+    else:
+        v_a, u_a = _terms_float(a, config.max_index)
+        v_b, u_b = _terms_float(b, config.max_index)
+        g = (u_a * v_b - v_a * u_b) / (a - b)
     return config.aperture**2 / config.element_count * g * g
 
 

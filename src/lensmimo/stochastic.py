@@ -107,8 +107,8 @@ def _map_ranges(fn, count: int, chunk: int, threads: int) -> list:
     pure function of its range gets the same results whatever the thread
     count.
     """
-    if not threads >= 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    if not (_is_integer(threads) and threads >= 1):
+        raise ValueError(f"threads must be an integer of at least 1, got {threads}")
     ranges = [(a, min(a + chunk, count)) for a in range(0, count, chunk)]
     helpers = min(threads, len(ranges)) - 1
     if helpers == 0:
@@ -138,10 +138,15 @@ def _map_ranges(fn, count: int, chunk: int, threads: int) -> list:
     return results
 
 
+def _is_integer(value) -> bool:
+    # Bools and floats pass range checks, and Philox truncates a float seed
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed: int) -> None:
     # Philox keys are 128-bit; its own error for others names no argument
-    if not 0 <= seed < 2**128:
-        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    if not (_is_integer(seed) and 0 <= seed < 2**128):
+        raise ValueError(f"seed must lie in [0, 2**128) and be an integer, got {seed}")
 
 
 def _check_d_tilde(d_tilde: float) -> None:
@@ -171,8 +176,8 @@ def _unit_stream(seed: int, offset: int, count: int) -> np.ndarray:
 
 def sample_doas(seed: int, count: int, offset: int = 0, sector: SectorModel = DEFAULT_SECTOR) -> np.ndarray:
     """I.i.d. uniform DOAs in radians; draw i is a pure function of (seed, i)."""
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    if not (_is_integer(count) and count >= 1):
+        raise ValueError(f"count must be a positive integer, got {count}")
     u = _unit_stream(seed, offset, count)
     # (2u - 1) h, rounded step by step as written, in place
     u *= 2.0
@@ -380,8 +385,8 @@ def effective_prob_mc(
     pair.
     """
     _check_d_tilde(d_tilde)
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be positive, got {sample_count}")
+    if not (_is_integer(sample_count) and sample_count >= 1):
+        raise ValueError(f"sample_count must be a positive integer, got {sample_count}")
     count = functools.partial(_count_effective, d_tilde, seed, sector.half_width)
     hits = sum(_map_ranges(count, sample_count, MC_RANGE_PAIRS, threads))
     value = hits / sample_count

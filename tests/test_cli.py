@@ -1,5 +1,7 @@
 """CLI behavior: file formats, exit codes, reproducibility."""
 
+import argparse
+import inspect
 import json
 import math
 import subprocess
@@ -280,15 +282,18 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_corrupted_closed_form_fails(self, capsys):
-        assert run_cli("selfcheck", "--corrupt-closed-form") == 1
+    def test_corrupted_closed_form_fails(self, monkeypatch, capsys):
+        for path in ("pairwise_interference_closed", "_pair_powers"):
+            fn = getattr(selfcheck, path)
+            monkeypatch.setattr(selfcheck, path, lambda *a, fn=fn: fn(*a) * (1.0 + 1e-6))
+        assert run_cli("selfcheck") == 1
         assert "FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("path", ["pairwise_interference_closed", "_pair_powers"])
     def test_oracle_check_covers_both_closed_paths(self, monkeypatch, path):
         fn = getattr(selfcheck, path)
         monkeypatch.setattr(selfcheck, path, lambda *a: fn(*a) * (1.0 + 1e-8))
-        assert not selfcheck._check_closed_vs_direct(corrupt=False).passed
+        assert not selfcheck._check_closed_vs_direct().passed
 
     def test_determinism_shapes_span_two_pieces(self):
         def pieces(count, chunk):
@@ -431,6 +436,19 @@ class TestPlumbing:
         assert run_cli(*argv, "--convention", "normalized", "--out", out) == 2
         assert "--convention" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_no_hidden_switches(self, capsys):
+        # A test makes the library fail by patching it, so the shipped CLI
+        # and run_checks carry no switch for that
+        parsers = [_parser()]
+        for parser in parsers:
+            for action in parser._actions:
+                assert action.help is not argparse.SUPPRESS, action.option_strings
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+        assert len(parsers) == 6
+        assert inspect.signature(selfcheck.run_checks).parameters == {}
+        assert run_cli("selfcheck", "--corrupt-closed-form") == 2
 
     def test_public_names_resolve(self):
         # The package exports exactly the names the CLI and the model's tests

@@ -35,10 +35,12 @@ def _cfg(d_tilde=10.0, users=10, trials=2000, seed=1, a_z=1.0):
 
 class TestValidation:
     def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            _cfg(users=0)
-        with pytest.raises(ValueError):
-            _cfg(trials=0)
+        # a float count would construct and then fail inside run_scenario
+        for count in (0, 2.5, 3.0, True):
+            with pytest.raises(ValueError, match="user_count must be a positive integer"):
+                _cfg(users=count)
+            with pytest.raises(ValueError, match="trial_count must be a positive integer"):
+                _cfg(trials=count)
         with pytest.raises(ValueError):
             _cfg(seed=-1)
 
@@ -47,12 +49,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_scenario(cfg, doas=np.zeros((4, 2)))
 
-    @pytest.mark.parametrize("seed", [-1, 2**128])
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, 1.0, True])
     def test_rejects_seed_outside_philox_key_range(self, seed):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
             _cfg(seed=seed)
 
-    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, 2.0, True])
     def test_rejects_thread_count_below_one(self, threads):
         with pytest.raises(ValueError, match="threads"):
             run_scenario(_cfg(users=3, trials=4), threads=threads)

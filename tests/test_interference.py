@@ -24,9 +24,11 @@ from lensmimo import (
 )
 from lensmimo.array_model import _profile_matrix
 from lensmimo.interference import (
+    COINCIDENT_GAP,
     SIDELOBE_PEAK_X,
     SIDELOBE_RATIO_DB,
     _beam_terms,
+    _pair_gram,
     _pair_powers,
     _row_differences,
 )
@@ -313,18 +315,27 @@ class TestPairKernel:
 
     APERTURES = [5.0, 10.0, 20.0, 57.3, 100.0]
 
-    @pytest.mark.parametrize("d_tilde", APERTURES)
+    @pytest.mark.parametrize("d_tilde", [1.5, 2.5, 5.0, 10.0, 10.3, 20.0, 57.3, 100.0])
     def test_coincident_pairs_across_the_switch(self, d_tilde):
-        # beam-coordinate gaps from 1e-14 to 1e-2, with COINCIDENT_GAP = 1e-5 bracketed
-        # and at t = +-(K - 1/2), where the tail the limit form subtracts is largest
+        # beam-coordinate gaps from 1e-14 to 1e-2, with COINCIDENT_GAP = 1e-5 bracketed,
+        # at a random user, at t = +-(K - 1/2), where the tail the limit form subtracts
+        # is largest, at a grid user and at end-fire, where a fractional d_tilde puts
+        # the midpoint beyond the span; each partner steps toward broadside
         cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
-        gaps = np.concatenate([np.logspace(-14, -2, 25), [0.99e-5, 1e-5, 1.01e-5]])
+        coincident = [0.0, 1e-12 * d_tilde, 1e-9, 3e-6]
+        gaps = np.concatenate([coincident, np.logspace(-14, -2, 25), [0.99e-5, 1e-5, 1.01e-5]])
         edge = (cfg.max_index - 0.5) / d_tilde
         rng = np.random.default_rng(17)
-        pairs = [(base, base + gap / d_tilde)
-                 for base in (rng.uniform(-SQRT3_HALF, SQRT3_HALF), edge, -edge)
-                 for gap in gaps]
-        _assert_kernel_matches_direct(cfg, pairs + [(b, a) for a, b in pairs])
+        bases = (rng.uniform(-SQRT3_HALF, SQRT3_HALF), edge, -edge, 1.0 / d_tilde, 1.0, -1.0)
+        pairs = [(base, base - math.copysign(gap, base) / d_tilde) for base in bases for gap in gaps]
+        pairs += [(b, a) for a, b in pairs]
+        _assert_kernel_matches_direct(cfg, pairs)
+        # A coincident pair on the scalar path is the array kernel's G, squared and scaled
+        peak = cfg.aperture**2 / cfg.element_count
+        for a, b in pairs:
+            if abs(a - b) * d_tilde < 0.9 * COINCIDENT_GAP:
+                g = _pair_gram(cfg, [a], [b])[0, 0]
+                assert pairwise_interference_closed(cfg, a, b) == peak * g * g
 
     @pytest.mark.parametrize("d_tilde", APERTURES)
     def test_coordinates_at_the_snap_tolerance(self, d_tilde):

@@ -383,11 +383,13 @@ class TestEffectiveProbMc:
         assert est.value == np.count_nonzero(np.abs(theta) <= 1.0) / n
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            effective_prob_mc(10.0, sample_count=0, seed=1)
+        # a float or a bool count would fail late, inside the range split, or run
+        for sample_count in (0, 1e5, 1000.0, True):
+            with pytest.raises(ValueError, match="sample_count"):
+                effective_prob_mc(10.0, sample_count=sample_count, seed=1)
         with pytest.raises(ValueError):
             effective_prob_mc(-1.0, sample_count=10, seed=1)
-        for threads in (0, -3):
+        for threads in (0, -3, 2.5, 2.0, True):
             with pytest.raises(ValueError, match="threads"):
                 effective_prob_mc(10.0, sample_count=1000, seed=1, threads=threads)
 
@@ -427,7 +429,7 @@ class TestMapRanges:
 
         assert _map_ranges(slow_first, 8, 2, threads=4) == [0, 2, 4, 6]
 
-    @pytest.mark.parametrize("threads", [0, -3, math.nan])
+    @pytest.mark.parametrize("threads", [0, -3, math.nan, 1.5, 2.0])
     def test_thread_count_below_one_rejected(self, threads):
         calls = []
         with pytest.raises(ValueError, match="threads"):
@@ -579,6 +581,11 @@ class TestSampleDoas:
         expect = (2.0 * u - 1.0) * half_width
         assert sample_doas(3, 999, offset=5, sector=SectorModel(half_width)).tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("count", [0, 1.9, 10.0, True])
+    def test_rejects_counts_that_are_not_positive_integers(self, count):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            sample_doas(1, count)
+
     def test_offset_reconstructs_the_tail(self):
         full = sample_doas(31, 100)
         tail = sample_doas(31, 63, offset=37)
@@ -609,7 +616,9 @@ class TestUnitStream:
         assert np.array_equal(full, np.concatenate(parts))
 
 
-@pytest.mark.parametrize("seed", [-1, 2**128])
+# Philox truncates a float key and takes a bool as 0 or 1, so each of the
+# last four would reuse an integer seed's stream
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, 1.9, 1.0, True, np.float64(3.0)])
 @pytest.mark.parametrize(
     "fn",
     [
@@ -626,6 +635,8 @@ def test_seed_outside_philox_key_range_rejected(fn, seed):
 def test_seed_range_ends_accepted():
     assert sample_doas(0, 3).shape == (3,)
     assert sample_doas(2**128 - 1, 3).shape == (3,)
+    for seed in (np.int64(7), np.uint64(7), np.int8(7)):
+        assert np.array_equal(sample_doas(seed, 3), sample_doas(7, 3))
 
 
 class TestProbEstimate:
