@@ -15,6 +15,7 @@ the beamspace picture exact on the grid.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,24 +66,26 @@ class LensArrayConfig:
 
 
 def sinc(x):
-    """Normalized cardinal sine sin(pi x)/(pi x) of a number or an ndarray.
+    """Normalized cardinal sine sin(pi x)/(pi x) of a number or an array.
 
     Unit at 0 and exactly zero at the nonzero integers. Any other argument
     has pi x != 0, and for tiny x sin(pi x) rounds to pi x, so the quotient
-    needs no series near 0. An ndarray gives an ndarray of its shape.
+    needs no series near 0. A real number gives a float; anything else
+    (an ndarray, a list, a tuple) gives an ndarray of its shape.
     """
-    if isinstance(x, np.ndarray):
-        exact = x == np.rint(x)
-        if exact.any():
-            return np.where(exact, np.where(x == 0.0, 1.0, 0.0), np.sinc(x))
-        # np.sinc without its guard for x == 0, which cannot occur here
-        y = np.pi * x
-        return np.sin(y) / y
-    n = round(x)
-    if x == n:
-        return 1.0 if n == 0 else 0.0
-    u = math.pi * x
-    return math.sin(u) / u
+    if isinstance(x, numbers.Real):
+        n = round(x)
+        if x == n:
+            return 1.0 if n == 0 else 0.0
+        u = math.pi * x
+        return math.sin(u) / u
+    x = np.asarray(x)
+    exact = x == np.rint(x)
+    if exact.any():
+        return np.where(exact, np.where(x == 0.0, 1.0, 0.0), np.sinc(x))
+    # np.sinc without its guard for x == 0, which cannot occur here
+    y = np.pi * x
+    return np.sin(y) / y
 
 
 def snap_to_grid(t):

@@ -83,6 +83,15 @@ class TestSinc:
         for n in (1, -1, 2, 7, -40):
             assert sinc(float(n)) == 0.0
 
+    def test_array_like_is_elementwise(self):
+        xs = [0.0, 0.5, -2.0, 1e-9, 3.25]
+        expect = sinc(np.array(xs))
+        assert expect.shape == (5,)
+        assert np.allclose(expect, [sinc(x) for x in xs], rtol=1e-15, atol=0.0)
+        for x in (xs, tuple(xs)):
+            assert np.array_equal(sinc(x), expect)
+        assert np.array_equal(sinc([[1, 0], [2, -3]]), [[0.0, 1.0], [0.0, 0.0]])
+
     def test_near_zero_series_is_smooth(self):
         assert sinc(1e-9) == pytest.approx(1.0, abs=1e-15)
         assert sinc(-1e-12) == pytest.approx(1.0, abs=1e-15)

@@ -320,14 +320,16 @@ class TestPairKernel:
         # beam-coordinate gaps from 1e-14 to 1e-2, with COINCIDENT_GAP = 1e-5 bracketed,
         # at a random user, at t = +-(K - 1/2), where the tail the limit form subtracts
         # is largest, at a grid user and at end-fire, where a fractional d_tilde puts
-        # the midpoint beyond the span; each partner steps toward broadside
+        # the midpoint beyond the span; each partner steps both ways where it stays
+        # a spatial frequency
         cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
         coincident = [0.0, 1e-12 * d_tilde, 1e-9, 3e-6]
         gaps = np.concatenate([coincident, np.logspace(-14, -2, 25), [0.99e-5, 1e-5, 1.01e-5]])
         edge = (cfg.max_index - 0.5) / d_tilde
         rng = np.random.default_rng(17)
         bases = (rng.uniform(-SQRT3_HALF, SQRT3_HALF), edge, -edge, 1.0 / d_tilde, 1.0, -1.0)
-        pairs = [(base, base - math.copysign(gap, base) / d_tilde) for base in bases for gap in gaps]
+        pairs = [(base, partner) for base in bases for gap in gaps
+                 for partner in (base + gap / d_tilde, base - gap / d_tilde) if abs(partner) <= 1.0]
         pairs += [(b, a) for a, b in pairs]
         _assert_kernel_matches_direct(cfg, pairs)
         # A coincident pair on the scalar path is the array kernel's G, squared and scaled
