@@ -38,7 +38,6 @@ from .interference import (
 from .selfcheck import CheckResult, run_checks
 from .stochastic import (
     ProbEstimate,
-    QuadratureError,
     SectorModel,
     effective_prob_closed,
     effective_prob_mc,
@@ -65,7 +64,6 @@ __all__ = [
     "sidelobe_ratio_db",
     "sweep_pattern",
     "ProbEstimate",
-    "QuadratureError",
     "SectorModel",
     "effective_prob_closed",
     "effective_prob_mc",

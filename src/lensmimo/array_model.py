@@ -16,6 +16,7 @@ the beamspace picture exact on the grid.
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class LensArrayConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not math.isfinite(self.phi0):
             raise ValueError(f"phi0 must be finite, got {self.phi0}")
+        # M is compared exactly, as float(M) may overflow; A * A of floats may be inf
+        a, m = float(self.d_tilde) * float(self.a_z), self.element_count
+        if not (m <= sys.float_info.max and math.isfinite(a * a / m)):
+            raise ValueError(f"peak power A^2/M must be a finite double, got d_tilde {self.d_tilde}, a_z {self.a_z}")
 
     @functools.cached_property
     def element_count(self) -> int:

@@ -23,6 +23,7 @@ from .interference import (
     sidelobe_ratio_db,
 )
 from .stochastic import (
+    _integrate,
     _unit_stream,
     effective_prob_closed,
     effective_prob_mc,
@@ -134,15 +135,10 @@ def _check_sidelobe() -> CheckResult:
 
 
 def _check_density_normalization() -> CheckResult:
-    from scipy import integrate
-
-    worst = 0.0
-    for d_tilde in (2.0, 10.0, 50.0):
-        edge = math.sqrt(3.0) * d_tilde
-        half, _ = integrate.quad(
-            lambda z: theta_pdf(z, d_tilde), 0.0, edge, epsabs=1e-10, limit=200
-        )
-        worst = max(worst, abs(2.0 * half - 1.0))
+    worst = max(
+        abs(2.0 * _integrate(lambda z: theta_pdf(z, d), 0.0, math.sqrt(3.0) * d) - 1.0)
+        for d in (2.0, 10.0, 50.0)
+    )
     return CheckResult(
         name="separation density integrates to 1",
         passed=worst <= 1e-6,

@@ -6,8 +6,8 @@ density 1/(2 h sqrt(1 - y^2)) on |y| <= sin(h), and the normalized
 separation Theta = d_tilde * (sin phi_l - sin phi_k) of an interferer pair
 has the convolution density theta_pdf, an elliptic integral of the first
 kind that Carlson's R_F gives in closed form. The probability that an
-interferer is effective, P(|Theta| <= 1), is available three ways:
-adaptive quadrature of theta_pdf, a first-order closed form valid for
+interferer is effective, P(|Theta| <= 1), is available three ways: a fixed
+Gauss-Legendre rule over theta_pdf, a first-order closed form valid for
 large arrays, and Monte Carlo with deterministic parallel streams.
 
 Monte Carlo decides most pairs from their DOA gap alone. Since
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy import integrate
 from scipy.special import elliprf
 
 
@@ -36,10 +35,6 @@ from scipy.special import elliprf
 # and 15.9 ms with 2^17 pairs per range. Hits are integer sums, so the
 # range size never changes a result.
 MC_RANGE_PAIRS = 1 << 16
-
-
-class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature cannot reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,10 @@ def sample_doas(seed: int, count: int, offset: int = 0, sector: SectorModel = DE
     """I.i.d. uniform DOAs in radians; draw i is a pure function of (seed, i)."""
     if not (_is_integer(count) and count >= 1):
         raise ValueError(f"count must be a positive integer, got {count}")
-    u = _unit_stream(seed, offset, count)
+    # Philox wraps a negative counter and fails on a float or NumPy integer
+    if not (_is_integer(offset) and offset >= 0):
+        raise ValueError(f"offset must be a non-negative integer, got {offset}")
+    u = _unit_stream(seed, int(offset), count)
     # (2u - 1) h, rounded step by step as written, in place
     u *= 2.0
     u -= 1.0
@@ -224,60 +222,62 @@ def theta_pdf(z, d_tilde: float, sector: SectorModel = DEFAULT_SECTOR):
     the left-hand sides squared. The density is 0 outside the support
     |z| < 2 s d_tilde and infinite at z = 0 for the half-space sector,
     s = 1. A float z gives a float; an array gives an array.
-
-    A Python or NumPy float z, as quad passes, skips the support masks and
-    runs the same expressions on Python floats with one scalar R_F call, so
-    it returns the same bits as a one-element array without NumPy's
-    per-call cost on 0-d arrays.
     """
     _check_d_tilde(d_tilde)
     s = sector.max_spatial_freq
-    scalar = isinstance(z, float)
-    if scalar:
-        d = float(d_tilde)
-        a = abs(float(z)) / d
-        g = (s - a) + s
-        if g <= 0.0:
-            return 0.0
-    else:
-        d = d_tilde
-        a = np.abs(np.asarray(z, dtype=float)) / d
-        # The upper end s - a is rounded first, so g > 0 exactly when -s < s - a.
-        g = (s - a) + s
-        outside = g <= 0.0
-        # Points outside the support are evaluated at z = 0 and then dropped.
-        a = np.where(outside, 0.0, a)
-        g = np.where(outside, 2.0 * s, g)
+    a = np.abs(np.asarray(z, dtype=float)) / d_tilde
+    # The upper end s - a is rounded first, so g > 0 exactly when -s < s - a.
+    g = (s - a) + s
+    outside = g <= 0.0
+    # Points outside the support are evaluated at z = 0 and then dropped.
+    a = np.where(outside, 0.0, a)
+    g = np.where(outside, 2.0 * s, g)
     q = 1.0 - s
     c = q * (1.0 + s)
     n12 = 2.0 * c + a * g
     n13 = 2.0 * (c + s * g)
     inner = 2.0 * g * elliprf(n12 * n12, n13 * n13, 4.0 * c * (q + a) * (q + g))
     h2 = 2.0 * sector.half_width
-    val = inner / (d * h2 * h2)
-    if scalar:
-        return float(val)
-    val = np.where(outside, 0.0, val)
+    val = np.where(outside, 0.0, inner / (d_tilde * h2 * h2))
     if val.ndim == 0:
         return float(val)
     return val
+
+
+def _graded_rule() -> tuple:
+    # 20-node Gauss-Legendre (DLMF 3.5(v)) on the 21 panels between 0,
+    # 0.15^20, 0.15^19, ..., 0.15 and 1, a rule for [0, 1] graded toward 0;
+    # the weights come twice, once for each half of _integrate's interval
+    x, w = np.polynomial.legendre.leggauss(20)
+    ends = np.concatenate(([0.0], 0.15 ** np.arange(20, 0, -1.0), [1.0]))
+    start, half = ends[:-1, None], 0.5 * np.diff(ends)[:, None]
+    return (start + half * (x + 1.0)).ravel(), np.tile((half * w).ravel(), 2)
+
+
+_RULE_NODES, _RULE_WEIGHTS = _graded_rule()
+
+
+def _integrate(f, lo: float, hi: float) -> float:
+    """Integral of f over [lo, hi] by _graded_rule on each half, graded
+    toward its outer end, so kinks at the ends cost no accuracy. f gets all
+    840 points in one array and must be smooth inside; points may round onto
+    lo or hi, where f must be finite, but none reaches lo = 0.
+    """
+    half = 0.5 * (hi - lo)
+    offsets = half * _RULE_NODES
+    return half * float(f(np.concatenate((lo + offsets, hi - offsets))) @ _RULE_WEIGHTS)
 
 
 def effective_prob_quadrature(d_tilde: float, sector: SectorModel = DEFAULT_SECTOR) -> float:
     """P(|Theta| <= 1) by integrating theta_pdf over [-1, 1].
 
     The density is even, so the integral runs over [0, min(1, support edge)]
-    and is doubled; this also keeps the corner of the density at z = 0 off
-    the interior of the quadrature interval.
+    and is doubled. Its corners, at 0 (a log singularity for the half-space
+    sector) and at the support edge, then lie at ends of the interval.
     """
     _check_d_tilde(d_tilde)
-    edge = 2.0 * sector.max_spatial_freq * d_tilde
-    upper = min(1.0, edge)
-    val, err = integrate.quad(
-        theta_pdf, 0.0, upper, args=(d_tilde, sector), epsabs=1e-8, limit=200
-    )
-    if err > 1e-6:
-        raise QuadratureError(f"outer quadrature reached only {err:.3e}")
+    upper = min(1.0, 2.0 * sector.max_spatial_freq * d_tilde)
+    val = _integrate(lambda z: theta_pdf(z, d_tilde, sector), 0.0, upper)
     return min(1.0, 2.0 * val)
 
 

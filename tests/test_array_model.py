@@ -66,6 +66,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             LensArrayConfig(**kwargs)
 
+    # A^2/M overflows past A ~ 1.3e154, and float(M) itself at d_tilde 1.7e308
+    @pytest.mark.parametrize(
+        "d_tilde, a_z",
+        [(1.7e308, 1.0), (1e300, 1.0), (10.0, 1e300), (10.0, 1e200), (1e154, 1e154),
+         (np.float64(10.0), np.float64(1e300)), (np.float64(1.7e308), 1.0)],
+    )
+    def test_peak_power_beyond_a_double_rejected(self, d_tilde, a_z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="peak power A\\^2/M must be a finite double"):
+                LensArrayConfig(d_tilde=d_tilde, a_z=a_z)
+
+    @pytest.mark.parametrize("d_tilde, a_z", [(1e154, 1.0), (10.0, 1e153), (1e300, 1e-300)])
+    def test_largest_peak_powers_accepted(self, d_tilde, a_z):
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=a_z)
+        assert math.isfinite(cfg.aperture**2 / cfg.element_count)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, value):
         with pytest.raises(ValueError, match="phi0 must be finite"):

@@ -4,6 +4,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 import types
@@ -27,6 +28,7 @@ from lensmimo.harness import _trial_chunk
 from lensmimo.stochastic import MC_RANGE_PAIRS, _map_ranges
 
 TRUE_P10 = 0.1122673842
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*args):
@@ -463,7 +465,7 @@ class TestPlumbing:
             "NullNotFoundError", "PatternSeries", "effective_interference", "first_null",
             "pairwise_interference_closed", "pairwise_interference_direct", "power_to_db",
             "sidelobe_ratio_db", "sweep_pattern",
-            "ProbEstimate", "QuadratureError", "SectorModel", "effective_prob_closed",
+            "ProbEstimate", "SectorModel", "effective_prob_closed",
             "effective_prob_mc", "effective_prob_quadrature", "sample_doas",
             "spatial_freq_pdf", "theta_pdf", "ApproximationReport", "ScenarioConfig",
             "ScenarioResult", "approximation_quality", "run_scenario", "CheckResult",
@@ -485,6 +487,29 @@ class TestPlumbing:
         deltas = np.array([float(r[0]) for r in rows])
         # 17 significant digits reproduce the doubles exactly
         np.testing.assert_array_equal(deltas, np.linspace(-0.2, 0.2, 41))
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(("pattern", "--d-tilde", 10, "--a-z", "1e300"), "a_z 1e+300"),
+         (("pattern", "--d-tilde", "1e300"), "d_tilde 1e+300"),
+         (("pattern", "--d-tilde", "1.7e308"), "d_tilde 1.7e+308"),
+         (("scenario", "--d-tilde", 10, "--a-z", "1e200", "--users", 3, "--trials", 2,
+           "--seed", 1), "a_z 1e+200")],
+    )
+    def test_peak_power_overflow_is_domain_error_before_any_output(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "sub" / "x.out"
+        assert run_cli(*argv, "--out", out) == 3
+        assert name in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_import_leaves_scipy_integrate_out(self):
+        # scipy.integrate costs about 0.4 s of every process that imports it
+        proc = subprocess.run(
+            [sys.executable, "-c", "import lensmimo.cli, sys; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_console_script_entrypoint(self, tmp_path):
         proc = subprocess.run(

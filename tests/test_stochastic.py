@@ -38,6 +38,7 @@ from lensmimo.stochastic import (
     _classify_pairs,
     _count_effective,
     _gate_band,
+    _integrate,
     _map_ranges,
     _unit_stream,
 )
@@ -259,7 +260,8 @@ def same_bits(x, y) -> bool:
 
 
 class TestThetaPdfFloatPath:
-    """A float z takes Python float arithmetic; it must give the array path's bits."""
+    """A float z runs the array expressions as a 0-d array and gives a float
+    with the bits of a one-element array."""
 
     @pytest.mark.parametrize("half_width", [HALF_WIDTH, math.pi / 2.0, 0.1])
     @pytest.mark.parametrize("d_tilde", [2.0, 10.0, 10.003, 50.0])
@@ -284,19 +286,50 @@ class TestThetaPdfFloatPath:
             assert theta_pdf(0.0, 10.0, sector) == math.inf
             assert theta_pdf(np.array([0.0]), 10.0, sector)[0] == math.inf
 
-    @pytest.mark.parametrize("half_width", [HALF_WIDTH, 0.1, 1.5])
-    @pytest.mark.parametrize("d_tilde", [0.3, 2.0, 5.0, 10.0, 10.003, 50.0])
-    def test_quadrature_equals_quad_through_the_array_path(self, d_tilde, half_width):
-        sector = SectorModel(half_width)
-        upper = min(1.0, 2.0 * sector.max_spatial_freq * d_tilde)
-        val, _ = integrate.quad(
-            lambda z: theta_pdf(np.array([z]), d_tilde, sector)[0],
-            0.0, upper, epsabs=1e-8, limit=200,
-        )
-        assert effective_prob_quadrature(d_tilde, sector) == min(1.0, 2.0 * val)
+
+class TestIntegrate:
+    """The fixed rule behind effective_prob_quadrature, on integrals known in
+    closed form with the kinds of end behaviour theta_pdf has."""
+
+    @pytest.mark.parametrize(
+        "f, lo, hi, want",
+        [
+            (lambda z: -np.log(z), 0.0, 1.0, 1.0),
+            (lambda z: np.sqrt(2.0 - z), 0.0, 2.0, 4.0 * math.sqrt(2.0) / 3.0),
+            (np.log, 0.0, 3.0, 3.0 * math.log(3.0) - 3.0),
+            (np.cos, -1.0, 0.5, math.sin(0.5) + math.sin(1.0)),
+            (lambda z: z**39, 0.0, 1.0, 1.0 / 40.0),
+        ],
+        ids=["log-at-0", "sqrt-at-hi", "log-at-0-long", "smooth", "polynomial"],
+    )
+    def test_known_integrals(self, f, lo, hi, want):
+        assert _integrate(f, lo, hi) == pytest.approx(want, rel=4e-15)
+
+    def test_integrand_is_called_once_on_840_points_inside(self):
+        calls = []
+
+        def f(z):
+            calls.append(z.copy())
+            return np.ones_like(z)
+
+        assert _integrate(f, 2.0, 5.0) == pytest.approx(3.0, rel=1e-15)
+        assert len(calls) == 1 and calls[0].shape == (840,)
+        assert calls[0].min() >= 2.0 and calls[0].max() <= 5.0
 
 
 class TestEffectiveProbQuadrature:
+    @pytest.mark.parametrize("half_width", [0.1, HALF_WIDTH, 1.5, math.pi / 2.0])
+    @pytest.mark.parametrize("d_tilde", [1e-3, 0.3, 2.0, 5.0, 10.0, 10.003, 50.0, 1e4, 1e6])
+    def test_matches_tight_adaptive_quadrature(self, d_tilde, half_width):
+        sector = SectorModel(half_width)
+        upper = min(1.0, 2.0 * sector.max_spatial_freq * d_tilde)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            half, _ = integrate.quad(
+                theta_pdf, 0.0, upper, args=(d_tilde, sector), epsabs=1e-14, epsrel=1e-14, limit=2000
+            )
+        assert effective_prob_quadrature(d_tilde, sector) == pytest.approx(min(1.0, 2.0 * half), abs=2e-15)
+
     @pytest.mark.parametrize("d_tilde", [5.0, 10.0, 20.0])
     def test_matches_independent_oracle(self, d_tilde):
         got = effective_prob_quadrature(d_tilde)
@@ -581,15 +614,22 @@ class TestSampleDoas:
         expect = (2.0 * u - 1.0) * half_width
         assert sample_doas(3, 999, offset=5, sector=SectorModel(half_width)).tobytes() == expect.tobytes()
 
-    @pytest.mark.parametrize("count", [0, 1.9, 10.0, True])
-    def test_rejects_counts_that_are_not_positive_integers(self, count):
-        with pytest.raises(ValueError, match="count must be a positive integer"):
-            sample_doas(1, count)
+    @pytest.mark.parametrize(
+        "count, offset, match",
+        [(0, 0, "count must be a positive"), (1.9, 0, "count must be a positive"),
+         (10.0, 0, "count must be a positive"), (True, 0, "count must be a positive")]
+        + [(3, offset, "offset must be a non-negative")
+           for offset in (-4, -1, 1.5, 2.0, True, np.float64(4.0))],
+    )
+    def test_rejects_counts_and_offsets_that_are_not_integers(self, count, offset, match):
+        with pytest.raises(ValueError, match=match):
+            sample_doas(1, count, offset=offset)
 
     def test_offset_reconstructs_the_tail(self):
         full = sample_doas(31, 100)
         tail = sample_doas(31, 63, offset=37)
         assert np.array_equal(full[37:], tail)
+        assert np.array_equal(sample_doas(31, 63, offset=np.int64(37)), tail)
 
     def test_spatial_freq_histogram_matches_pdf(self):
         # analytic equal-probability edges: y_q = sin(h (2q - 1))
