@@ -27,7 +27,6 @@ from .harness import (
 from .interference import (
     NullNotFoundError,
     PatternSeries,
-    effective_interference,
     first_null,
     pairwise_interference_closed,
     pairwise_interference_direct,
@@ -56,7 +55,6 @@ __all__ = [
     "snap_to_grid",
     "NullNotFoundError",
     "PatternSeries",
-    "effective_interference",
     "first_null",
     "pairwise_interference_closed",
     "pairwise_interference_direct",

@@ -7,6 +7,7 @@ sidecar naming the command, full parameter set, and outputs, sufficient
 to reproduce the files exactly.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 domain error.
+A usage or domain error writes no file.
 """
 
 import argparse
@@ -89,63 +90,65 @@ def _csv(header: str, row_format: str, *columns) -> str:
     return "\n".join([header, *(row_format % row for row in rows)]) + "\n"
 
 
-def _resolve_out(path: str) -> str:
-    if not os.path.isabs(path):
-        base = os.environ.get(OUTDIR_ENV, "")
-        if base:
-            path = os.path.join(base, path)
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    return path
+def _grid(lo: float, hi: float, steps: int, flag: str) -> np.ndarray:
+    """steps points from lo to hi, the values of the flags flag-min and
+    flag-max; a grid np.linspace cannot make is a usage error."""
+    if steps < 2:
+        raise UsageError("--steps must be at least 2")
+    if hi <= lo:
+        raise UsageError(f"{flag}-max must exceed {flag}-min")
+    # np.linspace warns and fills NaN when hi - lo overflows; a Python float gives inf
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"{flag}-max minus {flag}-min must be a finite double, got {hi!r} - {lo!r}")
+    return np.linspace(lo, hi, steps)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _emit(args, started: float, files: dict, **extra) -> int:
+    """Write files, {path: CSV text or JSON record}, and beside the first,
+    args.out, the manifest of the run with the fields extra.
 
-
-def _write_json(path: str, record: dict) -> None:
-    # NaN and Infinity are not JSON; json.dumps raises ValueError on them.
-    _write_text(path, json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
-def _write_manifest(primary: str, command: str, params: dict, outputs: list, started: float, extra: dict = None) -> None:
+    Every text, the manifest's too, is formatted before the directory is
+    made and the first file opened, so a run whose output cannot be
+    formatted, such as a record that holds NaN, writes nothing. Relative
+    paths resolve against $LENSMIMO_OUTDIR when it is set.
+    """
     manifest = {
-        "command": command,
-        "parameters": params,
+        "command": args.command,
+        "parameters": _params(args),
         "version": __version__,
-        "outputs": [os.path.basename(p) for p in outputs],
+        "outputs": [os.path.basename(path) for path in files],
         "duration_seconds": time.monotonic() - started,
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    _write_json(primary + ".manifest.json", manifest)
+    texts = {}
+    for path, content in {**files, args.out + ".manifest.json": manifest}.items():
+        if not isinstance(content, str):
+            # NaN and Infinity are not JSON; json.dumps raises ValueError on them.
+            content = json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        texts[os.path.join(os.environ.get(OUTDIR_ENV, ""), path)] = content
+    os.makedirs(os.path.dirname(os.path.abspath(next(iter(texts)))), exist_ok=True)
+    for path, text in texts.items():
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return EXIT_OK
 
 
 def _cmd_pattern(args) -> int:
-    if args.steps < 2:
-        raise UsageError("--steps must be at least 2")
-    if args.delta_max <= args.delta_min:
-        raise UsageError("--delta-max must exceed --delta-min")
     started = time.monotonic()
+    grid = _grid(args.delta_min, args.delta_max, args.steps, "--delta")
     config = LensArrayConfig(d_tilde=args.d_tilde, a_z=args.a_z)
     if args.phi_l_sf is not None:
         phi_l = args.phi_l_sf
     else:
         phi_l = math.sin(math.radians(args.phi_l_deg))
-    grid = np.linspace(args.delta_min, args.delta_max, args.steps)
     series = sweep_pattern(config, phi_l, grid)
-
-    out = _resolve_out(args.out)
-    _write_text(out, _csv(
+    text = _csv(
         "delta,theta_norm,power_linear,power_db,effective",
         "%.17g,%.17g,%.17g,%.17g,%s",
         series.deltas, series.theta_norms, series.powers_linear, series.powers_db,
         np.where(series.effective, "true", "false"),
-    ))
-    _write_manifest(out, "pattern", _params(args), [out], started,
-                    extra={"skipped_points": series.skipped_count})
-    return EXIT_OK
+    )
+    return _emit(args, started, {args.out: text}, skipped_points=series.skipped_count)
 
 
 def _cmd_prob(args) -> int:
@@ -168,28 +171,15 @@ def _cmd_prob(args) -> int:
             sample_count=est.sample_count,
             seed=est.seed,
         )
-    out = _resolve_out(args.out)
-    _write_json(out, record)
-    _write_manifest(out, "prob", _params(args), [out], started)
-    return EXIT_OK
+    return _emit(args, started, {args.out: record})
 
 
 def _cmd_density(args) -> int:
-    if args.steps < 2:
-        raise UsageError("--steps must be at least 2")
-    if args.z_max <= args.z_min:
-        raise UsageError("--z-max must exceed --z-min")
     started = time.monotonic()
-    grid = np.linspace(args.z_min, args.z_max, args.steps)
+    grid = _grid(args.z_min, args.z_max, args.steps, "--z")
     values = theta_pdf(grid, args.d_tilde)
-
-    out = _resolve_out(args.out)
-    _write_text(out, _csv("z,f_theta", "%.17g,%.17g", grid, values))
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    integral = float(trapezoid(values, grid))
-    _write_manifest(out, "density", _params(args), [out], started,
-                    extra={"grid_integral": integral})
-    return EXIT_OK
+    text = _csv("z,f_theta", "%.17g,%.17g", grid, values)
+    return _emit(args, started, {args.out: text}, grid_integral=float(np.trapezoid(values, grid)))
 
 
 def _cmd_scenario(args) -> int:
@@ -202,10 +192,6 @@ def _cmd_scenario(args) -> int:
     )
     result = run_scenario(config, threads=args.threads)
     report = approximation_quality(config, scenario_result=result)
-
-    out = _resolve_out(args.out)
-    base = os.path.splitext(out)[0]
-    cdf_path = base + ".cdf.csv"
     summary = {
         "d_tilde": args.d_tilde,
         "a_z": args.a_z,
@@ -220,10 +206,8 @@ def _cmd_scenario(args) -> int:
         "exact_summary": result.exact_summary,
         "effective_summary": result.effective_summary,
     }
-    _write_json(out, summary)
-    _write_text(cdf_path, _csv("power,cdf", "%.17g,%.17g", result.cdf_grid, result.cdf_values))
-    _write_manifest(out, "scenario", _params(args), [out, cdf_path], started)
-    return EXIT_OK
+    cdf = _csv("power,cdf", "%.17g,%.17g", result.cdf_grid, result.cdf_values)
+    return _emit(args, started, {args.out: summary, os.path.splitext(args.out)[0] + ".cdf.csv": cdf})
 
 
 def _cmd_selfcheck(args) -> int:

@@ -8,6 +8,7 @@ how trials are partitioned across workers.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,18 @@ class ScenarioConfig:
             if not (_is_integer(value) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value}")
         _check_seed(self.seed)
+        # Every pair power is at most A^2/M, so the totals sum to at most
+        # T L (L - 1) A^2/M. The count is compared exactly, as it may exceed
+        # a double, and the quotient of doubles rounds to inf rather than raise.
+        L = int(self.user_count)
+        pairs = int(self.trial_count) * L * (L - 1)
+        peak = self.array.aperture**2 / self.array.element_count
+        if peak > 0.0 and pairs > sys.float_info.max / peak:
+            # The counts are not printed: an int of over 4300 digits has no str
+            raise ValueError(
+                "interference sum bound trial_count * user_count * (user_count - 1) * A^2/M "
+                f"must be a finite double, got d_tilde {self.array.d_tilde}, a_z {self.array.a_z}"
+            )
 
 
 @dataclass(frozen=True)
@@ -113,31 +126,21 @@ def _trial_chunk(user_count: int) -> int:
     return max(1, BLOCK_DOUBLES // (user_count * user_count))
 
 
-def run_scenario(config: ScenarioConfig, threads: int = 1, doas: np.ndarray = None) -> ScenarioResult:
+def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     """Run the drop ensemble and aggregate exact and effective statistics.
 
     Trial t uses DOA stream draws [t*L, (t+1)*L), so any chunking of the
-    trial range reproduces the serial ensemble. An explicit doas array of
-    shape (trial_count, user_count), in radians, bypasses the stream (used
-    for forced geometries); forced identical DOAs are legitimate inputs.
+    trial range reproduces the serial ensemble, and run_scenario(result.config)
+    reproduces a result bit for bit.
     """
     T, L = config.trial_count, config.user_count
-    if doas is not None:
-        doas = np.asarray(doas, dtype=float)
-        if doas.shape != (T, L):
-            raise ValueError(f"doas must have shape {(T, L)}, got {doas.shape}")
-
     exact = np.empty((T, L))
     effective = np.empty((T, L))
     counts = np.empty((T, L), dtype=np.intp)
 
     def block(a, b):
-        if doas is None:
-            phi = sample_doas(config.seed, (b - a) * L, offset=a * L, sector=config.sector)
-            phi = phi.reshape(b - a, L)
-        else:
-            phi = doas[a:b]
-        _trial_block(config, phi, exact[a:b], effective[a:b], counts[a:b])
+        phi = sample_doas(config.seed, (b - a) * L, offset=a * L, sector=config.sector)
+        _trial_block(config, phi.reshape(b - a, L), exact[a:b], effective[a:b], counts[a:b])
 
     _map_ranges(block, T, _trial_chunk(L), threads)
 

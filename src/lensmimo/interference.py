@@ -39,12 +39,12 @@ floats and takes a coincident pair through the array kernel.
 pairwise_interference_direct builds the channel vectors of a broadcast
 batch of pairs and takes their Hermitian inner products along the element
 axis; it is the oracle the kernel is tested against.
-The module also provides the mainlobe-gated "effective" interference and
-two pattern metrics in closed form. A desired user on the beam grid has a
-one-hot profile, so its pattern is exactly (A^2/M) sinc^2(d_tilde * delta):
-the first null sits at 1/d_tilde, and the first sidelobe peaks at
-d_tilde * delta = x_1, the first positive root of tan(pi x) = pi x, about
-13.26 dB below the mainlobe for every array.
+The module also provides the pattern sweep and two pattern metrics in
+closed form. A desired user on the beam grid has a one-hot profile, so
+its pattern is exactly (A^2/M) sinc^2(d_tilde * delta): the first null
+sits at 1/d_tilde, and the first sidelobe peaks at d_tilde * delta = x_1,
+the first positive root of tan(pi x) = pi x, about 13.26 dB below the
+mainlobe for every array.
 """
 
 import math
@@ -93,9 +93,6 @@ class PatternSeries:
     powers_db: np.ndarray
     effective: np.ndarray
     skipped_count: int
-
-    def __len__(self):
-        return len(self.deltas)
 
 
 def power_to_db(power_linear) -> float:
@@ -295,21 +292,6 @@ def pairwise_interference_closed(
         v_b, u_b = _terms_float(b, config.max_index)
         g = (u_a * v_b - v_a * u_b) / (a - b)
     return config.aperture**2 / config.element_count * g * g
-
-
-def effective_interference(
-    config: LensArrayConfig, phi_tilde_l: float, phi_tilde_k: float
-) -> float:
-    """Mainlobe-gated interference power: the full power iff the normalized
-    separation |d_tilde (phi_tilde_l - phi_tilde_k)| is at most 1, else 0.
-
-    Interferers outside the mainlobe contribute only sidelobe power, which
-    the effective approximation discards entirely.
-    """
-    _validate_spatial_freq([phi_tilde_l, phi_tilde_k])
-    if abs(config.d_tilde * (phi_tilde_l - phi_tilde_k)) <= 1.0:
-        return pairwise_interference_closed(config, phi_tilde_l, phi_tilde_k)
-    return 0.0
 
 
 def sweep_pattern(config: LensArrayConfig, phi_tilde_l: float, delta_grid) -> PatternSeries:

@@ -20,6 +20,7 @@ band between take a sine.
 
 import functools
 import math
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -145,9 +146,10 @@ def _check_seed(seed: int) -> None:
 
 
 def _check_d_tilde(d_tilde: float) -> None:
-    # inf passes d_tilde > 0 and would give P = 0; NaN fails every comparison
-    if not (math.isfinite(d_tilde) and d_tilde > 0):
-        raise ValueError(f"d_tilde must be finite and positive, got {d_tilde}")
+    # inf would give P = 0 and NaN fails every comparison; below the least
+    # normal double, the density's 1/d_tilde overflows
+    if not (math.isfinite(d_tilde) and d_tilde >= sys.float_info.min):
+        raise ValueError(f"d_tilde must be finite and at least {sys.float_info.min}, got {d_tilde}")
 
 
 def _unit_stream(seed: int, offset: int, count: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from lensmimo import (
     sweep_pattern,
     theta_pdf,
 )
-from lensmimo.cli import _parser, _write_json, main
+from lensmimo.cli import _emit, _parser, main
 from lensmimo.harness import _trial_chunk
 from lensmimo.stochastic import MC_RANGE_PAIRS, _map_ranges
 
@@ -186,6 +186,42 @@ class TestDensity:
     def test_bad_range_is_usage_error(self, tmp_path):
         assert run_cli("density", "--d-tilde", 10, "--z-min", 2, "--z-max", 1,
                        "--steps", 10, "--out", tmp_path / "x.csv") == 2
+
+
+class TestFailedCommandsWriteNothing:
+    """A command that fails exits 2 or 3 and leaves no file and no directory.
+    Every warning is an error in this suite, so none of them warns either."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [(("density", "--d-tilde", 10, "--z-min=-1e308", "--z-max=1e308", "--steps", 2), 2,
+          "--z-max minus --z-min must be a finite double"),
+         (("pattern", "--d-tilde", 10, "--delta-min=-1e308", "--delta-max=1e308", "--steps", 3), 2,
+          "--delta-max minus --delta-min must be a finite double"),
+         (("density", "--d-tilde", "1e-310", "--z-min=-1", "--z-max=1", "--steps", 3), 3, "d_tilde"),
+         (("prob", "--d-tilde", "5e-324", "--method", "quadrature"), 3, "d_tilde"),
+         (("scenario", "--d-tilde", 0.5, "--a-z", "1e154", "--users", 7, "--trials", 5, "--seed", 7), 3,
+          "user_count - 1) * A^2/M must be a finite double")],
+        ids=["density-range", "pattern-range", "density-subnormal", "prob-subnormal", "scenario-sum"],
+    )
+    def test_boundaries(self, tmp_path, capsys, argv, code, message):
+        assert run_cli(*argv, "--out", tmp_path / "sub" / "x.out") == code
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_density_manifest_is_formatted_before_the_csv(self, tmp_path):
+        # A grid_integral the manifest cannot hold used to fail after the CSV
+        # was written, and left it behind
+        args = _parser().parse_args(["density", "--d-tilde", "10", "--z-min=-1", "--z-max=1",
+                                     "--steps", "3", "--out", str(tmp_path / "sub" / "d.csv")])
+        grid = np.linspace(-1.0, 1.0, 3)
+        text = per_value_csv("z,f_theta", grid, theta_pdf(grid, 10.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _emit(args, 0.0, {args.out: text}, grid_integral=bad)
+            assert list(tmp_path.iterdir()) == []
+        assert _emit(args, 0.0, {args.out: text}, grid_integral=1.0) == 0
+        assert (tmp_path / "sub" / "d.csv").read_text(encoding="utf-8") == text
 
 
 class TestScenario:
@@ -462,7 +498,7 @@ class TestPlumbing:
         assert exported == set(lensmimo.__all__) - {"__version__"}
         assert exported == {
             "GRID_SNAP_TOL", "LensArrayConfig", "channel_vectors", "sinc", "snap_to_grid",
-            "NullNotFoundError", "PatternSeries", "effective_interference", "first_null",
+            "NullNotFoundError", "PatternSeries", "first_null",
             "pairwise_interference_closed", "pairwise_interference_direct", "power_to_db",
             "sidelobe_ratio_db", "sweep_pattern",
             "ProbEstimate", "SectorModel", "effective_prob_closed",
@@ -473,11 +509,12 @@ class TestPlumbing:
         }
 
     def test_json_writer_refuses_nan_and_infinity(self, tmp_path):
+        args = _parser().parse_args(["prob", "--d-tilde", "10", "--method", "closed",
+                                     "--out", str(tmp_path / "sub" / "bad.json")])
         for bad in (math.nan, math.inf):
-            out = tmp_path / "bad.json"
             with pytest.raises(ValueError):
-                _write_json(str(out), {"value": bad})
-            assert not out.exists()
+                _emit(args, 0.0, {args.out: {"value": bad}})
+            assert list(tmp_path.iterdir()) == []
 
     def test_csv_floats_round_trip(self, tmp_path):
         out = tmp_path / "pat.csv"

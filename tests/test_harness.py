@@ -1,6 +1,7 @@
 """Ensemble harness tests: determinism, additivity, bounds, capture quality."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -44,10 +45,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             _cfg(seed=-1)
 
-    def test_rejects_bad_doas_shape(self):
-        cfg = _cfg(users=3, trials=4)
-        with pytest.raises(ValueError):
-            run_scenario(cfg, doas=np.zeros((4, 2)))
+    @pytest.mark.parametrize("array, users, trials", [
+        pytest.param(LensArrayConfig(0.5, a_z=1e154), 7, 5, id="a_z"),
+        pytest.param(LensArrayConfig(0.5, a_z=1.85e153), 7, 6, id="trials"),
+        pytest.param(LensArrayConfig(0.5, a_z=1.85e153), np.int64(2**62), 1, id="numpy-users"),
+        pytest.param(LensArrayConfig(10.0), 10**400, 10**400, id="huge-counts"),
+    ])
+    def test_rejects_ensembles_whose_sum_bound_overflows(self, array, users, trials):
+        # T L (L - 1) A^2/M bounds the totals' sum; past the largest double the
+        # mean was inf, after a warning. The check itself warns of nothing.
+        with pytest.raises(ValueError, match=r"\(user_count - 1\) \* A\^2/M must be a finite double"):
+            ScenarioConfig(array, users, trials, 7)
+
+    def test_largest_ensemble_sums_accepted(self):
+        # 210 (A^2/M) is within 0.1% of the largest double
+        res = run_scenario(ScenarioConfig(LensArrayConfig(0.5, a_z=1.85e153), 7, 5, 7))
+        assert math.isfinite(res.exact_summary["mean"]) and res.exact_summary["mean"] > 1e306
+        assert np.isfinite(res.cdf_grid).all()
+        # a peak power that underflows to 0 bounds nothing
+        ScenarioConfig(LensArrayConfig(10.0, a_z=1e-200), 10**400, 10**400, 7)
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, 1.0, True])
     def test_rejects_seed_outside_philox_key_range(self, seed):
@@ -95,10 +111,10 @@ class TestDeterminism:
             assert np.array_equal(serial.effective_totals, par.effective_totals)
             assert np.array_equal(serial.effective_counts, par.effective_counts)
 
-    def test_chunk_size_invariant(self, monkeypatch):
-        # trial t is a pure function of its stream range, or of its forced
-        # DOAs, so neither the chunk size nor the thread count changes an
-        # output bit
+    def test_chunk_size_invariant(self, monkeypatch, run_forced):
+        # trial t is a pure function of its stream range, whether the stream
+        # is seeded or forced, so neither the chunk size nor the thread count
+        # changes an output bit
         assert _trial_chunk(100) < 50
         rng = np.random.default_rng(8)
         for users in (100, 1, 2):
@@ -108,12 +124,15 @@ class TestDeterminism:
             forced[::3, 0] = np.arcsin(rng.integers(-4, 5, 17) / 5.0)
             forced[1::4, -1] = forced[1::4, 0]
             for doas in (None, forced):
-                ref = run_scenario(cfg, doas=doas)
+                def run(threads=1):
+                    return run_scenario(cfg, threads) if doas is None else run_forced(cfg, doas, threads)
+
+                ref = run()
                 runs = [ref]
                 for chunk in (1, 7, 49):
                     with monkeypatch.context() as m:
                         m.setattr(harness, "_trial_chunk", lambda user_count, c=chunk: c)
-                        runs += [run_scenario(cfg, threads=threads, doas=doas) for threads in (1, 2, 3)]
+                        runs += [run(threads) for threads in (1, 2, 3)]
                 for res in runs:
                     for field, dtype in (("exact_totals", np.float64), ("effective_totals", np.float64),
                                          ("effective_counts", np.intp)):
@@ -133,6 +152,16 @@ class TestDeterminism:
             assert np.all(np.diagonal(scratch, axis1=1, axis2=2) == 0.0)
             assert np.all(np.diagonal(power, axis1=1, axis2=2) == 0.0)
             assert not np.isnan(scratch).any()
+
+    def test_config_reproduces_the_result(self):
+        # the config is the ensemble's only input
+        assert list(inspect.signature(run_scenario).parameters) == ["config", "threads"]
+        res = run_scenario(_cfg(d_tilde=7.3, users=9, trials=300, seed=11), threads=2)
+        again = run_scenario(res.config)
+        for field in ("exact_totals", "effective_totals", "effective_counts", "cdf_grid", "cdf_values"):
+            assert getattr(again, field).tobytes() == getattr(res, field).tobytes(), field
+        assert float_bits(again.exact_summary) == float_bits(res.exact_summary)
+        assert float_bits(again.effective_summary) == float_bits(res.effective_summary)
 
     def test_different_seeds_differ(self):
         r1 = run_scenario(_cfg(seed=1, trials=50))
@@ -245,6 +274,41 @@ class TestBounds:
         assert res.cdf_values[-1] >= 0.999 - 1.0 / res.exact_totals.size
 
 
+def mean_pair_power(d_tilde, half_width=math.pi / 3.0, panels=64, nodes=64):
+    """E[I] = (A^2/M) ||C||_F^2 for a_z = 1: the mean power of one pair of
+    independent DOAs uniform on the sector, with C = E[p(phi) p(phi)^T] and
+    p the M-element sinc profile, by Gauss-Legendre on panels x nodes."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(-half_width, half_width, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    phi = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x
+    weight = (half * w).ravel() / (2.0 * half_width)
+    cfg = LensArrayConfig(d_tilde)
+    m = np.arange(-cfg.max_index, cfg.max_index + 1)
+    p = np.sinc(m - d_tilde * np.sin(phi.ravel())[:, None])
+    c = (p * weight[:, None]).T @ p
+    return cfg.aperture**2 / cfg.element_count * float(np.sum(c * c))
+
+
+class TestEnsembleMean:
+    """The ensemble against a reference built from np.sinc, not the kernel."""
+
+    def test_reference_converged(self):
+        for d_tilde in (5.0, 100.0):
+            assert mean_pair_power(d_tilde, panels=32, nodes=32) == pytest.approx(
+                mean_pair_power(d_tilde), rel=1e-13)
+
+    @pytest.mark.parametrize("d_tilde, users, trials, seed",
+                             [(5.0, 10, 2000, 1), (20.0, 10, 2000, 2), (10.3, 12, 1000, 3),
+                              (100.0, 10, 1500, 4)])
+    def test_mean_exact_total_within_three_se(self, d_tilde, users, trials, seed):
+        # each user's total sums L - 1 independent pair powers
+        res = run_scenario(_cfg(d_tilde=d_tilde, users=users, trials=trials, seed=seed))
+        per_trial = res.exact_totals.mean(axis=1)
+        se = per_trial.std(ddof=1) / math.sqrt(trials)
+        assert abs(per_trial.mean() - (users - 1) * mean_pair_power(d_tilde)) <= 3.0 * se
+
+
 class TestEffectiveCount:
     def test_matches_pair_probability(self):
         cfg = _cfg(users=10, trials=4000, d_tilde=10.0, seed=21)
@@ -261,18 +325,18 @@ class TestEffectiveCount:
 
 
 class TestForcedGeometries:
-    def test_identical_doas_fully_captured(self):
+    def test_identical_doas_fully_captured(self, run_forced):
         cfg = _cfg(users=2, trials=5)
         doas = np.full((5, 2), 0.25)
-        rep = approximation_quality(cfg, scenario_result=run_scenario(cfg, doas=doas))
+        rep = approximation_quality(cfg, scenario_result=run_forced(cfg, doas))
         assert rep.captured_fraction == 1.0
         assert rep.mean_exact > 0.0
 
-    def test_orthogonal_grid_drop_reports_fraction_one(self):
+    def test_orthogonal_grid_drop_reports_fraction_one(self, run_forced):
         cfg = _cfg(users=3, trials=4, d_tilde=10.0)
         grid_freqs = np.array([0.0, 0.3, 0.7])
         doas = np.tile(np.arcsin(grid_freqs), (4, 1))
-        res = run_scenario(cfg, doas=doas)
+        res = run_forced(cfg, doas)
         assert np.all(res.exact_totals == 0.0)
         rep = approximation_quality(cfg, scenario_result=res)
         assert rep.captured_fraction == 1.0
@@ -369,8 +433,8 @@ def sine_gate(config, doas):
     return np.count_nonzero(mask, axis=2), exact, power.sum(axis=2)
 
 
-def assert_gate_matches_sines(config, doas):
-    res = run_scenario(config, doas=doas)
+def assert_gate_matches_sines(run_forced, config, doas):
+    res = run_forced(config, doas)
     counts, exact, effective = sine_gate(config, doas)
     assert np.array_equal(res.effective_counts, counts)
     assert np.array_equal(res.exact_totals, exact)
@@ -386,7 +450,7 @@ class TestDivisorGate:
         return 2.0 * GRID_SNAP_TOL + (2.0 * d_tilde + 16.0) * 2.0**-53
 
     @pytest.mark.parametrize("d_tilde", [10.0, 10.3])
-    def test_grid_neighbours_and_near_grid_users(self, d_tilde):
+    def test_grid_neighbours_and_near_grid_users(self, run_forced, d_tilde):
         # Grid neighbours sit at |t_l - t_k| = 1 exactly, also after users
         # within GRID_SNAP_TOL of the grid are snapped onto it, while their
         # sine separations fall on either side of 1.
@@ -394,17 +458,17 @@ class TestDivisorGate:
             beams = np.array([-3.0, -2.0, -1.0 + offset, 0.0, 1.0 + offset, 2.0, 5.0, 6.0 - offset])
             doas = np.arcsin(beams / d_tilde)[None, :]
             cfg = _cfg(d_tilde=d_tilde, users=beams.size, trials=1)
-            counts = assert_gate_matches_sines(cfg, doas)
+            counts = assert_gate_matches_sines(run_forced, cfg, doas)
             assert counts.sum() > 0
 
     @pytest.mark.parametrize("d_tilde", [10.0, 10.3])
-    def test_pairs_at_the_margin_and_one_ulp_beyond(self, d_tilde):
+    def test_pairs_at_the_margin_and_one_ulp_beyond(self, run_forced, d_tilde):
         m = self.margin(d_tilde)
         for edge in (1.0 - m, 1.0 + m):
             for beam in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0)):
                 for base in (0.0, 3.0):
                     doas = np.arcsin(np.array([[base, base + beam]]) / d_tilde)
-                    assert_gate_matches_sines(_cfg(d_tilde=d_tilde, users=2, trials=1), doas)
+                    assert_gate_matches_sines(run_forced, _cfg(d_tilde=d_tilde, users=2, trials=1), doas)
 
     @pytest.mark.parametrize("d_tilde", [2.5, 5.0, 10.3, 100.0, 1e6])
     def test_random_drops(self, d_tilde):

@@ -13,12 +13,10 @@ from lensmimo import (
     LensArrayConfig,
     NullNotFoundError,
     ScenarioConfig,
-    effective_interference,
     first_null,
     pairwise_interference_closed,
     pairwise_interference_direct,
     power_to_db,
-    run_scenario,
     sidelobe_ratio_db,
     sweep_pattern,
 )
@@ -225,15 +223,15 @@ class TestClosedFormEquivalence:
         assert 0.0 <= value <= math.sqrt(peak_l * peak_k) * (1.0 + 1e-12)
 
 
-def _kernel_paths(cfg, pairs):
+def _kernel_paths(run_forced, cfg, pairs):
     """Power of each (sf_l, sf_k) pair from the scalar closed path, the
     batch path and the ensemble path, next to the direct oracle at the
     same spatial frequencies."""
     pairs = np.asarray(pairs, dtype=float)
-    # run_scenario takes DOAs and recomputes sin; use its spatial frequencies
+    # the ensemble draws DOAs and recomputes sin; use its spatial frequencies
     sf = np.sin(np.arcsin(pairs))
     scenario = ScenarioConfig(array=cfg, user_count=2, trial_count=len(sf), seed=0)
-    ensemble = run_scenario(scenario, doas=np.arcsin(pairs)).exact_totals[:, 0]
+    ensemble = run_forced(scenario, np.arcsin(pairs)).exact_totals[:, 0]
     rows = []
     for (sf_l, sf_k), from_ensemble in zip(sf, ensemble):
         rows.append((
@@ -245,8 +243,8 @@ def _kernel_paths(cfg, pairs):
     return rows
 
 
-def _assert_kernel_matches_direct(cfg, pairs):
-    for direct, *fast in _kernel_paths(cfg, pairs):
+def _assert_kernel_matches_direct(run_forced, cfg, pairs):
+    for direct, *fast in _kernel_paths(run_forced, cfg, pairs):
         for value in fast:
             assert _agree(direct, value), f"direct {direct!r} fast {fast!r}"
 
@@ -316,7 +314,7 @@ class TestPairKernel:
     APERTURES = [5.0, 10.0, 20.0, 57.3, 100.0]
 
     @pytest.mark.parametrize("d_tilde", [1.5, 2.5, 5.0, 10.0, 10.3, 20.0, 57.3, 100.0])
-    def test_coincident_pairs_across_the_switch(self, d_tilde):
+    def test_coincident_pairs_across_the_switch(self, run_forced, d_tilde):
         # beam-coordinate gaps from 1e-14 to 1e-2, with COINCIDENT_GAP = 1e-5 bracketed,
         # at a random user, at t = +-(K - 1/2), where the tail the limit form subtracts
         # is largest, at a grid user and at end-fire, where a fractional d_tilde puts
@@ -331,7 +329,7 @@ class TestPairKernel:
         pairs = [(base, partner) for base in bases for gap in gaps
                  for partner in (base + gap / d_tilde, base - gap / d_tilde) if abs(partner) <= 1.0]
         pairs += [(b, a) for a, b in pairs]
-        _assert_kernel_matches_direct(cfg, pairs)
+        _assert_kernel_matches_direct(run_forced, cfg, pairs)
         # A coincident pair on the scalar path is the array kernel's G, squared and scaled
         peak = cfg.aperture**2 / cfg.element_count
         for a, b in pairs:
@@ -340,7 +338,7 @@ class TestPairKernel:
                 assert pairwise_interference_closed(cfg, a, b) == peak * g * g
 
     @pytest.mark.parametrize("d_tilde", APERTURES)
-    def test_coordinates_at_the_snap_tolerance(self, d_tilde):
+    def test_coordinates_at_the_snap_tolerance(self, run_forced, d_tilde):
         # within GRID_SNAP_TOL (snapped onto the grid) and just outside it
         cfg = LensArrayConfig(d_tilde=d_tilde)
         offsets = np.array([0.0, 0.4, -0.9, 1.1, -2.0, 5.0]) * GRID_SNAP_TOL
@@ -348,10 +346,10 @@ class TestPairKernel:
         near_grid = (m + offsets) / d_tilde
         partners = np.concatenate([np.roll(near_grid, 1), [0.31, -0.47, 0.05, 0.6, -0.2, 0.7]])
         pairs = np.stack([np.tile(near_grid, 2), partners], axis=1)
-        _assert_kernel_matches_direct(cfg, pairs)
+        _assert_kernel_matches_direct(run_forced, cfg, pairs)
 
     @pytest.mark.parametrize("d_tilde", APERTURES)
-    def test_pairs_near_pattern_nulls(self, d_tilde):
+    def test_pairs_near_pattern_nulls(self, run_forced, d_tilde):
         # separations n/d_tilde put a grid user's pattern at its nulls
         cfg = LensArrayConfig(d_tilde=d_tilde, a_z=3.0)
         pairs = []
@@ -359,10 +357,10 @@ class TestPairKernel:
             for n in (1, -2, 3):
                 for eps in (0.0, 1e-12, -1e-9, 1e-6):
                     pairs.append((phi_l, phi_l - (n + eps) / d_tilde))
-        _assert_kernel_matches_direct(cfg, pairs)
+        _assert_kernel_matches_direct(run_forced, cfg, pairs)
 
     @pytest.mark.parametrize("d_tilde", [0.95, 20.95, 57.3])
-    def test_beyond_span_pairs(self, d_tilde):
+    def test_beyond_span_pairs(self, run_forced, d_tilde):
         # K = floor(d_tilde) leaves users with |t| in (K, d_tilde] beyond the
         # element span; pairs among them, coincident ones included
         cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
@@ -373,9 +371,9 @@ class TestPairKernel:
             for gap in (0.0, 1e-12, 1e-7, 1.01e-5, 1e-3, 0.4):
                 # the partner steps toward broadside, so it stays admissible
                 pairs.append((t / d_tilde, (t - math.copysign(gap, t)) / d_tilde))
-        _assert_kernel_matches_direct(cfg, pairs)
+        _assert_kernel_matches_direct(run_forced, cfg, pairs)
 
-    def test_span_edge_with_derived_count(self):
+    def test_span_edge_with_derived_count(self, run_forced):
         # pairs at, across and beyond the span edges +-K, at K = 0, 2, 5 and 5,
         # the last with end-fire users snapped to the grid index K + 1
         for d_tilde in (0.7, 2.5, 5.9, 5.9999999995):
@@ -391,16 +389,16 @@ class TestPairKernel:
                 # straddling K, coincident with the midpoint on either side of it, and not
                 for a, b in ((-2e-9, 5e-9), (-5e-9, 2e-9), (-3e-6, 4e-6), (-2e-5, 3e-5)):
                     pairs.append((side * (k + a) / d_tilde, side * (k + b) / d_tilde))
-            _assert_kernel_matches_direct(cfg, pairs)
+            _assert_kernel_matches_direct(run_forced, cfg, pairs)
 
-    def test_grid_user_beyond_span_is_orthogonal(self):
+    def test_grid_user_beyond_span_is_orthogonal(self, run_forced):
         # K = 5, and sin(phi) = +-1 snaps to the grid index +-6 = +-(K + 1),
         # whose profile is zero on every element
         d_tilde = 5.9999999995
         cfg = LensArrayConfig(d_tilde=d_tilde)
         others = [1.0, -1.0, 1.0 - 1e-12, 0.0, 0.37, -0.999, 5.0 / d_tilde, 5.5 / d_tilde]
         pairs = [(edge, other) for edge in (1.0, -1.0) for other in others]
-        for direct, *fast in _kernel_paths(cfg, pairs):
+        for direct, *fast in _kernel_paths(run_forced, cfg, pairs):
             assert direct == 0.0
             assert fast == [0.0, 0.0, 0.0]
 
@@ -412,55 +410,14 @@ class TestPairKernel:
             _pair_powers(cfg, [0.1], [math.nan])
 
     @pytest.mark.parametrize("d_tilde", APERTURES)
-    def test_grid_pairs_exact(self, d_tilde):
+    def test_grid_pairs_exact(self, run_forced, d_tilde):
         # distinct grid points give exactly 0.0, self-alignment exactly A^2/M
         cfg = LensArrayConfig(d_tilde=d_tilde, a_z=3.0)
         peak = cfg.aperture**2 / cfg.element_count
-        for _, *fast in _kernel_paths(cfg, [(3 / d_tilde, -2 / d_tilde), (0.0, 1 / d_tilde)]):
+        for _, *fast in _kernel_paths(run_forced, cfg, [(3 / d_tilde, -2 / d_tilde), (0.0, 1 / d_tilde)]):
             assert fast == [0.0, 0.0, 0.0]
-        for _, *fast in _kernel_paths(cfg, [(4 / d_tilde, 4 / d_tilde), (0.0, 0.0)]):
+        for _, *fast in _kernel_paths(run_forced, cfg, [(4 / d_tilde, 4 / d_tilde), (0.0, 0.0)]):
             assert fast == [peak, peak, peak]
-
-
-class TestEffectiveInterference:
-    def test_aligned_pair_is_effective(self):
-        cfg = LensArrayConfig(d_tilde=10.0, a_z=10.0)
-        power = effective_interference(cfg, 0.2, 0.2)
-        assert type(power) is float
-        assert power == pytest.approx(cfg.aperture**2 / cfg.element_count, rel=1e-12)
-
-    def test_far_interferer_gated_to_zero(self):
-        # theta_norm = 10 * (0 - 0.5) = -5, outside the mainlobe
-        cfg = LensArrayConfig(d_tilde=10.0)
-        assert effective_interference(cfg, 0.0, 0.5) == 0.0
-        assert effective_interference(cfg, 0.0, 0.53) == 0.0
-        assert pairwise_interference_closed(cfg, 0.0, 0.53) > 0.0
-
-    def test_boundary_region_keeps_full_power(self):
-        # theta_norm = 10 * 0.05 = 0.5, inside the mainlobe
-        cfg = LensArrayConfig(d_tilde=10.0)
-        assert effective_interference(cfg, 0.05, 0.0) == pytest.approx(
-            pairwise_interference_direct(cfg, 0.05, 0.0), rel=1e-9
-        )
-
-    @given(sector_freqs, sector_freqs)
-    @settings(max_examples=100)
-    def test_effective_never_exceeds_full(self, sf_l, sf_k):
-        cfg = LensArrayConfig(d_tilde=10.0)
-        power = effective_interference(cfg, sf_l, sf_k)
-        full = pairwise_interference_closed(cfg, sf_l, sf_k)
-        assert power <= full * (1.0 + 1e-12)
-        if abs(cfg.d_tilde * (sf_l - sf_k)) <= 1.0:
-            assert power == full
-        else:
-            assert power == 0.0
-
-    def test_rejects_out_of_range(self):
-        # Gated-out pairs are validated too, though they need no kernel call
-        cfg = LensArrayConfig(d_tilde=10.0)
-        for pair in ((1.2, 0.0), (0.0, -1.2), (math.nan, 0.0), (0.0, math.nan)):
-            with pytest.raises(ValueError):
-                effective_interference(cfg, *pair)
 
 
 class TestSweepPattern:
@@ -490,7 +447,7 @@ class TestSweepPattern:
         cfg = LensArrayConfig(d_tilde=10.0)
         series = sweep_pattern(cfg, 0.9, np.linspace(-0.5, 0.5, 101))
         assert series.skipped_count > 0
-        assert len(series) + series.skipped_count == 101
+        assert series.deltas.size + series.skipped_count == 101
         assert np.all(np.abs(0.9 - series.deltas) <= 1.0)
 
     def test_effective_flags_follow_theta(self):

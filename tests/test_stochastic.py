@@ -438,14 +438,23 @@ D_TILDE_CONSUMERS = {
 @pytest.mark.parametrize(
     "fn, value",
     [pytest.param(fn, value, id=name + suffix)
-     for value, suffix in ((math.nan, ""), (math.inf, "-inf"))
+     for value, suffix in ((math.nan, ""), (math.inf, "-inf"), (5e-324, "-5e-324"),
+                           (1e-310, "-1e-310"), (np.nextafter(sys.float_info.min, 0.0), "-subnormal"))
      for name, fn in D_TILDE_CONSUMERS.items()],
 )
 def test_nan_dimension_rejected(fn, value):
     # NaN fails every comparison and inf passes d_tilde > 0, where each
-    # estimator would return 0.0; the shared guard rejects both
-    with pytest.raises(ValueError, match="d_tilde must be finite"):
+    # estimator would return 0.0; a subnormal d_tilde overflows 1/d_tilde in
+    # the density with a warning. The shared guard rejects all three.
+    with pytest.raises(ValueError, match="d_tilde must be finite and at least"):
         fn(value)
+
+
+@pytest.mark.parametrize("name", ["quadrature", "theta_pdf"])
+def test_least_normal_dimension_accepted(name):
+    # every warning is an error here, so no overflow reaches the result
+    value = D_TILDE_CONSUMERS[name](sys.float_info.min)
+    assert math.isfinite(value) and value >= 0.0
 
 
 class TestMapRanges:
