@@ -15,7 +15,6 @@ the beamspace picture exact on the grid.
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -24,6 +23,8 @@ import numpy as np
 # Inputs within this distance of an integer beam coordinate are treated as
 # exactly on the grid, so grid orthogonality holds exactly in floating point.
 GRID_SNAP_TOL = 1e-9
+
+SPATIAL_FREQ_ERROR = "spatial frequency must be a number of magnitude at most 1"
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,12 @@ class LensArrayConfig:
         """Normalized aperture A = d_tilde * a_z."""
         return self.d_tilde * self.a_z
 
-    @property
+    @functools.cached_property
+    def peak_power(self) -> float:
+        """Self-alignment power A^2/M of a grid user, the largest pair power."""
+        return self.aperture * self.aperture / self.element_count
+
+    @functools.cached_property
     def max_index(self) -> int:
         return (self.element_count - 1) // 2
 
@@ -75,22 +81,19 @@ def sinc(x):
 
     Unit at 0 and exactly zero at the nonzero integers. Any other argument
     has pi x != 0, and for tiny x sin(pi x) rounds to pi x, so the quotient
-    needs no series near 0. A real number gives a float; anything else
-    (an ndarray, a list, a tuple) gives an ndarray of its shape.
+    needs no series near 0. A real number takes the array path as a 0-d
+    array and gives a float; anything else (an ndarray, a list, a tuple)
+    gives an ndarray of its shape.
     """
-    if isinstance(x, numbers.Real):
-        n = round(x)
-        if x == n:
-            return 1.0 if n == 0 else 0.0
-        u = math.pi * x
-        return math.sin(u) / u
     x = np.asarray(x)
     exact = x == np.rint(x)
     if exact.any():
-        return np.where(exact, np.where(x == 0.0, 1.0, 0.0), np.sinc(x))
-    # np.sinc without its guard for x == 0, which cannot occur here
-    y = np.pi * x
-    return np.sin(y) / y
+        out = np.where(exact, np.where(x == 0.0, 1.0, 0.0), np.sinc(x))
+    else:
+        # np.sinc without its guard for x == 0, which cannot occur here
+        y = np.pi * x
+        out = np.sin(y) / y
+    return float(out) if out.ndim == 0 else out
 
 
 def snap_to_grid(t):
@@ -98,45 +101,32 @@ def snap_to_grid(t):
     an integer to that integer.
 
     Keeps responses exactly one-hot for inputs that are grid points up to
-    floating-point representation of the intended value. Python and NumPy
-    float scalars take a scalar path with the same rounding (half to even)
-    and the same signed zero as the array path. Non-finite values pass
-    through unchanged on both paths.
+    floating-point representation of the intended value. Rounding is half
+    to even, a snapped value keeps the sign of t, so -0.0 stays -0.0, and
+    non-finite values pass through unchanged. A real number takes the
+    array path as a 0-d array and gives a float; anything else gives an
+    array.
     """
-    if isinstance(t, float):
-        t = float(t)
-        if math.isfinite(t):
-            n = float(round(t))
-            if abs(t - n) < GRID_SNAP_TOL:
-                return math.copysign(n, t)
-        return t
     t = np.asarray(t, dtype=float)
     n = np.round(t)
     with np.errstate(invalid="ignore"):
         # inf - inf is NaN, which fails the test and passes t through
         snapped = np.where(np.abs(t - n) < GRID_SNAP_TOL, n, t)
-    if snapped.ndim == 0:
-        return float(snapped)
-    return snapped
+    return float(snapped) if snapped.ndim == 0 else snapped
 
 
 def _validate_spatial_freq(phi_tilde) -> None:
     # Written so that NaN fails the test too
-    if isinstance(phi_tilde, float):
-        ok = abs(phi_tilde) <= 1.0
-    else:
-        ok = (np.abs(np.asarray(phi_tilde)) <= 1.0).all()
-    if not ok:
-        raise ValueError("spatial frequency must be a number of magnitude at most 1")
+    if not (np.abs(np.asarray(phi_tilde)) <= 1.0).all():
+        raise ValueError(SPATIAL_FREQ_ERROR)
 
 
 def _beam_coords(config: LensArrayConfig, spatial_freqs):
     """Validated beam coordinates t = d_tilde * phi_tilde snapped to the
-    grid, shape preserved. A float input gives a float; anything else gives
-    an array.
+    grid, shape preserved. A real number gives a float; anything else
+    gives an array.
     """
-    if not isinstance(spatial_freqs, float):
-        spatial_freqs = np.asarray(spatial_freqs, dtype=float)
+    spatial_freqs = np.asarray(spatial_freqs, dtype=float)
     _validate_spatial_freq(spatial_freqs)
     return snap_to_grid(config.d_tilde * spatial_freqs)
 

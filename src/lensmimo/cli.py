@@ -178,8 +178,13 @@ def _cmd_density(args) -> int:
     started = time.monotonic()
     grid = _grid(args.z_min, args.z_max, args.steps, "--z")
     values = theta_pdf(grid, args.d_tilde)
+    with np.errstate(over="ignore"):
+        integral = float(np.trapezoid(values, grid))
+    if not math.isfinite(integral):  # the density peaks near 0.6/d_tilde
+        raise ValueError(f"the grid integral of the density overflows a double for --d-tilde {args.d_tilde!r} "
+                         f"on --z-min {args.z_min!r} to --z-max {args.z_max!r}")
     text = _csv("z,f_theta", "%.17g,%.17g", grid, values)
-    return _emit(args, started, {args.out: text}, grid_integral=float(np.trapezoid(values, grid)))
+    return _emit(args, started, {args.out: text}, grid_integral=integral)
 
 
 def _cmd_scenario(args) -> int:

@@ -33,8 +33,8 @@ Pairs closer than COINCIDENT_GAP use the limit instead, with each
 through Hurwitz zeta functions. Within the span the sum over all integers
 m is sinc(a - b), and G is sinc(a - b) less the tail |m| > K; beyond it,
 G is the nearest element's term plus the other elements.
-pairwise_interference_closed evaluates the difference quotient on Python
-floats and takes a coincident pair through the array kernel.
+pairwise_interference_closed expands each user on Python floats in one
+call and takes a coincident pair through the array kernel.
 
 pairwise_interference_direct builds the channel vectors of a broadcast
 batch of pairs and takes their Hermitian inner products along the element
@@ -54,6 +54,8 @@ import numpy as np
 from scipy.special import digamma, zeta
 
 from .array_model import (
+    GRID_SNAP_TOL,
+    SPATIAL_FREQ_ERROR,
     LensArrayConfig,
     _beam_coords,
     _validate_spatial_freq,
@@ -99,9 +101,7 @@ def power_to_db(power_linear) -> float:
     """10 log10 of power, clamped at a tiny floor so exact zeros stay finite."""
     p = np.maximum(np.asarray(power_linear, dtype=float), DB_FLOOR)
     out = 10.0 * np.log10(p)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def _beam_terms(t: np.ndarray, max_index: int):
@@ -233,26 +233,33 @@ def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.n
     """Interference (A^2/M) G^2 between the users of sf_l and sf_k, as _pair_gram."""
     g = _pair_gram(config, sf_l, sf_k, scratch)
     np.square(g, out=g)
-    a = config.aperture
-    g *= a * a / config.element_count
+    g *= config.peak_power
     return g
 
 
-def _terms_float(t: float, max_index: int) -> tuple:
-    """(v, u) of _beam_terms for one beam coordinate on Python floats, where
-    NumPy's per-call overhead on 0-d arrays would dominate a single pair."""
+def _user_float(config: LensArrayConfig, sf: float) -> tuple:
+    """(t, v, u) of one user on Python floats: the validated, snapped t of
+    _beam_coords and the terms of _beam_terms, with their bits, where
+    NumPy's per-call overhead would dominate a single pair."""
+    # Written so that NaN fails the test too
+    if not abs(sf) <= 1.0:
+        raise ValueError(SPATIAL_FREQ_ERROR)
+    t = float(config.d_tilde * sf)
     n = round(t)
+    if abs(t - n) < GRID_SNAP_TOL:
+        t = math.copysign(n, t)
     e = math.pi * (t - n)
     v = math.sin(e) / math.pi
     c = math.cos(e)
     if n % 2:
         v, c = -v, -c
-    k1 = max_index + 1.0
-    if t > max_index:
-        return v, v * float(digamma(t - max_index) - digamma(t + k1))
-    if t < -max_index:
-        return v, v * float(digamma(k1 - t) - digamma(-max_index - t))
-    return v, v * float(digamma(k1 - t) - digamma(k1 + t)) - c
+    k = config.max_index
+    k1 = k + 1.0
+    if t > k:
+        return t, v, v * float(digamma(t - k) - digamma(t + k1))
+    if t < -k:
+        return t, v, v * float(digamma(k1 - t) - digamma(-k - t))
+    return t, v, v * float(digamma(k1 - t) - digamma(k1 + t)) - c
 
 
 def pairwise_interference_direct(config: LensArrayConfig, phi_tilde_l, phi_tilde_k):
@@ -270,9 +277,7 @@ def pairwise_interference_direct(config: LensArrayConfig, phi_tilde_l, phi_tilde
     h_k = channel_vectors(config, phi_tilde_k)
     inner = (h_l.conj()[..., None, :] @ h_k[..., :, None])[..., 0, 0]
     power = np.square(np.abs(inner)) / config.element_count
-    if power.ndim == 0:
-        return float(power)
-    return power
+    return float(power) if power.ndim == 0 else power
 
 
 def pairwise_interference_closed(
@@ -284,14 +289,13 @@ def pairwise_interference_closed(
     coincident pair, |t_l - t_k| < COINCIDENT_GAP, takes the array kernel.
     """
     sf_l, sf_k = float(phi_tilde_l), float(phi_tilde_k)
-    a, b = _beam_coords(config, sf_l), _beam_coords(config, sf_k)
+    a, v_a, u_a = _user_float(config, sf_l)
+    b, v_b, u_b = _user_float(config, sf_k)
     if abs(a - b) < COINCIDENT_GAP:
         g = float(_pair_gram(config, [sf_l], [sf_k])[0, 0])
     else:
-        v_a, u_a = _terms_float(a, config.max_index)
-        v_b, u_b = _terms_float(b, config.max_index)
         g = (u_a * v_b - v_a * u_b) / (a - b)
-    return config.aperture**2 / config.element_count * g * g
+    return config.peak_power * g * g
 
 
 def sweep_pattern(config: LensArrayConfig, phi_tilde_l: float, delta_grid) -> PatternSeries:
@@ -313,7 +317,7 @@ def sweep_pattern(config: LensArrayConfig, phi_tilde_l: float, delta_grid) -> Pa
         raise ValueError("no delta grid point keeps the interferer in range")
     powers = _pair_powers(config, [float(phi_tilde_l)], sf_k[keep])[0]
     theta = config.d_tilde * deltas
-    series = PatternSeries(
+    return PatternSeries(
         phi_tilde_l=float(phi_tilde_l),
         deltas=deltas,
         theta_norms=theta,
@@ -322,7 +326,6 @@ def sweep_pattern(config: LensArrayConfig, phi_tilde_l: float, delta_grid) -> Pa
         effective=np.abs(theta) <= 1.0,
         skipped_count=int(np.count_nonzero(~keep)),
     )
-    return series
 
 
 def first_null(config: LensArrayConfig, phi_tilde_l: float) -> float:
@@ -333,7 +336,7 @@ def first_null(config: LensArrayConfig, phi_tilde_l: float) -> float:
     exactly (A^2/M) sinc^2(d_tilde * delta) and the first null is 1/d_tilde,
     provided the interferer there, at (n - 1)/d_tilde, is admissible.
     """
-    t = _beam_coords(config, float(phi_tilde_l))
+    t = _user_float(config, float(phi_tilde_l))[0]
     n = round(t)
     if t != n:
         raise ValueError("phi_tilde_l must be a beam grid point m/d_tilde")

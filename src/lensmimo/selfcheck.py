@@ -93,7 +93,7 @@ def _check_grid_orthogonality() -> CheckResult:
 
 def _check_self_alignment() -> CheckResult:
     config = LensArrayConfig(d_tilde=10.0, a_z=10.0)
-    expect = config.aperture**2 / config.element_count
+    expect = config.peak_power
     got = pairwise_interference_closed(config, 0.0, 0.0)
     ok = math.isclose(got, expect, rel_tol=1e-12)
     return CheckResult(

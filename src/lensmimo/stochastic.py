@@ -197,9 +197,7 @@ def spatial_freq_pdf(y, sector: SectorModel = DEFAULT_SECTOR):
     inside = np.abs(y) <= s
     ysafe = np.where(inside, y, 0.0)
     val = np.where(inside, 1.0 / (2.0 * sector.half_width * np.sqrt(1.0 - ysafe * ysafe)), 0.0)
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return float(val) if val.ndim == 0 else val
 
 
 def theta_pdf(z, d_tilde: float, sector: SectorModel = DEFAULT_SECTOR):
@@ -227,7 +225,9 @@ def theta_pdf(z, d_tilde: float, sector: SectorModel = DEFAULT_SECTOR):
     """
     _check_d_tilde(d_tilde)
     s = sector.max_spatial_freq
-    a = np.abs(np.asarray(z, dtype=float)) / d_tilde
+    # A quotient beyond a double rounds to inf, outside the support like its z
+    with np.errstate(over="ignore"):
+        a = np.abs(np.asarray(z, dtype=float)) / d_tilde
     # The upper end s - a is rounded first, so g > 0 exactly when -s < s - a.
     g = (s - a) + s
     outside = g <= 0.0
@@ -241,9 +241,7 @@ def theta_pdf(z, d_tilde: float, sector: SectorModel = DEFAULT_SECTOR):
     inner = 2.0 * g * elliprf(n12 * n12, n13 * n13, 4.0 * c * (q + a) * (q + g))
     h2 = 2.0 * sector.half_width
     val = np.where(outside, 0.0, inner / (d_tilde * h2 * h2))
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return float(val) if val.ndim == 0 else val
 
 
 def _graded_rule() -> tuple:

@@ -81,7 +81,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("d_tilde, a_z", [(1e154, 1.0), (10.0, 1e153), (1e300, 1e-300)])
     def test_largest_peak_powers_accepted(self, d_tilde, a_z):
         cfg = LensArrayConfig(d_tilde=d_tilde, a_z=a_z)
-        assert math.isfinite(cfg.aperture**2 / cfg.element_count)
+        assert math.isfinite(cfg.peak_power)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, value):
@@ -122,6 +122,36 @@ class TestSinc:
     @settings(max_examples=200)
     def test_bounded_by_one(self, x):
         assert abs(sinc(x)) <= 1.0
+
+
+SCALARS = [0.0, -0.0, 0.5, -2.25, 1e-9, 3.0 + 1e-12, -7.0 - 2e-10, 4.0 + 0.9e-9, 1e300, -5e-324,
+           0, 3, -40, True, False, np.float64(0.25), np.float64(-6.0 + 1e-10), np.float64(-0.0)]
+
+
+def same_bits(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestScalarsTakeTheArrayPath:
+    """A real scalar gives a Python float with the bits of a one-element array."""
+
+    @pytest.mark.parametrize("x", SCALARS, ids=repr)
+    def test_sinc(self, x):
+        got = sinc(x)
+        assert type(got) is float
+        assert same_bits(got, sinc(np.array([x]))[0])
+
+    @pytest.mark.parametrize("x", SCALARS, ids=repr)
+    def test_snap_to_grid(self, x):
+        got = snap_to_grid(x)
+        assert type(got) is float
+        assert same_bits(got, snap_to_grid(np.array([x]))[0])
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    def test_snap_to_grid_passes_infinities(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert snap_to_grid(x) == x and type(snap_to_grid(x)) is float
 
 
 class TestSnapToGrid:

@@ -187,6 +187,17 @@ class TestDensity:
         assert run_cli("density", "--d-tilde", 10, "--z-min", 2, "--z-max", 1,
                        "--steps", 10, "--out", tmp_path / "x.csv") == 2
 
+    def test_grid_beyond_a_double_of_the_scale_is_zero_there(self, tmp_path):
+        # |z|/d_tilde overflows on most of this grid; every warning is an error here
+        out = tmp_path / "den.csv"
+        assert run_cli("density", "--d-tilde", "1e-300", "--z-min=-1e-290", "--z-max=1e300",
+                       "--steps", 2001, "--out", out) == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        # every grid point lies outside the support |z| < sqrt(3) d_tilde
+        assert len(rows) == 2001 and all(f == 0.0 for _, f in rows)
+        manifest = json.loads((tmp_path / "den.csv.manifest.json").read_text())
+        assert manifest["grid_integral"] == 0.0
+
 
 class TestFailedCommandsWriteNothing:
     """A command that fails exits 2 or 3 and leaves no file and no directory.
@@ -201,8 +212,11 @@ class TestFailedCommandsWriteNothing:
          (("density", "--d-tilde", "1e-310", "--z-min=-1", "--z-max=1", "--steps", 3), 3, "d_tilde"),
          (("prob", "--d-tilde", "5e-324", "--method", "quadrature"), 3, "d_tilde"),
          (("scenario", "--d-tilde", 0.5, "--a-z", "1e154", "--users", 7, "--trials", 5, "--seed", 7), 3,
-          "user_count - 1) * A^2/M must be a finite double")],
-        ids=["density-range", "pattern-range", "density-subnormal", "prob-subnormal", "scenario-sum"],
+          "user_count - 1) * A^2/M must be a finite double"),
+         (("density", "--d-tilde", "1e-300", "--z-min=-1e10", "--z-max=1e10", "--steps", 3), 3,
+          "overflows a double for --d-tilde 1e-300 on --z-min -10000000000.0 to --z-max 10000000000.0")],
+        ids=["density-range", "pattern-range", "density-subnormal", "prob-subnormal", "scenario-sum",
+             "density-integral"],
     )
     def test_boundaries(self, tmp_path, capsys, argv, code, message):
         assert run_cli(*argv, "--out", tmp_path / "sub" / "x.out") == code

@@ -20,7 +20,7 @@ from lensmimo import (
     sidelobe_ratio_db,
     sweep_pattern,
 )
-from lensmimo.array_model import _profile_matrix
+from lensmimo.array_model import SPATIAL_FREQ_ERROR, _beam_coords, _profile_matrix
 from lensmimo.interference import (
     COINCIDENT_GAP,
     SIDELOBE_PEAK_X,
@@ -29,6 +29,7 @@ from lensmimo.interference import (
     _pair_gram,
     _pair_powers,
     _row_differences,
+    _user_float,
 )
 from scipy.special import digamma
 
@@ -173,7 +174,7 @@ class TestClosedFormEquivalence:
     def test_broadside_self_alignment_exercises_fallback(self):
         # At phi_l = phi_k the kernel takes its coincident-pair limit
         cfg = LensArrayConfig(d_tilde=10.0, a_z=10.0)
-        expect = cfg.aperture**2 / cfg.element_count
+        expect = cfg.peak_power
         assert pairwise_interference_closed(cfg, 0.0, 0.0) == pytest.approx(expect, rel=1e-12)
         assert pairwise_interference_direct(cfg, 0.0, 0.0) == pytest.approx(expect, rel=1e-12)
 
@@ -306,6 +307,64 @@ class TestBeamTermsParity:
         assert np.array_equal(np.signbit(v), sign < 0.0)
 
 
+def _user_inputs(d_tilde):
+    """Spatial frequencies at +-0, at grid points and GRID_SNAP_TOL either
+    side of them, at end-fire, beyond the span, and between grid points."""
+    k = LensArrayConfig(d_tilde=d_tilde).max_index
+    m = np.arange(-k - 1, k + 2, dtype=float)
+    t = np.concatenate([m, m + GRID_SNAP_TOL, m - GRID_SNAP_TOL, m + 0.999 * GRID_SNAP_TOL,
+                        m - 1.001 * GRID_SNAP_TOL, m + 0.5, m + 0.3, np.linspace(k, d_tilde, 9)])
+    rng = np.random.default_rng(41)
+    sf = np.concatenate([t / d_tilde, -t / d_tilde, [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324],
+                         rng.uniform(-1.0, 1.0, 300)])
+    return [x for x in sf.tolist() if abs(x) <= 1.0]
+
+
+class TestUserFloat:
+    """_user_float gives, on Python floats, the bits of the array path:
+    _beam_coords and _beam_terms of a one-element array."""
+
+    @pytest.mark.parametrize("d_tilde", [0.95, 2.5, 5.0, 5.9999999995, 10.3, 20.95, 100.0])
+    def test_bits_equal_the_array_path(self, d_tilde):
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
+        for sf in _user_inputs(d_tilde):
+            t, v, u = _user_float(cfg, sf)
+            t_ref = _beam_coords(cfg, np.array([sf]))
+            v_ref, u_ref = _beam_terms(t_ref, cfg.max_index)
+            assert type(t) is float and type(v) is float and type(u) is float
+            # t = -0.0 gives v = -0.0 here and 0.0 there, a sign the squared power drops
+            if t == 0.0:
+                assert v == v_ref[0] == 0.0
+                v = v_ref[0]
+            for got, want in ((t, t_ref[0]), (v, v_ref[0]), (u, u_ref[0])):
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (sf, got, want)
+
+    def test_snapped_zero_keeps_its_sign(self):
+        cfg = LensArrayConfig(d_tilde=10.0)
+        for sf in (-0.0, -1e-11, -GRID_SNAP_TOL / 20.0):
+            assert math.copysign(1.0, _user_float(cfg, sf)[0]) == -1.0
+        assert math.copysign(1.0, _user_float(cfg, 1e-11)[0]) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf, 1.0000000000000002, -1.5])
+    def test_scalar_pair_rejects_each_side(self, bad):
+        cfg = LensArrayConfig(d_tilde=10.0)
+        for pair in ((bad, 0.1), (0.1, bad), (bad, bad)):
+            with pytest.raises(ValueError) as info:
+                pairwise_interference_closed(cfg, *pair)
+            assert str(info.value) == SPATIAL_FREQ_ERROR
+        with pytest.raises(ValueError) as info:
+            _pair_powers(cfg, [0.1], [bad])
+        assert str(info.value) == SPATIAL_FREQ_ERROR
+
+    def test_peak_power_is_the_grid_self_alignment_on_every_path(self, run_forced):
+        # A^2/M is spelled a * a / m once; a ** 2 may round otherwise
+        cfg = LensArrayConfig(d_tilde=12.457, a_z=1.0)
+        a = cfg.aperture
+        assert cfg.peak_power == a * a / cfg.element_count
+        for _, *fast in _kernel_paths(run_forced, cfg, [(0.0, 0.0), (5 / 12.457, 5 / 12.457)]):
+            assert fast == [cfg.peak_power] * 3
+
+
 class TestPairKernel:
     """The O(1) kernel on every path against the direct inner product,
     under the oracle bounds of _agree, at the inputs where it switches
@@ -331,7 +390,7 @@ class TestPairKernel:
         pairs += [(b, a) for a, b in pairs]
         _assert_kernel_matches_direct(run_forced, cfg, pairs)
         # A coincident pair on the scalar path is the array kernel's G, squared and scaled
-        peak = cfg.aperture**2 / cfg.element_count
+        peak = cfg.peak_power
         for a, b in pairs:
             if abs(a - b) * d_tilde < 0.9 * COINCIDENT_GAP:
                 g = _pair_gram(cfg, [a], [b])[0, 0]
@@ -413,7 +472,7 @@ class TestPairKernel:
     def test_grid_pairs_exact(self, run_forced, d_tilde):
         # distinct grid points give exactly 0.0, self-alignment exactly A^2/M
         cfg = LensArrayConfig(d_tilde=d_tilde, a_z=3.0)
-        peak = cfg.aperture**2 / cfg.element_count
+        peak = cfg.peak_power
         for _, *fast in _kernel_paths(run_forced, cfg, [(3 / d_tilde, -2 / d_tilde), (0.0, 1 / d_tilde)]):
             assert fast == [0.0, 0.0, 0.0]
         for _, *fast in _kernel_paths(run_forced, cfg, [(4 / d_tilde, 4 / d_tilde), (0.0, 0.0)]):

@@ -287,6 +287,25 @@ class TestThetaPdfFloatPath:
             assert theta_pdf(np.array([0.0]), 10.0, sector)[0] == math.inf
 
 
+class TestThetaPdfBeyondADouble:
+    """Where |z|/d_tilde exceeds the largest double the quotient rounds to
+    inf, which is outside the support: those points give 0 without a
+    warning, and every other point keeps the bits it has alone."""
+
+    @pytest.mark.parametrize("d_tilde", [1e-300, sys.float_info.min, 1e-200])
+    def test_overflowing_quotient_gives_zero_quietly(self, d_tilde):
+        far = [-1e300, -sys.float_info.max, 1e300, sys.float_info.max, math.inf]
+        near = [0.0, -0.5 * d_tilde, 1.3 * d_tilde, -1.7 * d_tilde, 1e-290 * d_tilde]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = theta_pdf(np.array(far + near), d_tilde)
+            alone = theta_pdf(np.array(near), d_tilde)
+            assert all(theta_pdf(z, d_tilde) == 0.0 for z in far)
+        assert np.array_equal(got[: len(far)], np.zeros(len(far)))
+        assert got[len(far):].tobytes() == alone.tobytes()
+        assert np.all(alone[:4] > 0.0)
+
+
 class TestIntegrate:
     """The fixed rule behind effective_prob_quadrature, on integrals known in
     closed form with the kinds of end behaviour theta_pdf has."""
