@@ -9,6 +9,7 @@ how trials are partitioned across workers.
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,13 @@ from .stochastic import DEFAULT_SECTOR, SectorModel, _check_seed, _is_integer, _
 
 CDF_POINTS = 256
 
-# Float64 elements in one chunk's (trials, L, L) pair array. A chunk holds two
-# such float and two bool arrays, about 7.2 MB, more than a 2 MB per-core L2;
-# a block of 100,000 doubles was not consistently faster at d_tilde 5, L 200.
-BLOCK_DOUBLES = 400_000
+# Bytes of one chunk's working set, _trial_bytes per drop, sized to stay in a
+# core's 2 MiB L2 cache. A sweep of the bench's two ensemble workloads (job
+# p50 of 3 runs each, 2-core Xeon) over budgets of 0.76, 1.6, 2.3, 3.1, 4 and
+# 8 MB was fastest at 1.6 MB: 2 drops a chunk at d_tilde 5, L 200 (0.089 s,
+# against 0.101 s at 1 drop and 0.106 s at 10) and 430 at d_tilde 100, L 10
+# (0.0081 s, against 0.0093 s at 2150).
+CHUNK_BYTES = 1_600_000
 
 
 @dataclass(frozen=True)
@@ -76,15 +80,23 @@ class ApproximationReport:
     captured_fraction: float
 
 
-def _trial_block(config: ScenarioConfig, phi: np.ndarray, exact, effective, counts) -> None:
+def _workspace(rows: int, user_count: int) -> tuple:
+    """The (rows, L, L) arrays one thread reuses for each of its chunks: the
+    powers, the kernel's divisor, the gate mask and the band mask."""
+    shape = (rows, user_count, user_count)
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+
+
+def _trial_block(config: ScenarioConfig, phi: np.ndarray, exact, effective, counts, work) -> None:
     """Exact totals, effective totals, and effective counts for one chunk,
     written into the (trials, L) rows exact, effective and counts.
 
-    phi has shape (trials, L). _pair_powers gives every pairwise
-    interference power of a drop at once, self-pairs zeroed, and leaves
-    its divisor, the beam-coordinate differences t_l - t_k, in a scratch
-    array of the powers' shape, so a chunk holds two (trials, L, L) float
-    arrays.
+    phi has shape (trials, L), and work is a _workspace of at least as many
+    rows, whose leading rows the chunk overwrites. _pair_powers writes every
+    pairwise interference power of a drop into the first array, self-pairs
+    zeroed, and leaves its divisor, the beam-coordinate differences
+    t_l - t_k, in the second. The gate writes the two bool arrays. So a
+    chunk allocates nothing of size L x L.
 
     The mainlobe gate is |Theta| <= 1 for Theta = d (s_l - s_k) as rounded,
     with d = d_tilde and s = sin(phi). It is read off the divisor: a pair
@@ -102,16 +114,17 @@ def _trial_block(config: ScenarioConfig, phi: np.ndarray, exact, effective, coun
     for every pair instead.
     """
     arr = config.array
+    power, gap, eff_mask, band = (w[: len(phi)] for w in work)
     st = np.sin(phi)
-    scratch = np.empty(st.shape + st.shape[-1:])
-    power = _pair_powers(arr, st, scratch=scratch)
+    _pair_powers(arr, st, scratch=gap, out=power)
     margin = 2.0 * GRID_SNAP_TOL + (2.0 * arr.d_tilde + 16.0) * 2.0**-53
-    gap = np.abs(scratch, out=scratch)
-    eff_mask = gap <= 1.0 - margin
-    if np.count_nonzero(gap <= 1.0 + margin) != np.count_nonzero(eff_mask):
-        theta = _row_differences(st, st, scratch)
+    np.abs(gap, out=gap)
+    np.less_equal(gap, 1.0 - margin, out=eff_mask)
+    np.less_equal(gap, 1.0 + margin, out=band)
+    if np.count_nonzero(band) != np.count_nonzero(eff_mask):
+        theta = _row_differences(st, st, gap)
         theta *= arr.d_tilde
-        eff_mask = np.abs(theta, out=theta) <= 1.0
+        np.less_equal(np.abs(theta, out=theta), 1.0, out=eff_mask)
     _self_pairs(eff_mask)[...] = False
 
     power.sum(axis=2, out=exact)
@@ -122,9 +135,18 @@ def _trial_block(config: ScenarioConfig, phi: np.ndarray, exact, effective, coun
     eff_mask.sum(axis=2, dtype=np.intp, out=counts)
 
 
+def _trial_bytes(user_count: int) -> int:
+    """Bytes one drop of L users takes in a chunk: 18 a pair for the two float
+    and two bool L x L arrays of the workspace, and 192, 24 doubles, a user
+    for the DOAs, sines and beam coordinates, the kernel's beam terms and
+    their special-function operands, the sorted gap search and the three
+    output rows."""
+    return user_count * (18 * user_count + 192)
+
+
 def _trial_chunk(user_count: int) -> int:
-    # Trials per chunk within BLOCK_DOUBLES; a drop larger than that runs alone.
-    return max(1, BLOCK_DOUBLES // (user_count * user_count))
+    # Trials per chunk within CHUNK_BYTES; a drop larger than that runs alone.
+    return max(1, CHUNK_BYTES // _trial_bytes(user_count))
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
@@ -132,18 +154,24 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 
     Trial t uses DOA stream draws [t*L, (t+1)*L), so any chunking of the
     trial range reproduces the serial ensemble, and run_scenario(result.config)
-    reproduces a result bit for bit.
+    reproduces a result bit for bit. Each thread that takes a chunk
+    allocates one _workspace on its first and reuses it for the rest, so a
+    call holds at most one per thread.
     """
     T, L = config.trial_count, config.user_count
     exact = np.empty((T, L))
     effective = np.empty((T, L))
     counts = np.empty((T, L), dtype=np.intp)
+    chunk = _trial_chunk(L)
+    local = threading.local()
 
     def block(a, b):
+        if not hasattr(local, "work"):
+            local.work = _workspace(min(chunk, T), L)
         phi = sample_doas(config.seed, (b - a) * L, offset=a * L, sector=config.sector)
-        _trial_block(config, phi.reshape(b - a, L), exact[a:b], effective[a:b], counts[a:b])
+        _trial_block(config, phi.reshape(b - a, L), exact[a:b], effective[a:b], counts[a:b], local.work)
 
-    _map_ranges(block, T, _trial_chunk(L), threads)
+    _map_ranges(block, T, chunk, threads)
 
     # One buffer holds each of the two sorted totals in turn
     ordered = np.empty(T * L)

@@ -177,7 +177,7 @@ def _row_differences(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.ndarray:
+def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None, out=None) -> np.ndarray:
     """Signed G between every user of sf_l and every user of sf_k.
 
     sf_l and sf_k have shapes (..., L) and (..., N) with the same leading
@@ -188,7 +188,9 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.nda
     when one is given. Afterwards scratch holds the beam-coordinate
     differences t_l - t_k of the snapped coordinates, except at the
     self-pairs and at the coincident pairs, |t_l - t_k| < COINCIDENT_GAP,
-    where it holds 0.
+    where it holds 0. Given out, a C-contiguous float array of the result's
+    shape, the result is written into it and out is returned, with the
+    bits of the call without it.
 
     The numerators u_l v_k - v_l u_k are one rank-2 matrix product per
     row, so the special functions are called O(L + N) times per row,
@@ -204,7 +206,8 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.nda
     k = config.max_index
     v_l, u_l = _beam_terms(t_l, k)
     v_k, u_k = (v_l, u_l) if sf_k is None else _beam_terms(t_k, k)
-    g = np.stack((u_l, -v_l), 2) @ np.stack((v_k, u_k), 1)
+    gram = None if out is None else out.reshape(-1, *out.shape[-2:])
+    g = np.matmul(np.stack((u_l, -v_l), 2), np.stack((v_k, u_k), 1), out=gram)
     diff = _row_differences(t_l, t_k, scratch)
     if sf_k is None:
         pool = t_l
@@ -226,12 +229,12 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.nda
     if sf_k is None:
         _self_pairs(g)[...] = 0.0
         _self_pairs(diff)[...] = 0.0
-    return g.reshape(shape)
+    return g.reshape(shape) if out is None else out
 
 
-def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None, scratch=None) -> np.ndarray:
+def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None, scratch=None, out=None) -> np.ndarray:
     """Interference (A^2/M) G^2 between the users of sf_l and sf_k, as _pair_gram."""
-    g = _pair_gram(config, sf_l, sf_k, scratch)
+    g = _pair_gram(config, sf_l, sf_k, scratch, out)
     np.square(g, out=g)
     g *= config.peak_power
     return g

@@ -35,10 +35,11 @@ from .stochastic import (
 
 # Shapes of the determinism check, each large enough to split into at least
 # two pieces, so the threaded runs really run in parallel: 100,000 Monte
-# Carlo pairs are two ranges, and 2 drops of 448 users are two chunks of
-# one drop, the smallest chunks that any two-chunk ensemble can have.
+# Carlo pairs are two ranges, and 2 drops of 206 users are two chunks of
+# one drop, 206 being the fewest users whose two drops overflow the
+# harness's CHUNK_BYTES.
 DETERMINISM_MC_SAMPLES = 100_000
-DETERMINISM_USERS = 448
+DETERMINISM_USERS = 206
 DETERMINISM_TRIALS = 2
 
 

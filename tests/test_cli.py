@@ -1,16 +1,21 @@
 """CLI behavior: file formats, exit codes, reproducibility."""
 
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lensmimo
 from lensmimo import (
@@ -351,8 +356,10 @@ class TestSelfcheck:
         def pieces(count, chunk):
             return len(_map_ranges(lambda a, b: None, count, chunk, 1))
 
-        chunk = _trial_chunk(selfcheck.DETERMINISM_USERS)
-        assert pieces(selfcheck.DETERMINISM_TRIALS, chunk) >= 2
+        users = selfcheck.DETERMINISM_USERS
+        assert pieces(selfcheck.DETERMINISM_TRIALS, _trial_chunk(users)) >= 2
+        # the smallest such drop: one user fewer puts both drops in one chunk
+        assert pieces(selfcheck.DETERMINISM_TRIALS, _trial_chunk(users - 1)) == 1
         assert pieces(selfcheck.DETERMINISM_MC_SAMPLES, MC_RANGE_PAIRS) >= 2
 
 
@@ -570,3 +577,95 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads((tmp_path / "m.json").read_text())["method"] == "closed"
+
+
+FLOAT_EDGES = ("0", "-0.0", "5e-324", "1e309", "inf", "-inf", "nan", "", "x")
+INTEGER_EDGES = ("0", "-1", "2.5", "", "x")
+
+
+def _mix(*weighted):
+    """One of the (weight, strategy) pairs' strategies, drawn in proportion to its weight."""
+    return st.sampled_from([s for w, s in weighted for _ in range(w)]).flatmap(lambda s: s)
+
+
+def _real(lo, hi):
+    """A float flag's text: a value in [lo, hi] half the time, else a signed
+    magnitude from the subnormals to the overflow, or a text on a boundary."""
+    magnitude = st.builds(lambda sign, m, e: repr(sign * m * 10.0**e),
+                          st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-325, 308))
+    return _mix((2, st.floats(lo, hi).map(repr)), (1, magnitude), (1, st.sampled_from(FLOAT_EDGES)))
+
+
+def _count(lo, hi, *edges):
+    """An integer flag's text: a count in [lo, hi] seven times in eight, else an edge."""
+    return _mix((7, st.integers(lo, hi).map(str)), (1, st.sampled_from(edges or INTEGER_EDGES)))
+
+
+# Flags of each subcommand, (required, optional). Counts stay small, so that
+# every run takes milliseconds; scenario always gets a valid thread count, so
+# its threaded chunks are fuzzed too.
+APERTURE = _real(0.0, 200.0)
+SEED = _count(0, 2**16, "-1", str(2**128 - 1), str(2**128), "1.0")
+STEPS = _count(2, 50)
+FUZZ_FLAGS = {
+    "pattern": ({"--d-tilde": APERTURE},
+                {"--a-z": _real(0.0, 10.0), "--phi-l-deg": _real(-90.0, 90.0), "--phi-l-sf": _real(-1.5, 1.5),
+                 "--delta-min": _real(-2.0, 0.0), "--delta-max": _real(0.0, 2.0), "--steps": STEPS}),
+    "prob": ({"--d-tilde": APERTURE, "--method": st.sampled_from(["closed", "quadrature", "mc", "exact"])},
+             {"--samples": _count(1, 2000), "--seed": SEED, "--threads": _count(1, 3)}),
+    "density": ({"--d-tilde": APERTURE, "--z-min": _real(-50.0, 0.0), "--z-max": _real(0.0, 50.0)},
+                {"--steps": STEPS}),
+    "scenario": ({"--d-tilde": APERTURE, "--users": _count(1, 30), "--trials": _count(1, 20),
+                  "--seed": SEED, "--threads": st.integers(1, 3).map(str)},
+                 {"--a-z": _real(0.0, 10.0)}),
+    "selfcheck": ({}, {}),
+}
+
+
+def _cli_argv(command):
+    required, optional = FUZZ_FLAGS[command]
+    flags = st.fixed_dictionaries(required, optional=optional)
+    return flags.map(lambda f: [command] + [f"{name}={text}" for name, text in f.items()])
+
+
+def _finite_numbers(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+class TestFuzz:
+    """Drawn flags for every subcommand, run in process: a run exits 0, 2 or 3,
+    and leaves valid files of finite numbers after 0 and no file otherwise."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_FLAGS))
+    @given(data=st.data())
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    def test_every_exit_is_ok_usage_or_domain_and_leaves_valid_files_or_none(self, command, data):
+        argv = data.draw(_cli_argv(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "sub", "out.csv" if command in ("pattern", "density") else "out.json")
+            if command != "selfcheck":
+                argv = argv + ["--out", out]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3), argv
+            if code != 0:
+                assert os.listdir(tmp) == [], argv
+                return
+            for path in (os.path.join(d, f) for d, _, files in os.walk(tmp) for f in files):
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+                if path.endswith(".json"):
+                    # json.loads reads NaN and Infinity as floats, which fail here
+                    assert _finite_numbers(json.loads(text)), path
+                else:
+                    header, *rows = text.splitlines()
+                    for row in rows:
+                        cells = row.split(",")
+                        assert len(cells) == header.count(",") + 1, path
+                        assert all(c in ("true", "false") or math.isfinite(float(c)) for c in cells), path
+            if command != "selfcheck":
+                assert os.path.exists(out + ".manifest.json"), argv

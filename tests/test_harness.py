@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from lensmimo import (
 )
 from lensmimo import harness
 from lensmimo.array_model import GRID_SNAP_TOL
-from lensmimo.harness import BLOCK_DOUBLES, _trial_chunk
+from lensmimo.harness import CHUNK_BYTES, _trial_bytes, _trial_chunk, _workspace
 from lensmimo.interference import _pair_powers
+from lensmimo.selfcheck import DETERMINISM_USERS
 from lensmimo.stochastic import SectorModel
 
 TRUE_P10 = 0.1122673842  # see test_stochastic for the independent oracle
@@ -178,25 +180,30 @@ class TestDeterminism:
 
 class TestChunking:
     def test_many_users_bound_every_pair_array(self):
-        # each float64 (chunk, L, L) intermediate stays within BLOCK_DOUBLES
-        assert BLOCK_DOUBLES == 400_000
-        for users in (100, 200, 632):
-            assert _trial_chunk(users) * users * users <= BLOCK_DOUBLES
-        assert _trial_chunk(200) == 10
+        # a chunk's whole working set stays within CHUNK_BYTES, and its L x L
+        # part is the workspace itself: two float and two bool arrays
+        assert CHUNK_BYTES == 1_600_000
+        for users in (1, 2, 10, 50, 100, 200, DETERMINISM_USERS - 1):
+            chunk, size = _trial_chunk(users), _trial_bytes(users)
+            assert chunk * size <= CHUNK_BYTES < (chunk + 1) * size
+        assert sum(w.nbytes for w in _workspace(3, 200)) == 3 * 18 * 200 * 200
+        assert _trial_chunk(200) == 2
         # a single drop too large for the budget still runs, one trial a chunk
-        assert _trial_chunk(1000) == 1
-        assert _trial_chunk(3000) == 1
+        for users in (DETERMINISM_USERS, 1000, 3000):
+            assert 2 * _trial_bytes(users) > CHUNK_BYTES
+            assert _trial_chunk(users) == 1
 
     def test_small_drops_share_one_chunk(self):
-        # the budget counts only the L x L arrays, so a wide array with few
-        # users keeps a long ensemble in one chunk
-        assert _trial_chunk(10) >= 1500
+        # the per-user vectors count too, so a wide array with few users
+        # still takes hundreds of drops a chunk
+        assert _trial_chunk(10) == 430
 
     def test_block_sees_each_chunk_of_doas_second(self, monkeypatch):
         # A timing wrapper reads a chunk's size off args[1], the (trials, L)
         # DOA array, as bench/tracing.py counts harness.chunks and
         # harness.chunk_bytes_max.
-        cfg = _cfg(d_tilde=5.0, users=200, trials=25, seed=4)
+        chunk = _trial_chunk(200)
+        cfg = _cfg(d_tilde=5.0, users=200, trials=2 * chunk + 1, seed=4)
         seen = []
         block = harness._trial_block
 
@@ -206,12 +213,44 @@ class TestChunking:
 
         monkeypatch.setattr(harness, "_trial_block", wrapped)
         res = run_scenario(cfg, threads=2)
-        assert sorted(phi.shape for phi in seen) == [(5, 200), (10, 200), (10, 200)]
-        doas = sample_doas(cfg.seed, 25 * 200).reshape(25, 200)
-        starts = [a for phi in seen for a in (0, 10, 20) if np.array_equal(doas[a:a + len(phi)], phi)]
-        assert sorted(starts) == [0, 10, 20]
+        assert sorted(phi.shape for phi in seen) == [(1, 200), (chunk, 200), (chunk, 200)]
+        doas = sample_doas(cfg.seed, cfg.trial_count * 200).reshape(-1, 200)
+        starts = [a for phi in seen for a in (0, chunk, 2 * chunk) if np.array_equal(doas[a:a + len(phi)], phi)]
+        assert sorted(starts) == [0, chunk, 2 * chunk]
         monkeypatch.undo()
         assert np.array_equal(res.exact_totals, run_scenario(cfg).exact_totals)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("users, trials", [(200, 9), (10, 1700), (30, 1)])
+    def test_each_thread_reuses_one_workspace(self, monkeypatch, users, trials):
+        # every chunk a thread takes writes the same four arrays, of
+        # min(chunk, T) rows, and a call holds at most one per thread
+        cfg = _cfg(d_tilde=5.0, users=users, trials=trials, seed=4)
+        ref = run_scenario(cfg)
+        chunk = _trial_chunk(users)
+        block = harness._trial_block
+        for threads in (1, 2, 3):
+            seen = []
+
+            def wrapped(*args):
+                seen.append((threading.get_ident(), args[5]))
+                return block(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(harness, "_trial_block", wrapped)
+                res = run_scenario(cfg, threads)
+            assert len(seen) == -(-trials // chunk)
+            by_thread, workspaces = {}, []
+            for ident, work in seen:
+                assert [w.shape for w in work] == [(min(chunk, trials), users, users)] * 4
+                first = by_thread.setdefault(ident, work)
+                assert all(np.shares_memory(a, b) for a, b in zip(first, work))
+                if not any(np.shares_memory(work[0], w[0]) for w in workspaces):
+                    workspaces.append(work)
+            assert len(workspaces) == len(by_thread) <= threads
+            for field in ("exact_totals", "effective_totals", "effective_counts"):
+                assert np.array_equal(getattr(res, field), getattr(ref, field)), field
 
 
 class TestAdditivity:

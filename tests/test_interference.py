@@ -478,6 +478,25 @@ class TestPairKernel:
         for _, *fast in _kernel_paths(run_forced, cfg, [(4 / d_tilde, 4 / d_tilde), (0.0, 0.0)]):
             assert fast == [peak, peak, peak]
 
+    @pytest.mark.parametrize("d_tilde", [2.5, 5.0, 10.3])
+    def test_out_receives_the_bits_of_a_fresh_result(self, d_tilde):
+        # a drop's workspace passed as out is returned, holding the powers a
+        # call without it gives, in self form and cross form, with grid users,
+        # coincident pairs below COINCIDENT_GAP and exactly coincident pairs
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
+        k = cfg.max_index
+        rng = np.random.default_rng(23)
+        sf = rng.uniform(-1.0, 1.0, (4, 9))
+        sf[:, 0] = rng.integers(1 - k, k, 4) / d_tilde
+        sf[:, 1] = sf[:, 0] + 0.3 * COINCIDENT_GAP / d_tilde
+        sf[1:, 3] = sf[1:, 2]
+        sf_k = np.concatenate([sf[:, :3], rng.uniform(-1.0, 1.0, (4, 2))], axis=1)
+        for args in ((sf,), (sf, sf_k), (sf[0],), (sf[0], sf_k[0])):
+            fresh = _pair_powers(cfg, *args)
+            out = np.full(fresh.shape, np.nan)
+            assert _pair_powers(cfg, *args, out=out) is out
+            assert out.tobytes() == fresh.tobytes()
+
 
 class TestSweepPattern:
     def _series(self, d_tilde=20.0, lo=-0.5, hi=0.5, n=2001, phi_l=0.0):
