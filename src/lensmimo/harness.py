@@ -15,8 +15,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import GRID_SNAP_TOL, LensArrayConfig
-from .interference import _pair_powers, _row_differences, _self_pairs
-from .stochastic import DEFAULT_SECTOR, SectorModel, _check_seed, _is_integer, _map_ranges, sample_doas
+from .interference import (
+    _coincident_rows,
+    _gram_powers,
+    _row_differences,
+    _self_pairs,
+    _terms_gram,
+    _user_terms,
+)
+from .stochastic import (
+    DEFAULT_SECTOR,
+    SectorModel,
+    _check_seed,
+    _check_threads,
+    _is_integer,
+    _map_ranges,
+    sample_doas,
+)
 
 CDF_POINTS = 256
 
@@ -27,6 +42,11 @@ CDF_POINTS = 256
 # against 0.101 s at 1 drop and 0.106 s at 10) and 430 at d_tilde 100, L 10
 # (0.0081 s, against 0.0093 s at 2150).
 CHUNK_BYTES = 1_600_000
+
+# Bytes of a drop's per-user vectors, 24 doubles a user: the DOAs, sines and
+# beam coordinates, the kernel's beam terms and their special-function
+# operands, the sorted gap search and the three output rows.
+USER_BYTES = 192
 
 
 @dataclass(frozen=True)
@@ -87,16 +107,21 @@ def _workspace(rows: int, user_count: int) -> tuple:
     return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
 
 
-def _trial_block(config: ScenarioConfig, phi: np.ndarray, exact, effective, counts, work) -> None:
+def _trial_block(
+    config: ScenarioConfig, phi: np.ndarray, exact, effective, counts, work, st, terms, coincident
+) -> None:
     """Exact totals, effective totals, and effective counts for one chunk,
     written into the (trials, L) rows exact, effective and counts.
 
-    phi has shape (trials, L), and work is a _workspace of at least as many
-    rows, whose leading rows the chunk overwrites. _pair_powers writes every
-    pairwise interference power of a drop into the first array, self-pairs
-    zeroed, and leaves its divisor, the beam-coordinate differences
-    t_l - t_k, in the second. The gate writes the two bool arrays. So a
-    chunk allocates nothing of size L x L.
+    phi has shape (trials, L), st holds its sines, terms the _user_terms
+    (t, v, u) of those sines and coincident the _coincident_rows of t, each
+    computed once for the chunk's whole range. work is a _workspace of at
+    least as many rows, whose leading rows the chunk overwrites.
+    _terms_gram writes every pairwise G of a drop into the first array,
+    self-pairs zeroed, which are squared into powers in place, and leaves
+    its divisor, the beam-coordinate differences t_l - t_k, in the second.
+    The gate writes the two bool arrays. So a chunk allocates nothing of
+    size L x L.
 
     The mainlobe gate is |Theta| <= 1 for Theta = d (s_l - s_k) as rounded,
     with d = d_tilde and s = sin(phi). It is read off the divisor: a pair
@@ -115,8 +140,7 @@ def _trial_block(config: ScenarioConfig, phi: np.ndarray, exact, effective, coun
     """
     arr = config.array
     power, gap, eff_mask, band = (w[: len(phi)] for w in work)
-    st = np.sin(phi)
-    _pair_powers(arr, st, scratch=gap, out=power)
+    _gram_powers(arr, _terms_gram(arr, terms, coincident=coincident, scratch=gap, out=power))
     margin = 2.0 * GRID_SNAP_TOL + (2.0 * arr.d_tilde + 16.0) * 2.0**-53
     np.abs(gap, out=gap)
     np.less_equal(gap, 1.0 - margin, out=eff_mask)
@@ -131,17 +155,16 @@ def _trial_block(config: ScenarioConfig, phi: np.ndarray, exact, effective, coun
     # The same summation with the gated-out powers zeroed keeps effective <= exact
     power *= eff_mask
     power.sum(axis=2, out=effective)
-    # The intp counts np.count_nonzero(eff_mask, axis=2) would allocate
-    eff_mask.sum(axis=2, dtype=np.intp, out=counts)
+    # Exact integer sums accumulated in the intp of counts, without the
+    # per-row overhead of a bool sum along the last axis
+    np.einsum("ijk->ij", eff_mask.view(np.uint8), out=counts, casting="safe")
 
 
 def _trial_bytes(user_count: int) -> int:
     """Bytes one drop of L users takes in a chunk: 18 a pair for the two float
-    and two bool L x L arrays of the workspace, and 192, 24 doubles, a user
-    for the DOAs, sines and beam coordinates, the kernel's beam terms and
-    their special-function operands, the sorted gap search and the three
-    output rows."""
-    return user_count * (18 * user_count + 192)
+    and two bool L x L arrays of the workspace, and USER_BYTES a user for
+    its per-user vectors."""
+    return user_count * (18 * user_count + USER_BYTES)
 
 
 def _trial_chunk(user_count: int) -> int:
@@ -149,29 +172,55 @@ def _trial_chunk(user_count: int) -> int:
     return max(1, CHUNK_BYTES // _trial_bytes(user_count))
 
 
+def _range_chunks(user_count: int, chunk: int, chunks: int, threads: int) -> int:
+    """How many chunks of chunk trials of L = user_count users make one
+    range, when the run has chunks chunks: as many as keep the range's
+    per-user vectors within CHUNK_BYTES, but no more than give a run of at
+    least 4 * threads chunks 4 * threads ranges to share. At least one."""
+    fit = CHUNK_BYTES // (USER_BYTES * user_count * chunk)
+    return max(1, min(fit, chunks // (4 * threads)))
+
+
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     """Run the drop ensemble and aggregate exact and effective statistics.
 
     Trial t uses DOA stream draws [t*L, (t+1)*L), so any chunking of the
     trial range reproduces the serial ensemble, and run_scenario(result.config)
-    reproduces a result bit for bit. Each thread that takes a chunk
-    allocates one _workspace on its first and reuses it for the rest, so a
-    call holds at most one per thread.
+    reproduces a result bit for bit.
+
+    The trials split into ranges of whole chunks, laid out by _range_chunks,
+    which the threads share. A range draws its DOAs and takes their sines,
+    their _user_terms and the _coincident_rows of its drops once, for all
+    of its drops; every step is elementwise or per drop, so the layout moves
+    no bit. It then runs _trial_block on each of its chunks of
+    _trial_chunk trials, whose L x L pairs stay in a core's cache. Each
+    thread that takes a range allocates one _workspace on its first and
+    reuses it for every later chunk, so a call holds at most one per
+    thread.
     """
+    _check_threads(threads)
     T, L = config.trial_count, config.user_count
     exact = np.empty((T, L))
     effective = np.empty((T, L))
     counts = np.empty((T, L), dtype=np.intp)
     chunk = _trial_chunk(L)
+    span = chunk * _range_chunks(L, chunk, -(-T // chunk), threads)
     local = threading.local()
 
-    def block(a, b):
+    def run_range(a, b):
         if not hasattr(local, "work"):
             local.work = _workspace(min(chunk, T), L)
-        phi = sample_doas(config.seed, (b - a) * L, offset=a * L, sector=config.sector)
-        _trial_block(config, phi.reshape(b - a, L), exact[a:b], effective[a:b], counts[a:b], local.work)
+        phi = sample_doas(config.seed, (b - a) * L, offset=a * L, sector=config.sector).reshape(b - a, L)
+        st = np.sin(phi)
+        terms = _user_terms(config.array, st)
+        coincident = _coincident_rows(terms[0])
+        for c in range(0, b - a, chunk):
+            rows = slice(c, c + chunk)
+            out = slice(a + c, min(a + c + chunk, b))
+            _trial_block(config, phi[rows], exact[out], effective[out], counts[out], local.work,
+                         st[rows], tuple(x[rows] for x in terms), coincident[rows])
 
-    _map_ranges(block, T, chunk, threads)
+    _map_ranges(run_range, T, span, threads)
 
     # One buffer holds each of the two sorted totals in turn
     ordered = np.empty(T * L)

@@ -177,67 +177,103 @@ def _row_differences(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _user_terms(config: LensArrayConfig, sf) -> tuple:
+    """(t, v, u) of the users of sf, an array of shape (..., L): the
+    validated, snapped beam coordinates of _beam_coords and their kernel
+    terms of _beam_terms, each of sf's shape. The array twin of
+    _user_float; every entry depends only on its own user."""
+    t = np.asarray(_beam_coords(config, sf))
+    v, u = _beam_terms(t, config.max_index)
+    return t, v, u
+
+
+def _coincident_rows(t: np.ndarray) -> np.ndarray:
+    """Which rows of the (rows, L) coordinates t hold two users closer than
+    COINCIDENT_GAP, by one sort of each row and its gaps."""
+    gaps = np.diff(np.sort(t, axis=1), axis=1)
+    return (gaps < COINCIDENT_GAP).any(axis=1)
+
+
 def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None, out=None) -> np.ndarray:
     """Signed G between every user of sf_l and every user of sf_k.
 
     sf_l and sf_k have shapes (..., L) and (..., N) with the same leading
     shape, and the result has shape (..., L, N). Without sf_k the pairs are
     those of sf_l with itself, and the self-pairs, which the drop ensembles
-    exclude, read 0. The divisor a - b is written into scratch, a float
-    array of shape (rows, L, N) with rows the size of the leading shape,
-    when one is given. Afterwards scratch holds the beam-coordinate
-    differences t_l - t_k of the snapped coordinates, except at the
-    self-pairs and at the coincident pairs, |t_l - t_k| < COINCIDENT_GAP,
-    where it holds 0. Given out, a C-contiguous float array of the result's
-    shape, the result is written into it and out is returned, with the
-    bits of the call without it.
+    exclude, read 0. scratch and out are those of _terms_gram.
+
+    The two halves are _user_terms, once for each side, which calls the
+    special functions O(L + N) times per row whatever M, and _terms_gram,
+    which callers that keep the per-user terms of many rows call alone.
+    """
+    terms_l = _user_terms(config, sf_l)
+    terms_k = None if sf_k is None else _user_terms(config, sf_k)
+    return _terms_gram(config, terms_l, terms_k, scratch=scratch, out=out)
+
+
+def _terms_gram(config: LensArrayConfig, terms_l, terms_k=None, coincident=None, scratch=None, out=None):
+    """Signed G between the users of the _user_terms terms_l and terms_k.
+
+    Each is a (t, v, u) of arrays of shapes (..., L) and (..., N) with the
+    same leading shape, and the result has shape (..., L, N). Without
+    terms_k the pairs are those of terms_l with itself, and the self-pairs
+    read 0. The divisor a - b is written into scratch, a float array of
+    shape (rows, L, N) with rows the size of the leading shape, when one is
+    given. Afterwards scratch holds the beam-coordinate differences
+    t_l - t_k of the snapped coordinates, except at the self-pairs and at
+    the coincident pairs, |t_l - t_k| < COINCIDENT_GAP, where it holds 0.
+    Given out, a C-contiguous float array of the result's shape, the result
+    is written into it and out is returned, with the bits of the call
+    without it.
 
     The numerators u_l v_k - v_l u_k are one rank-2 matrix product per
-    row, so the special functions are called O(L + N) times per row,
-    whatever M and wherever the users lie.
-    Coincident pairs are rare: only rows whose sorted coordinates have a
-    gap below COINCIDENT_GAP are searched for them.
+    row, whatever M and wherever the users lie.
+    Coincident pairs are rare: only rows that hold two users closer than
+    COINCIDENT_GAP are searched for them. For pairs of one set, coincident
+    may give those rows as _coincident_rows of its (rows, L) coordinates;
+    otherwise they are found here.
     """
-    t_l = np.asarray(_beam_coords(config, sf_l))
-    t_k = t_l if sf_k is None else np.asarray(_beam_coords(config, sf_k))
+    t_l, v_l, u_l = terms_l
+    t_k, v_k, u_k = terms_l if terms_k is None else terms_k
     shape = t_l.shape + t_k.shape[-1:]
-    t_l = t_l.reshape(-1, t_l.shape[-1])
-    t_k = t_k.reshape(-1, t_k.shape[-1])
-    k = config.max_index
-    v_l, u_l = _beam_terms(t_l, k)
-    v_k, u_k = (v_l, u_l) if sf_k is None else _beam_terms(t_k, k)
+    t_l, v_l, u_l = (x.reshape(-1, shape[-2]) for x in (t_l, v_l, u_l))
+    t_k, v_k, u_k = (x.reshape(-1, shape[-1]) for x in (t_k, v_k, u_k))
     gram = None if out is None else out.reshape(-1, *out.shape[-2:])
     g = np.matmul(np.stack((u_l, -v_l), 2), np.stack((v_k, u_k), 1), out=gram)
     diff = _row_differences(t_l, t_k, scratch)
-    if sf_k is None:
-        pool = t_l
+    if terms_k is None:
         # Self-pairs are zeroed below, so any divisor serves there.
         _self_pairs(diff)[...] = 1.0
+        if coincident is None:
+            coincident = _coincident_rows(t_l)
     else:
-        pool = np.concatenate((t_l, t_k), axis=1)
-    gaps = np.diff(np.sort(pool, axis=1), axis=1)
-    rows = np.nonzero((gaps < COINCIDENT_GAP).any(axis=1))[0]
+        coincident = _coincident_rows(np.concatenate((t_l, t_k), axis=1))
+    rows = np.nonzero(coincident)[0]
     if rows.size:
         r, i, j = np.nonzero(np.abs(diff[rows]) < COINCIDENT_GAP)
         r = rows[r]
         diff[r, i, j] = 1.0
         g /= diff
         diff[r, i, j] = 0.0
-        g[r, i, j] = _coincident_gram(t_l[r, i], t_k[r, j], v_l[r, i], v_k[r, j], k)
+        g[r, i, j] = _coincident_gram(t_l[r, i], t_k[r, j], v_l[r, i], v_k[r, j], config.max_index)
     else:
         g /= diff
-    if sf_k is None:
+    if terms_k is None:
         _self_pairs(g)[...] = 0.0
         _self_pairs(diff)[...] = 0.0
     return g.reshape(shape) if out is None else out
 
 
-def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None, scratch=None, out=None) -> np.ndarray:
-    """Interference (A^2/M) G^2 between the users of sf_l and sf_k, as _pair_gram."""
-    g = _pair_gram(config, sf_l, sf_k, scratch, out)
+def _gram_powers(config: LensArrayConfig, g: np.ndarray) -> np.ndarray:
+    """Interference (A^2/M) G^2 of the signed G g, in place."""
     np.square(g, out=g)
     g *= config.peak_power
     return g
+
+
+def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None, scratch=None, out=None) -> np.ndarray:
+    """Interference (A^2/M) G^2 between the users of sf_l and sf_k, as _pair_gram."""
+    return _gram_powers(config, _pair_gram(config, sf_l, sf_k, scratch, out))
 
 
 def _user_float(config: LensArrayConfig, sf: float) -> tuple:

@@ -103,8 +103,7 @@ def _map_ranges(fn, count: int, chunk: int, threads: int) -> list:
     pure function of its range gets the same results whatever the thread
     count.
     """
-    if not (_is_integer(threads) and threads >= 1):
-        raise ValueError(f"threads must be an integer of at least 1, got {threads}")
+    _check_threads(threads)
     ranges = [(a, min(a + chunk, count)) for a in range(0, count, chunk)]
     helpers = min(threads, len(ranges)) - 1
     if helpers == 0:
@@ -137,6 +136,11 @@ def _map_ranges(fn, count: int, chunk: int, threads: int) -> list:
 def _is_integer(value) -> bool:
     # Bools and floats pass range checks, and Philox truncates a float seed
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_threads(threads: int) -> None:
+    if not (_is_integer(threads) and threads >= 1):
+        raise ValueError(f"threads must be an integer of at least 1, got {threads}")
 
 
 def _check_seed(seed: int) -> None:

@@ -23,6 +23,7 @@ from lensmimo import (
     ScenarioConfig,
     effective_prob_closed,
     effective_prob_quadrature,
+    harness,
     run_scenario,
     selfcheck,
     sweep_pattern,
@@ -352,12 +353,24 @@ class TestSelfcheck:
         monkeypatch.setattr(selfcheck, path, lambda *a: fn(*a) * (1.0 + 1e-8))
         assert not selfcheck._check_closed_vs_direct().passed
 
-    def test_determinism_shapes_span_two_pieces(self):
+    def test_determinism_shapes_span_two_pieces(self, monkeypatch):
         def pieces(count, chunk):
             return len(_map_ranges(lambda a, b: None, count, chunk, 1))
 
+        # the ranges run_scenario hands its threads in the check itself
+        used = []
+        map_ranges = harness._map_ranges
+
+        def spied(fn, count, chunk, threads):
+            results = map_ranges(fn, count, chunk, threads)
+            used.append((threads, len(results)))
+            return results
+
+        monkeypatch.setattr(harness, "_map_ranges", spied)
+        assert selfcheck._check_determinism().passed
+        assert [threads for threads, _ in used] == [1, 3]
+        assert used[1][1] >= 2
         users = selfcheck.DETERMINISM_USERS
-        assert pieces(selfcheck.DETERMINISM_TRIALS, _trial_chunk(users)) >= 2
         # the smallest such drop: one user fewer puts both drops in one chunk
         assert pieces(selfcheck.DETERMINISM_TRIALS, _trial_chunk(users - 1)) == 1
         assert pieces(selfcheck.DETERMINISM_MC_SAMPLES, MC_RANGE_PAIRS) >= 2

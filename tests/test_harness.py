@@ -17,9 +17,9 @@ from lensmimo import (
     run_scenario,
     sample_doas,
 )
-from lensmimo import harness
-from lensmimo.array_model import GRID_SNAP_TOL
-from lensmimo.harness import CHUNK_BYTES, _trial_bytes, _trial_chunk, _workspace
+from lensmimo import harness, interference
+from lensmimo.array_model import GRID_SNAP_TOL, _beam_coords
+from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _range_chunks, _trial_bytes, _trial_chunk, _workspace
 from lensmimo.interference import _pair_powers
 from lensmimo.selfcheck import DETERMINISM_USERS
 from lensmimo.stochastic import SectorModel
@@ -115,9 +115,13 @@ class TestDeterminism:
 
     def test_chunk_size_invariant(self, monkeypatch, run_forced):
         # trial t is a pure function of its stream range, whether the stream
-        # is seeded or forced, so neither the chunk size nor the thread count
-        # changes an output bit
+        # is seeded or forced, so neither the chunk size, nor the chunks a
+        # range holds, nor the thread count changes an output bit. The
+        # reference runs one chunk a range; (7, 3) gives ranges of 21 trials
+        # whose last holds a chunk of 7 and a ragged one of 1, and (3, 5)
+        # ends on a range of 5 trials, a chunk of 3 and one of 2.
         assert _trial_chunk(100) < 50
+        layouts = [(1, 1), (7, 1), (49, 1), (1, 8), (7, 3), (3, 5), (49, 2)]
         rng = np.random.default_rng(8)
         for users in (100, 1, 2):
             cfg = _cfg(d_tilde=5.0, users=users, trials=50)
@@ -129,11 +133,14 @@ class TestDeterminism:
                 def run(threads=1):
                     return run_scenario(cfg, threads) if doas is None else run_forced(cfg, doas, threads)
 
-                ref = run()
-                runs = [ref]
-                for chunk in (1, 7, 49):
+                with monkeypatch.context() as m:
+                    m.setattr(harness, "_range_chunks", lambda *args: 1)
+                    ref = run()
+                runs = []
+                for chunk, per_range in layouts:
                     with monkeypatch.context() as m:
                         m.setattr(harness, "_trial_chunk", lambda user_count, c=chunk: c)
+                        m.setattr(harness, "_range_chunks", lambda *args, r=per_range: r)
                         runs += [run(threads) for threads in (1, 2, 3)]
                 for res in runs:
                     for field, dtype in (("exact_totals", np.float64), ("effective_totals", np.float64),
@@ -219,6 +226,60 @@ class TestChunking:
         assert sorted(starts) == [0, chunk, 2 * chunk]
         monkeypatch.undo()
         assert np.array_equal(res.exact_totals, run_scenario(cfg).exact_totals)
+
+    def test_each_range_draws_its_doas_once(self, monkeypatch):
+        # the bench's many-users shape runs 100 chunks of 2 drops, and
+        # draws, expands and searches its users once per range of chunks
+        cfg = _cfg(d_tilde=5.0, users=200, trials=200, seed=4242)
+        assert _trial_chunk(200) == 2
+        calls = []
+        sample = harness.sample_doas
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["offset"])
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_doas", counted)
+        res = run_scenario(cfg, threads=1)
+        assert 1 < len(calls) <= 5
+        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_range_chunks", lambda *args: 1)
+            ref = run_scenario(cfg)
+        for field in ("exact_totals", "effective_totals", "effective_counts"):
+            assert np.array_equal(getattr(res, field), getattr(ref, field)), field
+
+    @pytest.mark.parametrize("users, trials, threads",
+                             [(200, 200, 1), (200, 45, 2), (10, 2000, 3), (206, 3, 2)])
+    def test_beam_terms_see_each_user_once(self, monkeypatch, users, trials, threads):
+        cfg = _cfg(d_tilde=5.0, users=users, trials=trials, seed=6)
+        seen = []
+        terms = interference._beam_terms
+
+        def recorded(t, max_index):
+            seen.append(np.array(t).ravel())
+            return terms(t, max_index)
+
+        monkeypatch.setattr(interference, "_beam_terms", recorded)
+        run_scenario(cfg, threads=threads)
+        doas = sample_doas(cfg.seed, trials * users)
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.sort(_beam_coords(cfg.array, np.sin(doas))))
+
+    def test_range_rule(self):
+        # a range's per-user vectors fit CHUNK_BYTES, and a run of enough
+        # chunks gives every thread at least 4 ranges
+        for users in (1, 10, 200, 206, 1000):
+            chunk = _trial_chunk(users)
+            for chunks in (1, 2, 7, 100, 10**6):
+                for threads in (1, 2, 3, 16):
+                    per_range = _range_chunks(users, chunk, chunks, threads)
+                    assert per_range >= 1
+                    ranges = -(-chunks // per_range)
+                    assert per_range * chunk * users * USER_BYTES <= CHUNK_BYTES
+                    if chunks >= 4 * threads:
+                        assert ranges >= 4 * threads
+        assert _range_chunks(200, 2, 100, 1) == 20
+        assert _range_chunks(10, 430, 4, 1) == 1
 
 
 class TestWorkspace:
@@ -508,6 +569,18 @@ class TestDivisorGate:
                 for base in (0.0, 3.0):
                     doas = np.arcsin(np.array([[base, base + beam]]) / d_tilde)
                     assert_gate_matches_sines(run_forced, _cfg(d_tilde=d_tilde, users=2, trials=1), doas)
+
+    @pytest.mark.parametrize("users", [300, 700])
+    def test_counts_beyond_a_byte(self, run_forced, users):
+        # every user of a drop lies within one mainlobe, so each counts the
+        # L - 1 others, more than a uint8 holds
+        cfg = _cfg(d_tilde=5.0, users=users, trials=2)
+        beams = np.stack((np.linspace(-0.45, 0.45, users), np.linspace(2.05, 2.95, users)))
+        doas = np.arcsin(beams / 5.0)
+        res = run_forced(cfg, doas)
+        assert res.effective_counts.dtype == np.intp
+        assert np.all(res.effective_counts == users - 1)
+        assert np.array_equal(res.effective_counts, sine_gate(cfg, doas)[0])
 
     @pytest.mark.parametrize("d_tilde", [2.5, 5.0, 10.3, 100.0, 1e6])
     def test_random_drops(self, d_tilde):
