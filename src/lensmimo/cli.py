@@ -293,6 +293,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError as exc:
+        # NumPy's message names the allocation that failed
+        print(f"domain error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,7 +35,7 @@ from .stochastic import (
 
 CDF_POINTS = 256
 
-# Bytes of one chunk's working set, _trial_bytes per drop, sized to stay in a
+# Bytes of one chunk's working set, as _layout counts it, sized to stay in a
 # core's 2 MiB L2 cache. A sweep of the bench's two ensemble workloads (job
 # p50 of 3 runs each, 2-core Xeon) over budgets of 0.76, 1.6, 2.3, 3.1, 4 and
 # 8 MB was fastest at 1.6 MB: 2 drops a chunk at d_tilde 5, L 200 (0.089 s,
@@ -43,9 +43,9 @@ CDF_POINTS = 256
 # (0.0081 s, against 0.0093 s at 2150).
 CHUNK_BYTES = 1_600_000
 
-# Bytes of a drop's per-user vectors, 24 doubles a user: the DOAs, sines and
-# beam coordinates, the kernel's beam terms and their special-function
-# operands, the sorted gap search and the three output rows.
+# Bytes budgeted for a drop's per-user vectors, 24 doubles a user: the DOAs
+# and then their sines, the beam coordinates, the kernel's beam terms and their
+# special-function operands, the sorted gap search and the three output rows.
 USER_BYTES = 192
 
 
@@ -107,21 +107,18 @@ def _workspace(rows: int, user_count: int) -> tuple:
     return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
 
 
-def _trial_block(
-    config: ScenarioConfig, phi: np.ndarray, exact, effective, counts, work, st, terms, coincident
-) -> None:
+def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, terms, coincident) -> None:
     """Exact totals, effective totals, and effective counts for one chunk,
-    written into the (trials, L) rows exact, effective and counts.
+    written into the (rows, L) rows exact, effective and counts.
 
-    phi has shape (trials, L), st holds its sines, terms the _user_terms
-    (t, v, u) of those sines and coincident the _coincident_rows of t, each
-    computed once for the chunk's whole range. work is a _workspace of at
-    least as many rows, whose leading rows the chunk overwrites.
-    _terms_gram writes every pairwise G of a drop into the first array,
-    self-pairs zeroed, which are squared into powers in place, and leaves
-    its divisor, the beam-coordinate differences t_l - t_k, in the second.
-    The gate writes the two bool arrays. So a chunk allocates nothing of
-    size L x L.
+    st holds the chunk's (rows, L) sines, terms the _user_terms (t, v, u)
+    of those sines and coincident the _coincident_rows of t, each computed
+    once for the chunk's whole range. work is a _workspace of at least rows
+    rows, whose leading rows the chunk overwrites. _terms_gram writes every
+    pairwise G of a drop into the first array, self-pairs zeroed, which are
+    squared into powers in place, and leaves its divisor, the
+    beam-coordinate differences t_l - t_k, in the second. The gate writes
+    the two bool arrays. So a chunk allocates nothing of size L x L.
 
     The mainlobe gate is |Theta| <= 1 for Theta = d (s_l - s_k) as rounded,
     with d = d_tilde and s = sin(phi). It is read off the divisor: a pair
@@ -139,7 +136,7 @@ def _trial_block(
     for every pair instead.
     """
     arr = config.array
-    power, gap, eff_mask, band = (w[: len(phi)] for w in work)
+    power, gap, eff_mask, band = (w[: len(st)] for w in work)
     _gram_powers(arr, _terms_gram(arr, terms, coincident=coincident, scratch=gap, out=power))
     margin = 2.0 * GRID_SNAP_TOL + (2.0 * arr.d_tilde + 16.0) * 2.0**-53
     np.abs(gap, out=gap)
@@ -160,25 +157,19 @@ def _trial_block(
     np.einsum("ijk->ij", eff_mask.view(np.uint8), out=counts, casting="safe")
 
 
-def _trial_bytes(user_count: int) -> int:
-    """Bytes one drop of L users takes in a chunk: 18 a pair for the two float
-    and two bool L x L arrays of the workspace, and USER_BYTES a user for
-    its per-user vectors."""
-    return user_count * (18 * user_count + USER_BYTES)
+def _layout(trials: int, users: int, threads: int) -> tuple:
+    """(chunk, span), the drops a chunk and a range of an ensemble hold.
 
-
-def _trial_chunk(user_count: int) -> int:
-    # Trials per chunk within CHUNK_BYTES; a drop larger than that runs alone.
-    return max(1, CHUNK_BYTES // _trial_bytes(user_count))
-
-
-def _range_chunks(user_count: int, chunk: int, chunks: int, threads: int) -> int:
-    """How many chunks of chunk trials of L = user_count users make one
-    range, when the run has chunks chunks: as many as keep the range's
-    per-user vectors within CHUNK_BYTES, but no more than give a run of at
-    least 4 * threads chunks 4 * threads ranges to share. At least one."""
-    fit = CHUNK_BYTES // (USER_BYTES * user_count * chunk)
-    return max(1, min(fit, chunks // (4 * threads)))
+    A chunk holds as many drops as fit CHUNK_BYTES, L (18 L + USER_BYTES)
+    bytes each: 18 a pair for the two float and two bool L x L arrays of the
+    _workspace and USER_BYTES a user for its per-user vectors; at least one
+    and at most trials. A range holds as many whole chunks as keep its
+    per-user vectors within CHUNK_BYTES, but no more than give 4 * threads
+    ranges once there are that many chunks; at least one.
+    """
+    chunk = min(trials, max(1, CHUNK_BYTES // (users * (18 * users + USER_BYTES))))
+    fit = CHUNK_BYTES // (USER_BYTES * users * chunk)
+    return chunk, chunk * max(1, min(fit, -(-trials // chunk) // (4 * threads)))
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
@@ -188,37 +179,35 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     trial range reproduces the serial ensemble, and run_scenario(result.config)
     reproduces a result bit for bit.
 
-    The trials split into ranges of whole chunks, laid out by _range_chunks,
+    The trials split into ranges of whole chunks, both sized by _layout,
     which the threads share. A range draws its DOAs and takes their sines,
     their _user_terms and the _coincident_rows of its drops once, for all
     of its drops; every step is elementwise or per drop, so the layout moves
-    no bit. It then runs _trial_block on each of its chunks of
-    _trial_chunk trials, whose L x L pairs stay in a core's cache. Each
-    thread that takes a range allocates one _workspace on its first and
-    reuses it for every later chunk, so a call holds at most one per
-    thread.
+    no bit. It then runs _trial_block on each of its chunks, whose L x L
+    pairs stay in a core's cache. Each thread that takes a range allocates
+    one _workspace of a chunk's rows on its first and reuses it for every
+    later chunk, so a call holds at most one per thread.
     """
     _check_threads(threads)
     T, L = config.trial_count, config.user_count
     exact = np.empty((T, L))
     effective = np.empty((T, L))
     counts = np.empty((T, L), dtype=np.intp)
-    chunk = _trial_chunk(L)
-    span = chunk * _range_chunks(L, chunk, -(-T // chunk), threads)
+    chunk, span = _layout(T, L, threads)
     local = threading.local()
 
     def run_range(a, b):
         if not hasattr(local, "work"):
-            local.work = _workspace(min(chunk, T), L)
+            local.work = _workspace(chunk, L)
         phi = sample_doas(config.seed, (b - a) * L, offset=a * L, sector=config.sector).reshape(b - a, L)
-        st = np.sin(phi)
+        st = np.sin(phi, out=phi)
         terms = _user_terms(config.array, st)
         coincident = _coincident_rows(terms[0])
         for c in range(0, b - a, chunk):
             rows = slice(c, c + chunk)
             out = slice(a + c, min(a + c + chunk, b))
-            _trial_block(config, phi[rows], exact[out], effective[out], counts[out], local.work,
-                         st[rows], tuple(x[rows] for x in terms), coincident[rows])
+            _trial_block(config, st[rows], exact[out], effective[out], counts[out], local.work,
+                         tuple(x[rows] for x in terms), coincident[rows])
 
     _map_ranges(run_range, T, span, threads)
 

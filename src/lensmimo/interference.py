@@ -194,13 +194,13 @@ def _coincident_rows(t: np.ndarray) -> np.ndarray:
     return (gaps < COINCIDENT_GAP).any(axis=1)
 
 
-def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None, out=None) -> np.ndarray:
+def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
     """Signed G between every user of sf_l and every user of sf_k.
 
     sf_l and sf_k have shapes (..., L) and (..., N) with the same leading
     shape, and the result has shape (..., L, N). Without sf_k the pairs are
     those of sf_l with itself, and the self-pairs, which the drop ensembles
-    exclude, read 0. scratch and out are those of _terms_gram.
+    exclude, read 0.
 
     The two halves are _user_terms, once for each side, which calls the
     special functions O(L + N) times per row whatever M, and _terms_gram,
@@ -208,7 +208,7 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None, scratch=None, out=None)
     """
     terms_l = _user_terms(config, sf_l)
     terms_k = None if sf_k is None else _user_terms(config, sf_k)
-    return _terms_gram(config, terms_l, terms_k, scratch=scratch, out=out)
+    return _terms_gram(config, terms_l, terms_k)
 
 
 def _terms_gram(config: LensArrayConfig, terms_l, terms_k=None, coincident=None, scratch=None, out=None):
@@ -271,9 +271,9 @@ def _gram_powers(config: LensArrayConfig, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None, scratch=None, out=None) -> np.ndarray:
+def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
     """Interference (A^2/M) G^2 between the users of sf_l and sf_k, as _pair_gram."""
-    return _gram_powers(config, _pair_gram(config, sf_l, sf_k, scratch, out))
+    return _gram_powers(config, _pair_gram(config, sf_l, sf_k))
 
 
 def _user_float(config: LensArrayConfig, sf: float) -> tuple:

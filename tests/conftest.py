@@ -13,7 +13,8 @@ def run_forced():
 
     The harness's sample_doas is patched for the run only, so it serves the
     forced drops by (offset, count) as it serves stream draws, at any chunk
-    size and thread count.
+    size and thread count. Each call returns a fresh array, as sample_doas
+    does, because a range takes its sines in place.
     """
 
     def run(config, doas, threads=1):
@@ -21,7 +22,7 @@ def run_forced():
         assert flat.size == config.trial_count * config.user_count
 
         def served(seed, count, offset=0, sector=None):
-            return flat[offset:offset + count]
+            return flat[offset:offset + count].copy()
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(harness, "sample_doas", served)

@@ -21,6 +21,7 @@ import lensmimo
 from lensmimo import (
     LensArrayConfig,
     ScenarioConfig,
+    cli,
     effective_prob_closed,
     effective_prob_quadrature,
     harness,
@@ -30,7 +31,7 @@ from lensmimo import (
     theta_pdf,
 )
 from lensmimo.cli import _emit, _parser, main
-from lensmimo.harness import _trial_chunk
+from lensmimo.harness import _layout
 from lensmimo.stochastic import MC_RANGE_PAIRS, _map_ranges
 
 TRUE_P10 = 0.1122673842
@@ -229,6 +230,20 @@ class TestFailedCommandsWriteNothing:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_ensemble_too_large_for_memory_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        # the run raises as NumPy does on an allocation it cannot make, and
+        # allocates nothing itself
+        message = "Unable to allocate 74.5 GiB for an array with shape (1, 100000, 100000) and data type float64"
+
+        def too_large(config, threads=1):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_scenario", too_large)
+        argv = ("scenario", "--d-tilde", 5, "--users", 100_000, "--trials", 1, "--seed", 1)
+        assert run_cli(*argv, "--out", tmp_path / "sub" / "x.json") == 3
+        assert capsys.readouterr().err.splitlines() == [f"domain error: out of memory: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_density_manifest_is_formatted_before_the_csv(self, tmp_path):
         # A grid_integral the manifest cannot hold used to fail after the CSV
         # was written, and left it behind
@@ -354,9 +369,6 @@ class TestSelfcheck:
         assert not selfcheck._check_closed_vs_direct().passed
 
     def test_determinism_shapes_span_two_pieces(self, monkeypatch):
-        def pieces(count, chunk):
-            return len(_map_ranges(lambda a, b: None, count, chunk, 1))
-
         # the ranges run_scenario hands its threads in the check itself
         used = []
         map_ranges = harness._map_ranges
@@ -370,10 +382,11 @@ class TestSelfcheck:
         assert selfcheck._check_determinism().passed
         assert [threads for threads, _ in used] == [1, 3]
         assert used[1][1] >= 2
-        users = selfcheck.DETERMINISM_USERS
+        users, trials = selfcheck.DETERMINISM_USERS, selfcheck.DETERMINISM_TRIALS
         # the smallest such drop: one user fewer puts both drops in one chunk
-        assert pieces(selfcheck.DETERMINISM_TRIALS, _trial_chunk(users - 1)) == 1
-        assert pieces(selfcheck.DETERMINISM_MC_SAMPLES, MC_RANGE_PAIRS) >= 2
+        assert _layout(trials, users, 3) == (1, 1)
+        assert _layout(trials, users - 1, 3)[0] == trials
+        assert len(_map_ranges(lambda a, b: None, selfcheck.DETERMINISM_MC_SAMPLES, MC_RANGE_PAIRS, 1)) >= 2
 
 
 class TestIntegerFlags:

@@ -16,11 +16,12 @@ from lensmimo import (
     pairwise_interference_direct,
     run_scenario,
     sample_doas,
+    snap_to_grid,
 )
 from lensmimo import harness, interference
 from lensmimo.array_model import GRID_SNAP_TOL, _beam_coords
-from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _range_chunks, _trial_bytes, _trial_chunk, _workspace
-from lensmimo.interference import _pair_powers
+from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _layout, _workspace
+from lensmimo.interference import _pair_powers, _terms_gram, _user_terms
 from lensmimo.selfcheck import DETERMINISM_USERS
 from lensmimo.stochastic import SectorModel
 
@@ -105,7 +106,7 @@ class TestDeterminism:
     def test_thread_count_invariant(self):
         cfg = _cfg(trials=1000, users=100)
         # the pool only runs when the trials span several chunks
-        assert _trial_chunk(100) < 1000
+        assert _layout(1000, 100, 1)[0] < 1000
         serial = run_scenario(cfg, threads=1)
         for threads in (2, 3, 7):
             par = run_scenario(cfg, threads=threads)
@@ -120,7 +121,7 @@ class TestDeterminism:
         # reference runs one chunk a range; (7, 3) gives ranges of 21 trials
         # whose last holds a chunk of 7 and a ragged one of 1, and (3, 5)
         # ends on a range of 5 trials, a chunk of 3 and one of 2.
-        assert _trial_chunk(100) < 50
+        assert _layout(50, 100, 1)[0] < 50
         layouts = [(1, 1), (7, 1), (49, 1), (1, 8), (7, 3), (3, 5), (49, 2)]
         rng = np.random.default_rng(8)
         for users in (100, 1, 2):
@@ -134,14 +135,14 @@ class TestDeterminism:
                     return run_scenario(cfg, threads) if doas is None else run_forced(cfg, doas, threads)
 
                 with monkeypatch.context() as m:
-                    m.setattr(harness, "_range_chunks", lambda *args: 1)
+                    m.setattr(harness, "_layout", lambda *args, c=_layout(50, users, 1)[0]: (c, c))
                     ref = run()
                 runs = []
                 for chunk, per_range in layouts:
                     with monkeypatch.context() as m:
-                        m.setattr(harness, "_trial_chunk", lambda user_count, c=chunk: c)
-                        m.setattr(harness, "_range_chunks", lambda *args, r=per_range: r)
+                        m.setattr(harness, "_layout", lambda *args, c=chunk, r=per_range: (c, c * r))
                         runs += [run(threads) for threads in (1, 2, 3)]
+                assert_element_space_totals(cfg, ref, doas)
                 for res in runs:
                     for field, dtype in (("exact_totals", np.float64), ("effective_totals", np.float64),
                                          ("effective_counts", np.intp)):
@@ -157,9 +158,9 @@ class TestDeterminism:
                     assert res.mean_effective_count_se == ref.mean_effective_count_se
             # a caller's scratch holds the divisors, and 0 at the self-pairs
             scratch = np.full((50, users, users), np.nan)
-            power = _pair_powers(cfg.array, np.sin(forced), scratch=scratch)
+            gram = _terms_gram(cfg.array, _user_terms(cfg.array, np.sin(forced)), scratch=scratch)
             assert np.all(np.diagonal(scratch, axis1=1, axis2=2) == 0.0)
-            assert np.all(np.diagonal(power, axis1=1, axis2=2) == 0.0)
+            assert np.all(np.diagonal(gram, axis1=1, axis2=2) == 0.0)
             assert not np.isnan(scratch).any()
 
     def test_config_reproduces_the_result(self):
@@ -186,30 +187,57 @@ class TestDeterminism:
 
 
 class TestChunking:
-    def test_many_users_bound_every_pair_array(self):
+    # (trials, users, threads) -> (chunk, span) of _layout
+    LAYOUTS = [
+        # the bench's many-users shape: 5 ranges of 20 chunks of 2 drops, and
+        # more, smaller ranges for more threads
+        ((200, 200, 1), (2, 40)),
+        ((200, 200, 2), (2, 24)),
+        ((200, 200, 3), (2, 16)),
+        # the per-user vectors count too, so a wide array with few users
+        # still takes hundreds of drops a chunk, and a range of one chunk
+        ((1500, 10, 1), (430, 430)),
+        ((4 * 430, 10, 1), (430, 430)),
+        # one drop a chunk from L = 206, whose two drops overflow the budget,
+        # and at most T drops a chunk
+        ((2, 206, 3), (1, 1)),
+        ((2, 205, 3), (2, 2)),
+        ((1, 30, 1), (1, 1)),
+        ((9, 200, 1), (2, 2)),
+        ((5, 3000, 2), (1, 1)),
+    ]
+
+    def test_layout(self):
+        for args, expected in self.LAYOUTS:
+            assert _layout(*args) == expected, args
         # a chunk's whole working set stays within CHUNK_BYTES, and its L x L
         # part is the workspace itself: two float and two bool arrays
         assert CHUNK_BYTES == 1_600_000
-        for users in (1, 2, 10, 50, 100, 200, DETERMINISM_USERS - 1):
-            chunk, size = _trial_chunk(users), _trial_bytes(users)
-            assert chunk * size <= CHUNK_BYTES < (chunk + 1) * size
         assert sum(w.nbytes for w in _workspace(3, 200)) == 3 * 18 * 200 * 200
-        assert _trial_chunk(200) == 2
-        # a single drop too large for the budget still runs, one trial a chunk
-        for users in (DETERMINISM_USERS, 1000, 3000):
-            assert 2 * _trial_bytes(users) > CHUNK_BYTES
-            assert _trial_chunk(users) == 1
-
-    def test_small_drops_share_one_chunk(self):
-        # the per-user vectors count too, so a wide array with few users
-        # still takes hundreds of drops a chunk
-        assert _trial_chunk(10) == 430
+        for users in (1, 2, 10, 50, 100, 200, DETERMINISM_USERS - 1, DETERMINISM_USERS, 292, 293, 1000, 3000):
+            size = users * (18 * users + USER_BYTES)
+            # a single drop too large for the budget still runs, one trial a chunk
+            assert (2 * size > CHUNK_BYTES) == (users >= DETERMINISM_USERS)
+            assert (size > CHUNK_BYTES) == (users > 292)
+            for trials in (1, 2, 7, 100, 431, 10**6, 10**9):
+                for threads in (1, 2, 3, 16):
+                    chunk, span = _layout(trials, users, threads)
+                    assert 1 <= chunk <= trials
+                    assert chunk * size <= CHUNK_BYTES or chunk == 1
+                    assert chunk == trials or (chunk + 1) * size > CHUNK_BYTES
+                    # a range's per-user vectors fit CHUNK_BYTES, and a run of
+                    # enough chunks gives every thread at least 4 ranges
+                    assert span >= chunk and span % chunk == 0
+                    assert span * users * USER_BYTES <= CHUNK_BYTES
+                    chunks, ranges = -(-trials // chunk), -(-trials // span)
+                    if chunks >= 4 * threads:
+                        assert ranges >= 4 * threads
 
     def test_block_sees_each_chunk_of_doas_second(self, monkeypatch):
-        # A timing wrapper reads a chunk's size off args[1], the (trials, L)
-        # DOA array, as bench/tracing.py counts harness.chunks and
+        # A timing wrapper reads a chunk's size off args[1], the (rows, L)
+        # sines of its DOAs, as bench/tracing.py counts harness.chunks and
         # harness.chunk_bytes_max.
-        chunk = _trial_chunk(200)
+        chunk = _layout(200, 200, 1)[0]
         cfg = _cfg(d_tilde=5.0, users=200, trials=2 * chunk + 1, seed=4)
         seen = []
         block = harness._trial_block
@@ -220,9 +248,9 @@ class TestChunking:
 
         monkeypatch.setattr(harness, "_trial_block", wrapped)
         res = run_scenario(cfg, threads=2)
-        assert sorted(phi.shape for phi in seen) == [(1, 200), (chunk, 200), (chunk, 200)]
-        doas = sample_doas(cfg.seed, cfg.trial_count * 200).reshape(-1, 200)
-        starts = [a for phi in seen for a in (0, chunk, 2 * chunk) if np.array_equal(doas[a:a + len(phi)], phi)]
+        assert sorted(st.shape for st in seen) == [(1, 200), (chunk, 200), (chunk, 200)]
+        sines = np.sin(sample_doas(cfg.seed, cfg.trial_count * 200)).reshape(-1, 200)
+        starts = [a for st in seen for a in (0, chunk, 2 * chunk) if np.array_equal(sines[a:a + len(st)], st)]
         assert sorted(starts) == [0, chunk, 2 * chunk]
         monkeypatch.undo()
         assert np.array_equal(res.exact_totals, run_scenario(cfg).exact_totals)
@@ -231,7 +259,7 @@ class TestChunking:
         # the bench's many-users shape runs 100 chunks of 2 drops, and
         # draws, expands and searches its users once per range of chunks
         cfg = _cfg(d_tilde=5.0, users=200, trials=200, seed=4242)
-        assert _trial_chunk(200) == 2
+        assert _layout(200, 200, 1) == (2, 40)
         calls = []
         sample = harness.sample_doas
 
@@ -244,7 +272,7 @@ class TestChunking:
         assert 1 < len(calls) <= 5
         monkeypatch.undo()
         with monkeypatch.context() as m:
-            m.setattr(harness, "_range_chunks", lambda *args: 1)
+            m.setattr(harness, "_layout", lambda *args: (2, 2))
             ref = run_scenario(cfg)
         for field in ("exact_totals", "effective_totals", "effective_counts"):
             assert np.array_equal(getattr(res, field), getattr(ref, field)), field
@@ -265,33 +293,17 @@ class TestChunking:
         doas = sample_doas(cfg.seed, trials * users)
         assert np.array_equal(np.sort(np.concatenate(seen)), np.sort(_beam_coords(cfg.array, np.sin(doas))))
 
-    def test_range_rule(self):
-        # a range's per-user vectors fit CHUNK_BYTES, and a run of enough
-        # chunks gives every thread at least 4 ranges
-        for users in (1, 10, 200, 206, 1000):
-            chunk = _trial_chunk(users)
-            for chunks in (1, 2, 7, 100, 10**6):
-                for threads in (1, 2, 3, 16):
-                    per_range = _range_chunks(users, chunk, chunks, threads)
-                    assert per_range >= 1
-                    ranges = -(-chunks // per_range)
-                    assert per_range * chunk * users * USER_BYTES <= CHUNK_BYTES
-                    if chunks >= 4 * threads:
-                        assert ranges >= 4 * threads
-        assert _range_chunks(200, 2, 100, 1) == 20
-        assert _range_chunks(10, 430, 4, 1) == 1
-
 
 class TestWorkspace:
     @pytest.mark.parametrize("users, trials", [(200, 9), (10, 1700), (30, 1)])
     def test_each_thread_reuses_one_workspace(self, monkeypatch, users, trials):
-        # every chunk a thread takes writes the same four arrays, of
-        # min(chunk, T) rows, and a call holds at most one per thread
+        # every chunk a thread takes writes the same four arrays, of the
+        # layout's chunk rows, and a call holds at most one per thread
         cfg = _cfg(d_tilde=5.0, users=users, trials=trials, seed=4)
         ref = run_scenario(cfg)
-        chunk = _trial_chunk(users)
         block = harness._trial_block
         for threads in (1, 2, 3):
+            chunk = _layout(trials, users, threads)[0]
             seen = []
 
             def wrapped(*args):
@@ -304,7 +316,7 @@ class TestWorkspace:
             assert len(seen) == -(-trials // chunk)
             by_thread, workspaces = {}, []
             for ident, work in seen:
-                assert [w.shape for w in work] == [(min(chunk, trials), users, users)] * 4
+                assert [w.shape for w in work] == [(chunk, users, users)] * 4
                 first = by_thread.setdefault(ident, work)
                 assert all(np.shares_memory(a, b) for a, b in zip(first, work))
                 if not any(np.shares_memory(work[0], w[0]) for w in workspaces):
@@ -407,6 +419,50 @@ class TestEnsembleMean:
         per_trial = res.exact_totals.mean(axis=1)
         se = per_trial.std(ddof=1) / math.sqrt(trials)
         assert abs(per_trial.mean() - (users - 1) * mean_pair_power(d_tilde)) <= 3.0 * se
+
+
+def element_space_totals(config, doas, block=100):
+    """Every drop's exact totals (A^2/M) (p_l^T W p_l - (p_l^T p_l)^2), with
+    p the M-element sinc profiles of the snapped beam coordinates and
+    W = P^T P a drop's profile sum: no pair loop and no kernel. The drops
+    run block at a time, which bounds the (block, M, M) sums."""
+    arr = config.array
+    m = np.arange(-arr.max_index, arr.max_index + 1)
+    totals = []
+    for rows in np.array_split(doas, -(-len(doas) // block)):
+        p = np.sinc(m - snap_to_grid(arr.d_tilde * np.sin(rows))[..., None])
+        w = np.swapaxes(p, 1, 2) @ p
+        totals.append(((p @ w) * p).sum(-1) - np.square((p * p).sum(-1)))
+    return arr.peak_power * np.concatenate(totals)
+
+
+def assert_element_space_totals(config, result, doas=None):
+    """The exact totals of result within 1e-11 (A^2/M) (1 + total / (A^2/M))
+    of element_space_totals, on the config's stream or the forced doas."""
+    if doas is None:
+        doas = sample_doas(config.seed, config.trial_count * config.user_count, sector=config.sector)
+    doas = np.reshape(doas, (config.trial_count, config.user_count))
+    expected = element_space_totals(config, doas)
+    err = np.abs(result.exact_totals - expected) / (config.array.peak_power + np.abs(expected))
+    assert err.max() <= 1e-11, err.max()
+
+
+class TestElementSpaceOracle:
+    """Every drop's exact totals against the element-space identity, built
+    from np.sinc and snap_to_grid, not the kernel. Subtracting the self
+    term limits the identity's accuracy, so the bound scales with the
+    total; the worst error seen was 8.7e-13 of it, at d_tilde 10, L 200."""
+
+    @pytest.mark.parametrize("d_tilde, users, trials, seed, a_z", [
+        pytest.param(5.0, 200, 200, 4242, 1.0, id="many-users"),
+        pytest.param(100.0, 10, 1500, 4242, 1.0, id="wide-array"),
+        pytest.param(10.0, 200, 200, 4242, 1.0, id="d10"),
+        pytest.param(2.5, 300, 20, 4242, 2.0, id="beyond-span"),
+        pytest.param(5.0, 200, 200, 777, 3.0, id="many-users-777"),
+    ])
+    def test_exact_totals(self, d_tilde, users, trials, seed, a_z):
+        cfg = _cfg(d_tilde=d_tilde, users=users, trials=trials, seed=seed, a_z=a_z)
+        assert_element_space_totals(cfg, run_scenario(cfg, threads=2))
 
 
 class TestEffectiveCount:

@@ -29,7 +29,9 @@ from lensmimo.interference import (
     _pair_gram,
     _pair_powers,
     _row_differences,
+    _terms_gram,
     _user_float,
+    _user_terms,
 )
 from scipy.special import digamma
 
@@ -480,9 +482,10 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("d_tilde", [2.5, 5.0, 10.3])
     def test_out_receives_the_bits_of_a_fresh_result(self, d_tilde):
-        # a drop's workspace passed as out is returned, holding the powers a
-        # call without it gives, in self form and cross form, with grid users,
-        # coincident pairs below COINCIDENT_GAP and exactly coincident pairs
+        # a drop's workspace passed to _terms_gram as out is returned, holding
+        # the G a call without it gives, and as scratch holds the divisors, in
+        # self form and cross form, with grid users, coincident pairs below
+        # COINCIDENT_GAP and exactly coincident pairs
         cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
         k = cfg.max_index
         rng = np.random.default_rng(23)
@@ -492,10 +495,20 @@ class TestPairKernel:
         sf[1:, 3] = sf[1:, 2]
         sf_k = np.concatenate([sf[:, :3], rng.uniform(-1.0, 1.0, (4, 2))], axis=1)
         for args in ((sf,), (sf, sf_k), (sf[0],), (sf[0], sf_k[0])):
-            fresh = _pair_powers(cfg, *args)
+            terms = [_user_terms(cfg, x) for x in args]
+            fresh = _terms_gram(cfg, *terms)
+            assert fresh.tobytes() == _pair_gram(cfg, *args).tobytes()
             out = np.full(fresh.shape, np.nan)
-            assert _pair_powers(cfg, *args, out=out) is out
+            scratch = np.full(fresh.shape, np.nan).reshape(-1, *fresh.shape[-2:])
+            assert _terms_gram(cfg, *terms, scratch=scratch, out=out) is out
             assert out.tobytes() == fresh.tobytes()
+            # the divisors are the coordinate differences, 0 where G took the
+            # coincident limit
+            t_l, t_k = terms[0][0], terms[-1][0]
+            diff = (t_l[..., :, None] - t_k[..., None, :]).reshape(scratch.shape)
+            limit = np.abs(diff) < COINCIDENT_GAP
+            assert limit.any()
+            assert np.array_equal(scratch, np.where(limit, 0.0, diff))
 
 
 class TestSweepPattern:
