@@ -188,16 +188,13 @@ class TestDeterminism:
 
 class TestChunking:
     # (trials, users, threads) -> (chunk, span) of _layout
-    LAYOUTS = [
-        # the bench's many-users shape: 5 ranges of 20 chunks of 2 drops, and
-        # more, smaller ranges for more threads
-        ((200, 200, 1), (2, 40)),
-        ((200, 200, 2), (2, 24)),
-        ((200, 200, 3), (2, 16)),
+    SMALL_DROPS = [
         # the per-user vectors count too, so a wide array with few users
         # still takes hundreds of drops a chunk, and a range of one chunk
         ((1500, 10, 1), (430, 430)),
         ((4 * 430, 10, 1), (430, 430)),
+    ]
+    MANY_USERS = [
         # one drop a chunk from L = 206, whose two drops overflow the budget,
         # and at most T drops a chunk
         ((2, 206, 3), (1, 1)),
@@ -206,25 +203,47 @@ class TestChunking:
         ((9, 200, 1), (2, 2)),
         ((5, 3000, 2), (1, 1)),
     ]
+    RANGES = [
+        # the bench's many-users shape: 5 ranges of 20 chunks of 2 drops, and
+        # more, smaller ranges for more threads
+        ((200, 200, 1), (2, 40)),
+        ((200, 200, 2), (2, 24)),
+        ((200, 200, 3), (2, 16)),
+    ]
+    USERS = (1, 2, 10, 50, 100, 200, DETERMINISM_USERS - 1, DETERMINISM_USERS, 292, 293, 1000, 3000)
+    TRIALS = (1, 2, 7, 100, 431, 10**6, 10**9)
+    THREADS = (1, 2, 3, 16)
 
-    def test_layout(self):
-        for args, expected in self.LAYOUTS:
+    def test_many_users_bound_every_pair_array(self):
+        for args, expected in self.MANY_USERS:
             assert _layout(*args) == expected, args
         # a chunk's whole working set stays within CHUNK_BYTES, and its L x L
         # part is the workspace itself: two float and two bool arrays
         assert CHUNK_BYTES == 1_600_000
         assert sum(w.nbytes for w in _workspace(3, 200)) == 3 * 18 * 200 * 200
-        for users in (1, 2, 10, 50, 100, 200, DETERMINISM_USERS - 1, DETERMINISM_USERS, 292, 293, 1000, 3000):
+        for users in self.USERS:
             size = users * (18 * users + USER_BYTES)
             # a single drop too large for the budget still runs, one trial a chunk
             assert (2 * size > CHUNK_BYTES) == (users >= DETERMINISM_USERS)
             assert (size > CHUNK_BYTES) == (users > 292)
-            for trials in (1, 2, 7, 100, 431, 10**6, 10**9):
-                for threads in (1, 2, 3, 16):
-                    chunk, span = _layout(trials, users, threads)
+            for trials in self.TRIALS:
+                for threads in self.THREADS:
+                    chunk = _layout(trials, users, threads)[0]
                     assert 1 <= chunk <= trials
                     assert chunk * size <= CHUNK_BYTES or chunk == 1
                     assert chunk == trials or (chunk + 1) * size > CHUNK_BYTES
+
+    def test_small_drops_share_one_chunk(self):
+        for args, expected in self.SMALL_DROPS:
+            assert _layout(*args) == expected, args
+
+    def test_range_rule(self):
+        for args, expected in self.RANGES:
+            assert _layout(*args) == expected, args
+        for users in self.USERS:
+            for trials in self.TRIALS:
+                for threads in self.THREADS:
+                    chunk, span = _layout(trials, users, threads)
                     # a range's per-user vectors fit CHUNK_BYTES, and a run of
                     # enough chunks gives every thread at least 4 ranges
                     assert span >= chunk and span % chunk == 0
