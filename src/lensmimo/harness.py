@@ -17,8 +17,9 @@ import numpy as np
 from .array_model import GRID_SNAP_TOL, LensArrayConfig
 from .interference import (
     _coincident_rows,
+    _difference_operands,
+    _gram_operands,
     _gram_powers,
-    _row_differences,
     _self_pairs,
     _terms_gram,
     _user_terms,
@@ -43,9 +44,12 @@ CDF_POINTS = 256
 # (0.0081 s, against 0.0093 s at 2150).
 CHUNK_BYTES = 1_600_000
 
-# Bytes budgeted for a drop's per-user vectors, 24 doubles a user: the DOAs
-# and then their sines, the beam coordinates, the kernel's beam terms and their
-# special-function operands, the sorted gap search and the three output rows.
+# Bytes budgeted for a drop's per-user vectors, 24 doubles a user. A range
+# holds 4 throughout: the DOAs and then their sines, and the three output
+# rows. Expanding its users peaks at 8 more, in the special-function steps and
+# the sorted gap search, and then holds 11: the beam coordinates and kernel
+# terms t, v and u, and the 8 of their matrix-product operands (u, -v),
+# (v, u), (t, 1) and (1, -t), which take 2 more while they are stacked.
 USER_BYTES = 192
 
 
@@ -102,23 +106,26 @@ class ApproximationReport:
 
 def _workspace(rows: int, user_count: int) -> tuple:
     """The (rows, L, L) arrays one thread reuses for each of its chunks: the
-    powers, the kernel's divisor, the gate mask and the band mask."""
+    powers, the kernel's divisor, which ends each chunk as the 0.0/1.0
+    gate, the gate mask and the band mask."""
     shape = (rows, user_count, user_count)
     return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
 
 
-def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, terms, coincident) -> None:
+def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops, coincident) -> None:
     """Exact totals, effective totals, and effective counts for one chunk,
     written into the (rows, L) rows exact, effective and counts.
 
-    st holds the chunk's (rows, L) sines, terms the _user_terms (t, v, u)
-    of those sines and coincident the _coincident_rows of t, each computed
-    once for the chunk's whole range. work is a _workspace of at least rows
-    rows, whose leading rows the chunk overwrites. _terms_gram writes every
-    pairwise G of a drop into the first array, self-pairs zeroed, which are
-    squared into powers in place, and leaves its divisor, the
-    beam-coordinate differences t_l - t_k, in the second. The gate writes
-    the two bool arrays. So a chunk allocates nothing of size L x L.
+    st holds the chunk's (rows, L) sines, ops the _gram_operands of their
+    _user_terms and coincident the _coincident_rows of their beam
+    coordinates t, each computed once for the chunk's whole range. work is
+    a _workspace of at least rows rows, whose leading rows the chunk
+    overwrites. _terms_gram writes every pairwise G of a drop into the
+    first array, self-pairs zeroed, which are squared into powers in place,
+    and leaves its divisor, the beam-coordinate differences t_l - t_k, in
+    the second. The gate writes the two bool arrays, and then itself as
+    0.0 and 1.0 over the divisor. So a chunk allocates nothing of size
+    L x L.
 
     The mainlobe gate is |Theta| <= 1 for Theta = d (s_l - s_k) as rounded,
     with d = d_tilde and s = sin(phi). It is read off the divisor: a pair
@@ -133,28 +140,35 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ter
     kernel leaves 0 at the self-pairs, which are then cleared, and at the
     coincident pairs, which lie well inside the mainlobe. A chunk whose
     divisors put any pair in the band (1 - m, 1 + m] takes the sine gate
-    for every pair instead.
+    for every pair instead, its s_l - s_k formed as the divisors are.
+
+    The powers are finite and non-negative, so multiplying them by the
+    float gate gives x for 1.0 and +0 for 0.0, the bits of a bool mask.
+    The counts are the gate's row sums, sums of 0.0 and 1.0 that are exact
+    in any order, as one matrix-vector product.
     """
     arr = config.array
     power, gap, eff_mask, band = (w[: len(st)] for w in work)
-    _gram_powers(arr, _terms_gram(arr, terms, coincident=coincident, scratch=gap, out=power))
+    _gram_powers(arr, _terms_gram(arr, ops, coincident=coincident, scratch=gap, out=power))
     margin = 2.0 * GRID_SNAP_TOL + (2.0 * arr.d_tilde + 16.0) * 2.0**-53
     np.abs(gap, out=gap)
     np.less_equal(gap, 1.0 - margin, out=eff_mask)
     np.less_equal(gap, 1.0 + margin, out=band)
     if np.count_nonzero(band) != np.count_nonzero(eff_mask):
-        theta = _row_differences(st, st, gap)
+        theta = np.matmul(*_difference_operands(st), out=gap)
         theta *= arr.d_tilde
         np.less_equal(np.abs(theta, out=theta), 1.0, out=eff_mask)
-    _self_pairs(eff_mask)[...] = False
+    # The decided gate as 0.0 and 1.0, in the divisor's place
+    gate = gap
+    np.copyto(gate, eff_mask)
+    _self_pairs(gate)[...] = 0.0
 
     power.sum(axis=2, out=exact)
     # The same summation with the gated-out powers zeroed keeps effective <= exact
-    power *= eff_mask
+    power *= gate
     power.sum(axis=2, out=effective)
-    # Exact integer sums accumulated in the intp of counts, without the
-    # per-row overhead of a bool sum along the last axis
-    np.einsum("ijk->ij", eff_mask.view(np.uint8), out=counts, casting="safe")
+    users = st.shape[1]
+    counts[...] = (gate.reshape(-1, users) @ np.ones(users)).reshape(counts.shape)
 
 
 def _layout(trials: int, users: int, threads: int) -> tuple:
@@ -181,10 +195,11 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 
     The trials split into ranges of whole chunks, both sized by _layout,
     which the threads share. A range draws its DOAs and takes their sines,
-    their _user_terms and the _coincident_rows of its drops once, for all
-    of its drops; every step is elementwise or per drop, so the layout moves
-    no bit. It then runs _trial_block on each of its chunks, whose L x L
-    pairs stay in a core's cache. Each thread that takes a range allocates
+    their _user_terms, the _coincident_rows of its drops and the kernel's
+    _gram_operands once, for all of its drops; every step is elementwise or
+    per drop, so the layout moves no bit. It then runs _trial_block on each
+    of its chunks, which slices those operands and whose L x L pairs stay
+    in a core's cache. Each thread that takes a range allocates
     one _workspace of a chunk's rows on its first and reuses it for every
     later chunk, so a call holds at most one per thread.
     """
@@ -203,11 +218,12 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
         st = np.sin(phi, out=phi)
         terms = _user_terms(config.array, st)
         coincident = _coincident_rows(terms[0])
+        ops = _gram_operands(terms)
         for c in range(0, b - a, chunk):
             rows = slice(c, c + chunk)
             out = slice(a + c, min(a + c + chunk, b))
             _trial_block(config, st[rows], exact[out], effective[out], counts[out], local.work,
-                         tuple(x[rows] for x in terms), coincident[rows])
+                         tuple(x[rows] for x in ops), coincident[rows])
 
     _map_ranges(run_range, T, span, threads)
 

@@ -162,21 +162,6 @@ def _self_pairs(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], -1)[:, :: a.shape[1] + 1]
 
 
-def _row_differences(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """x[:, :, None] - y[:, None, :] for 2-D x and y, written into out if given.
-
-    Filling out with x and subtracting y in place gives the same bits as
-    the broadcast subtraction in about two thirds of its time, because
-    NumPy's inner loop then runs over two arrays instead of a repeated
-    scalar and an array.
-    """
-    if out is None:
-        out = np.empty(x.shape + y.shape[-1:])
-    out[...] = x[:, :, None]
-    out -= y[:, None, :]
-    return out
-
-
 def _user_terms(config: LensArrayConfig, sf) -> tuple:
     """(t, v, u) of the users of sf, an array of shape (..., L): the
     validated, snapped beam coordinates of _beam_coords and their kernel
@@ -194,6 +179,30 @@ def _coincident_rows(t: np.ndarray) -> np.ndarray:
     return (gaps < COINCIDENT_GAP).any(axis=1)
 
 
+def _difference_operands(x: np.ndarray) -> tuple:
+    """The (..., L, 2) rows (x, 1) and (..., 2, L) columns (1, -x) of x, an
+    array of shape (..., L).
+
+    The matrix product of one array's rows and another's columns is
+    x_l - y_k for every pair, the one rounding of a two-term sum, so it has
+    the bits of x[..., :, None] - y[..., None, :] up to the sign of a zero.
+    Like the numerators, a batch of such differences is one rank-2 product
+    per row, which BLAS forms faster than NumPy broadcasts a subtraction.
+    """
+    ones = np.ones_like(x)
+    return np.stack((x, ones), -1), np.stack((ones, -x), -2)
+
+
+def _gram_operands(terms) -> tuple:
+    """The matrix-product operands of the _user_terms (t, v, u) of shape
+    (..., L): the numerator rows (u, -v) and columns (v, u), then the
+    _difference_operands rows (t, 1) and columns (1, -t), each of shape
+    (..., L, 2) or (..., 2, L). Each holds its users' t or v, negated
+    exactly where it holds -t or -v."""
+    t, v, u = terms
+    return (np.stack((u, -v), -1), np.stack((v, u), -2)) + _difference_operands(t)
+
+
 def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
     """Signed G between every user of sf_l and every user of sf_k.
 
@@ -202,52 +211,55 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
     those of sf_l with itself, and the self-pairs, which the drop ensembles
     exclude, read 0.
 
-    The two halves are _user_terms, once for each side, which calls the
-    special functions O(L + N) times per row whatever M, and _terms_gram,
-    which callers that keep the per-user terms of many rows call alone.
+    The two halves are the per-user _user_terms and their _gram_operands,
+    once for each side, which call the special functions O(L + N) times
+    per row whatever M, and _terms_gram, which callers that keep the
+    operands of many rows call alone.
     """
-    terms_l = _user_terms(config, sf_l)
-    terms_k = None if sf_k is None else _user_terms(config, sf_k)
-    return _terms_gram(config, terms_l, terms_k)
+    ops_l = _gram_operands(_user_terms(config, sf_l))
+    ops_k = None if sf_k is None else _gram_operands(_user_terms(config, sf_k))
+    return _terms_gram(config, ops_l, ops_k)
 
 
-def _terms_gram(config: LensArrayConfig, terms_l, terms_k=None, coincident=None, scratch=None, out=None):
-    """Signed G between the users of the _user_terms terms_l and terms_k.
+def _terms_gram(config: LensArrayConfig, ops_l, ops_k=None, coincident=None, scratch=None, out=None):
+    """Signed G between the users of the _gram_operands ops_l and ops_k.
 
-    Each is a (t, v, u) of arrays of shapes (..., L) and (..., N) with the
-    same leading shape, and the result has shape (..., L, N). Without
-    terms_k the pairs are those of terms_l with itself, and the self-pairs
-    read 0. The divisor a - b is written into scratch, a float array of
-    shape (rows, L, N) with rows the size of the leading shape, when one is
-    given. Afterwards scratch holds the beam-coordinate differences
-    t_l - t_k of the snapped coordinates, except at the self-pairs and at
-    the coincident pairs, |t_l - t_k| < COINCIDENT_GAP, where it holds 0.
-    Given out, a C-contiguous float array of the result's shape, the result
-    is written into it and out is returned, with the bits of the call
-    without it.
+    Their users' arrays have shapes (..., L) and (..., N) with the same
+    leading shape, and the result has shape (..., L, N). Only the rows of
+    ops_l and the columns of ops_k are read. Without ops_k the pairs are
+    those of ops_l with itself, and the self-pairs read 0. The divisor
+    a - b is written into scratch, a float array of shape (rows, L, N) with
+    rows the size of the leading shape, when one is given. Afterwards
+    scratch holds the beam-coordinate differences t_l - t_k of the snapped
+    coordinates, except at the self-pairs and at the coincident pairs,
+    |t_l - t_k| < COINCIDENT_GAP, where it holds 0. Given out, a
+    C-contiguous float array of the result's shape, the result is written
+    into it and out is returned, with the bits of the call without it.
 
-    The numerators u_l v_k - v_l u_k are one rank-2 matrix product per
-    row, whatever M and wherever the users lie.
-    Coincident pairs are rare: only rows that hold two users closer than
-    COINCIDENT_GAP are searched for them. For pairs of one set, coincident
-    may give those rows as _coincident_rows of its (rows, L) coordinates;
-    otherwise they are found here.
+    The numerators u_l v_k - v_l u_k and the divisors t_l - t_k are each
+    one rank-2 matrix product per row, whatever M and wherever the users
+    lie. Coincident pairs are rare: only rows that hold two users closer
+    than COINCIDENT_GAP are searched for them. For pairs of one set,
+    coincident may give those rows as _coincident_rows of its (rows, L)
+    coordinates; otherwise they are found here, for pairs of two sets from
+    the divisors themselves.
     """
-    t_l, v_l, u_l = terms_l
-    t_k, v_k, u_k = terms_l if terms_k is None else terms_k
-    shape = t_l.shape + t_k.shape[-1:]
-    t_l, v_l, u_l = (x.reshape(-1, shape[-2]) for x in (t_l, v_l, u_l))
-    t_k, v_k, u_k = (x.reshape(-1, shape[-1]) for x in (t_k, v_k, u_k))
+    num_l, _, div_l, _ = ops_l
+    _, num_k, _, div_k = ops_l if ops_k is None else ops_k
+    shape = num_l.shape[:-1] + num_k.shape[-1:]
+    num_l, div_l = (x.reshape(-1, shape[-2], 2) for x in (num_l, div_l))
+    num_k, div_k = (x.reshape(-1, 2, shape[-1]) for x in (num_k, div_k))
     gram = None if out is None else out.reshape(-1, *out.shape[-2:])
-    g = np.matmul(np.stack((u_l, -v_l), 2), np.stack((v_k, u_k), 1), out=gram)
-    diff = _row_differences(t_l, t_k, scratch)
-    if terms_k is None:
+    g = np.matmul(num_l, num_k, out=gram)
+    diff = np.matmul(div_l, div_k, out=scratch)
+    if ops_k is None:
         # Self-pairs are zeroed below, so any divisor serves there.
         _self_pairs(diff)[...] = 1.0
         if coincident is None:
-            coincident = _coincident_rows(t_l)
+            coincident = _coincident_rows(div_l[..., 0])
     else:
-        coincident = _coincident_rows(np.concatenate((t_l, t_k), axis=1))
+        # One pass over the divisors costs less than sorting every row's users
+        coincident = (np.abs(diff) < COINCIDENT_GAP).any(axis=(1, 2))
     rows = np.nonzero(coincident)[0]
     if rows.size:
         r, i, j = np.nonzero(np.abs(diff[rows]) < COINCIDENT_GAP)
@@ -255,10 +267,11 @@ def _terms_gram(config: LensArrayConfig, terms_l, terms_k=None, coincident=None,
         diff[r, i, j] = 1.0
         g /= diff
         diff[r, i, j] = 0.0
-        g[r, i, j] = _coincident_gram(t_l[r, i], t_k[r, j], v_l[r, i], v_k[r, j], config.max_index)
+        g[r, i, j] = _coincident_gram(div_l[r, i, 0], -div_k[r, 1, j], -num_l[r, i, 1], num_k[r, 0, j],
+                                      config.max_index)
     else:
         g /= diff
-    if terms_k is None:
+    if ops_k is None:
         _self_pairs(g)[...] = 0.0
         _self_pairs(diff)[...] = 0.0
     return g.reshape(shape) if out is None else out

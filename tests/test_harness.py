@@ -21,7 +21,7 @@ from lensmimo import (
 from lensmimo import harness, interference
 from lensmimo.array_model import GRID_SNAP_TOL, _beam_coords
 from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _layout, _workspace
-from lensmimo.interference import _pair_powers, _terms_gram, _user_terms
+from lensmimo.interference import _gram_operands, _pair_powers, _terms_gram, _user_terms
 from lensmimo.selfcheck import DETERMINISM_USERS
 from lensmimo.stochastic import SectorModel
 
@@ -158,7 +158,7 @@ class TestDeterminism:
                     assert res.mean_effective_count_se == ref.mean_effective_count_se
             # a caller's scratch holds the divisors, and 0 at the self-pairs
             scratch = np.full((50, users, users), np.nan)
-            gram = _terms_gram(cfg.array, _user_terms(cfg.array, np.sin(forced)), scratch=scratch)
+            gram = _terms_gram(cfg.array, _gram_operands(_user_terms(cfg.array, np.sin(forced))), scratch=scratch)
             assert np.all(np.diagonal(scratch, axis1=1, axis2=2) == 0.0)
             assert np.all(np.diagonal(gram, axis1=1, axis2=2) == 0.0)
             assert not np.isnan(scratch).any()
@@ -644,6 +644,23 @@ class TestDivisorGate:
                 for base in (0.0, 3.0):
                     doas = np.arcsin(np.array([[base, base + beam]]) / d_tilde)
                     assert_gate_matches_sines(run_forced, _cfg(d_tilde=d_tilde, users=2, trials=1), doas)
+
+    @pytest.mark.parametrize("d_tilde", [10.0, 10.3])
+    def test_band_pair_in_one_drop_of_a_chunk(self, run_forced, d_tilde):
+        # One drop of a 12-drop chunk holds grid neighbours at |t_l - t_k| = 1,
+        # so the whole chunk takes the sine gate, and the gate it writes over
+        # the divisor must serve every drop's counts and effective totals.
+        cfg = _cfg(d_tilde=d_tilde, users=8, trials=12)
+        assert _layout(12, 8, 1)[0] == 12
+        doas = np.random.default_rng(31).uniform(-math.pi / 3.0, math.pi / 3.0, (12, 8))
+        doas[5, :2] = np.arcsin(np.array([-1.0, 0.0]) / d_tilde)
+        t = _beam_coords(cfg.array, np.sin(doas))
+        gap = np.abs(t[:, :, None] - t[:, None, :])
+        m = self.margin(d_tilde)
+        in_band = ((gap > 1.0 - m) & (gap <= 1.0 + m)).any(axis=(1, 2))
+        assert np.flatnonzero(in_band).tolist() == [5]
+        counts = assert_gate_matches_sines(run_forced, cfg, doas)
+        assert counts[5, 0] >= 1 and np.count_nonzero(counts.sum(axis=1)) > 6
 
     @pytest.mark.parametrize("users", [300, 700])
     def test_counts_beyond_a_byte(self, run_forced, users):

@@ -26,9 +26,10 @@ from lensmimo.interference import (
     SIDELOBE_PEAK_X,
     SIDELOBE_RATIO_DB,
     _beam_terms,
+    _difference_operands,
+    _gram_operands,
     _pair_gram,
     _pair_powers,
-    _row_differences,
     _terms_gram,
     _user_float,
     _user_terms,
@@ -252,14 +253,39 @@ def _assert_kernel_matches_direct(run_forced, cfg, pairs):
             assert _agree(direct, value), f"direct {direct!r} fast {fast!r}"
 
 
-def test_row_differences_match_broadcast_subtraction():
+def test_differences_match_broadcast_subtraction():
+    # The kernel's divisors t_l - t_k and the sine gate's s_l - s_k are matrix
+    # products of _difference_operands, one rounding of a two-term sum. They
+    # keep the bits of the broadcast subtraction, in cross form and with a
+    # 3-D leading shape, out to users snapped onto t = +-(K + 1); only the
+    # sign of a zero may differ, and array_equal does not see it.
+    cfg = LensArrayConfig(d_tilde=6.0 - 5e-10, a_z=2.0)
     rng = np.random.default_rng(3)
-    x, y = rng.uniform(-87.0, 87.0, (4, 9)), rng.uniform(-87.0, 87.0, (4, 6))
-    expect = x[:, :, None] - y[:, None, :]
-    assert np.array_equal(_row_differences(x, y), expect)
-    out = np.full((4, 9, 6), np.nan)
-    assert _row_differences(x, y, out) is out
-    assert np.array_equal(out, expect)
+    sf = rng.uniform(-1.0, 1.0, (2, 3, 9))
+    sf[..., 0], sf[..., 1] = 1.0, -1.0
+    sf_k = rng.uniform(-1.0, 1.0, (2, 3, 6))
+    sf_k[..., 0] = sf[..., 2]
+    t, t_k = _user_terms(cfg, sf)[0], _user_terms(cfg, sf_k)[0]
+    assert np.all(np.abs(t[..., :2]) == cfg.max_index + 1)
+    sines = np.sin(rng.uniform(-math.pi / 3.0, math.pi / 3.0, (4, 7, 11)))
+    for x, y in ((t, t_k), (t, t), (t[0, 0], t_k[1, 2]), (sines, sines), (sines[..., :5], sines[..., 3:])):
+        expect = x[..., :, None] - y[..., None, :]
+        got = np.matmul(_difference_operands(x)[0], _difference_operands(y)[1])
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect)
+    # the sine gate's Theta, d_tilde times the difference, as the block forms it
+    theta = np.matmul(*_difference_operands(sines[0]))
+    theta *= cfg.d_tilde
+    assert np.array_equal(theta, cfg.d_tilde * (sines[0][:, :, None] - sines[0][:, None, :]))
+    # the kernel's scratch holds the same differences, 0 where G took the
+    # coincident limit
+    for ops_k, y in ((None, t), (_gram_operands(_user_terms(cfg, sf_k)), t_k)):
+        expect = (t[..., :, None] - y[..., None, :]).reshape(6, 9, -1)
+        scratch = np.full(expect.shape, np.nan)
+        _terms_gram(cfg, _gram_operands(_user_terms(cfg, sf)), ops_k, scratch=scratch)
+        limit = np.abs(expect) < COINCIDENT_GAP
+        assert limit.any()
+        assert np.array_equal(scratch, np.where(limit, 0.0, expect))
 
 
 def beam_terms_mod_reference(t, max_index):
@@ -496,11 +522,12 @@ class TestPairKernel:
         sf_k = np.concatenate([sf[:, :3], rng.uniform(-1.0, 1.0, (4, 2))], axis=1)
         for args in ((sf,), (sf, sf_k), (sf[0],), (sf[0], sf_k[0])):
             terms = [_user_terms(cfg, x) for x in args]
-            fresh = _terms_gram(cfg, *terms)
+            ops = [_gram_operands(x) for x in terms]
+            fresh = _terms_gram(cfg, *ops)
             assert fresh.tobytes() == _pair_gram(cfg, *args).tobytes()
             out = np.full(fresh.shape, np.nan)
             scratch = np.full(fresh.shape, np.nan).reshape(-1, *fresh.shape[-2:])
-            assert _terms_gram(cfg, *terms, scratch=scratch, out=out) is out
+            assert _terms_gram(cfg, *ops, scratch=scratch, out=out) is out
             assert out.tobytes() == fresh.tobytes()
             # the divisors are the coordinate differences, 0 where G took the
             # coincident limit
