@@ -35,13 +35,16 @@ from .stochastic import (
 )
 
 CDF_POINTS = 256
+# The probabilities of the quantiles that bound the CDF grid
+CDF_ENDS = (0.001, 0.999)
 
 # Bytes of one chunk's working set, as _layout counts it, sized to stay in a
 # core's 2 MiB L2 cache. A sweep of the bench's two ensemble workloads (job
 # p50 of 3 runs each, 2-core Xeon) over budgets of 0.76, 1.6, 2.3, 3.1, 4 and
 # 8 MB was fastest at 1.6 MB: 2 drops a chunk at d_tilde 5, L 200 (0.089 s,
 # against 0.101 s at 1 drop and 0.106 s at 10) and 430 at d_tilde 100, L 10
-# (0.0081 s, against 0.0093 s at 2150).
+# (0.0081 s, against 0.0093 s at 2150), when the workspace took 18 bytes a
+# pair; at 17 the same budget gives 2 and 441.
 CHUNK_BYTES = 1_600_000
 
 # Bytes budgeted for a drop's per-user vectors, 24 doubles a user. A range
@@ -107,9 +110,9 @@ class ApproximationReport:
 def _workspace(rows: int, user_count: int) -> tuple:
     """The (rows, L, L) arrays one thread reuses for each of its chunks: the
     powers, the kernel's divisor, which ends each chunk as the 0.0/1.0
-    gate, the gate mask and the band mask."""
+    gate, and the band mask, 17 bytes a pair."""
     shape = (rows, user_count, user_count)
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
 def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops, coincident) -> None:
@@ -123,7 +126,7 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     overwrites. _terms_gram writes every pairwise G of a drop into the
     first array, self-pairs zeroed, which are squared into powers in place,
     and leaves its divisor, the beam-coordinate differences t_l - t_k, in
-    the second. The gate writes the two bool arrays, and then itself as
+    the second. The comparisons write the band mask, and then the gate as
     0.0 and 1.0 over the divisor. So a chunk allocates nothing of size
     L x L.
 
@@ -137,10 +140,12 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     exact d (s_l - s_k); rounding that difference, and the difference and
     product in Theta, adds at most 4 eps wherever |Theta| or |t_l - t_k| is
     near 1. The rest of the constant covers the rounding of 1 -+ m. The
-    kernel leaves 0 at the self-pairs, which are then cleared, and at the
-    coincident pairs, which lie well inside the mainlobe. A chunk whose
-    divisors put any pair in the band (1 - m, 1 + m] takes the sine gate
-    for every pair instead, its s_l - s_k formed as the divisors are.
+    kernel leaves 0 at the self-pairs and at the coincident pairs, which lie
+    well inside the mainlobe. The self-pairs are then cleared from the gate,
+    so the band mask, |t_l - t_k| <= 1 + m, holds every pair of the gate
+    and the rows L self-pairs, and more exactly when some pair lies in the
+    band (1 - m, 1 + m]. A chunk with such a pair takes the sine gate for
+    every pair instead, its s_l - s_k formed as the divisors are.
 
     The powers are finite and non-negative, so multiplying them by the
     float gate gives x for 1.0 and +0 for 0.0, the bits of a bool mask.
@@ -148,40 +153,48 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     in any order, as one matrix-vector product.
     """
     arr = config.array
-    power, gap, eff_mask, band = (w[: len(st)] for w in work)
-    _gram_powers(arr, _terms_gram(arr, ops, coincident=coincident, scratch=gap, out=power))
+    rows, users = st.shape
+    power, gate, band = (w[:rows] for w in work)
+    _gram_powers(arr, _terms_gram(arr, ops, coincident=coincident, scratch=gate, out=power))
     margin = 2.0 * GRID_SNAP_TOL + (2.0 * arr.d_tilde + 16.0) * 2.0**-53
-    np.abs(gap, out=gap)
-    np.less_equal(gap, 1.0 - margin, out=eff_mask)
-    np.less_equal(gap, 1.0 + margin, out=band)
-    if np.count_nonzero(band) != np.count_nonzero(eff_mask):
-        theta = np.matmul(*_difference_operands(st), out=gap)
+    np.abs(gate, out=gate)
+    in_band = np.count_nonzero(np.less_equal(gate, 1.0 + margin, out=band))
+    np.less_equal(gate, 1.0 - margin, out=gate)
+    # The columns (1, -t) of the chunk's first drop: a row of L ones
+    ones = ops[3][0, 0]
+    if _gate_counts(gate, counts, ones) + rows * users != in_band:
+        theta = np.matmul(*_difference_operands(st), out=gate)
         theta *= arr.d_tilde
-        np.less_equal(np.abs(theta, out=theta), 1.0, out=eff_mask)
-    # The decided gate as 0.0 and 1.0, in the divisor's place
-    gate = gap
-    np.copyto(gate, eff_mask)
-    _self_pairs(gate)[...] = 0.0
+        np.less_equal(np.abs(theta, out=theta), 1.0, out=gate)
+        _gate_counts(gate, counts, ones)
 
     power.sum(axis=2, out=exact)
     # The same summation with the gated-out powers zeroed keeps effective <= exact
     power *= gate
     power.sum(axis=2, out=effective)
-    users = st.shape[1]
-    counts[...] = (gate.reshape(-1, users) @ np.ones(users)).reshape(counts.shape)
+
+
+def _gate_counts(gate, counts, ones) -> float:
+    """Clear the self-pairs of the (rows, L, L) 0.0/1.0 gate, write its row
+    sums, its product with the L ones of ones, into the (rows, L) counts,
+    and return their total, all exact."""
+    _self_pairs(gate)[...] = 0.0
+    sums = gate.reshape(-1, gate.shape[2]) @ ones
+    counts[...] = sums.reshape(counts.shape)
+    return sums.sum()
 
 
 def _layout(trials: int, users: int, threads: int) -> tuple:
     """(chunk, span), the drops a chunk and a range of an ensemble hold.
 
-    A chunk holds as many drops as fit CHUNK_BYTES, L (18 L + USER_BYTES)
-    bytes each: 18 a pair for the two float and two bool L x L arrays of the
-    _workspace and USER_BYTES a user for its per-user vectors; at least one
-    and at most trials. A range holds as many whole chunks as keep its
+    A chunk holds as many drops as fit CHUNK_BYTES, L (17 L + USER_BYTES)
+    bytes each: 17 a pair for the two float and one bool L x L arrays of
+    the _workspace and USER_BYTES a user for its per-user vectors; at least
+    one and at most trials. A range holds as many whole chunks as keep its
     per-user vectors within CHUNK_BYTES, but no more than give 4 * threads
     ranges once there are that many chunks; at least one.
     """
-    chunk = min(trials, max(1, CHUNK_BYTES // (users * (18 * users + USER_BYTES))))
+    chunk = min(trials, max(1, CHUNK_BYTES // (users * (17 * users + USER_BYTES))))
     fit = CHUNK_BYTES // (USER_BYTES * users * chunk)
     return chunk, chunk * max(1, min(fit, -(-trials // chunk) // (4 * threads)))
 
@@ -229,9 +242,9 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 
     # One buffer holds each of the two sorted totals in turn
     ordered = np.empty(T * L)
-    exact_summary = _summary(exact, ordered)
-    grid, cdf = _empirical_cdf(ordered)
-    effective_summary = _summary(effective, ordered)
+    exact_summary, ends = _summary(exact, ordered, CDF_ENDS)
+    grid, cdf = _empirical_cdf(ordered, *ends)
+    effective_summary, _ = _summary(effective, ordered)
     mean_count = float(counts.mean())
     if T > 1:
         per_trial = counts.mean(axis=1)
@@ -253,27 +266,30 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     )
 
 
-def _summary(totals: np.ndarray, ordered: np.ndarray) -> dict:
-    """Mean and quantiles of totals, whose values are left sorted in ordered,
-    a float array of totals.size.
+def _summary(totals: np.ndarray, ordered: np.ndarray, extra=()) -> tuple:
+    """(summary, quantiles): the mean and quantiles of totals, whose values
+    are left sorted in ordered, a float array of totals.size, and the
+    quantiles at the probabilities extra, from the same np.quantile call.
 
-    Quantiles depend only on order statistics, so they have the bits of
-    np.quantile on totals; its partition is cheap on sorted values.
+    Quantiles depend only on order statistics, and np.quantile takes each
+    of its probabilities alone, so they have the bits of np.quantile on
+    totals at each probability; its partition is cheap on sorted values.
     """
     ordered[...] = totals.ravel()
     ordered.sort()
-    q10, q50, q90, q99 = np.quantile(ordered, [0.10, 0.50, 0.90, 0.99])
-    return {
+    q10, q50, q90, q99, *quantiles = np.quantile(ordered, [0.10, 0.50, 0.90, 0.99, *extra])
+    summary = {
         "mean": float(totals.mean()),
         "median": float(q50),
         "q10": float(q10),
         "q90": float(q90),
         "q99": float(q99),
     }
+    return summary, quantiles
 
 
-def _empirical_cdf(ordered: np.ndarray):
-    """Log-spaced CDF grid between the 0.1% and 99.9% quantiles of the
+def _empirical_cdf(ordered: np.ndarray, lo, hi):
+    """Log-spaced CDF grid between lo and hi, the CDF_ENDS quantiles of the
     sorted 1-D values ordered, and the empirical CDF on it.
 
     Interference spans many dB across an ensemble, so the grid is geometric.
@@ -282,7 +298,6 @@ def _empirical_cdf(ordered: np.ndarray):
     grid when the ensemble is identically zero.
     """
     n = ordered.size
-    lo, hi = np.quantile(ordered, [0.001, 0.999])
     first_positive = np.searchsorted(ordered, 0.0, side="right")
     if first_positive == n:
         grid = np.zeros(CDF_POINTS)

@@ -179,6 +179,36 @@ def _coincident_rows(t: np.ndarray) -> np.ndarray:
     return (gaps < COINCIDENT_GAP).any(axis=1)
 
 
+def _coincident_pairs(t: np.ndarray, diff: np.ndarray, coincident: np.ndarray) -> tuple:
+    """(r, i, j), the pairs of the (rows, L, L) divisors diff of one set of
+    users that lie closer than COINCIDENT_GAP.
+
+    t holds the (rows, L) coordinates whose differences diff holds, with
+    the self-pairs at or beyond the gap, and coincident flags the rows of t
+    that _coincident_rows flags. In each such row the candidates are the
+    users with a sorted neighbour within the gap, and only the pairs of
+    the first users of the row, its candidates first, are read from diff,
+    as many as the most candidates of any row. No pair is lost: rounding is
+    monotone, so the gap between a user and its sorted neighbour toward its
+    partner never exceeds the pair's own rounded difference, and a user
+    that is no candidate has no partner within the gap.
+    """
+    rows = np.flatnonzero(coincident)
+    ts = t[rows]
+    order = ts.argsort(axis=1)
+    at = np.arange(rows.size)[:, None]
+    ranked = ts[at, order]
+    near = ranked[:, 1:] - ranked[:, :-1] < COINCIDENT_GAP
+    candidate = np.zeros(ts.shape, dtype=bool)
+    candidate[:, 1:] = near
+    candidate[:, :-1] |= near
+    first = (~candidate).argsort(axis=1)[:, : candidate.sum(axis=1).max()]
+    users = order[at, first]
+    pair = np.abs(diff[rows[:, None, None], users[:, :, None], users[:, None, :]]) < COINCIDENT_GAP
+    r, a, b = np.nonzero(pair)
+    return rows[r], users[r, a], users[r, b]
+
+
 def _difference_operands(x: np.ndarray) -> tuple:
     """The (..., L, 2) rows (x, 1) and (..., 2, L) columns (1, -x) of x, an
     array of shape (..., L).
@@ -238,11 +268,12 @@ def _terms_gram(config: LensArrayConfig, ops_l, ops_k=None, coincident=None, scr
 
     The numerators u_l v_k - v_l u_k and the divisors t_l - t_k are each
     one rank-2 matrix product per row, whatever M and wherever the users
-    lie. Coincident pairs are rare: only rows that hold two users closer
-    than COINCIDENT_GAP are searched for them. For pairs of one set,
-    coincident may give those rows as _coincident_rows of its (rows, L)
-    coordinates; otherwise they are found here, for pairs of two sets from
-    the divisors themselves.
+    lie. Coincident pairs are rare. For pairs of one set, only the rows
+    that hold two users closer than COINCIDENT_GAP are searched, and in
+    them only the users with a sorted neighbour within the gap, by
+    _coincident_pairs; coincident may give those rows as _coincident_rows
+    of its (rows, L) coordinates, or else they are found here. For pairs of
+    two sets they are found by one pass over the divisors.
     """
     num_l, _, div_l, _ = ops_l
     _, num_k, _, div_k = ops_l if ops_k is None else ops_k
@@ -254,26 +285,26 @@ def _terms_gram(config: LensArrayConfig, ops_l, ops_k=None, coincident=None, scr
     diff = np.matmul(div_l, div_k, out=scratch)
     if ops_k is None:
         # Self-pairs are zeroed below, so any divisor serves there.
-        _self_pairs(diff)[...] = 1.0
+        diagonal = _self_pairs(diff)
+        diagonal[...] = 1.0
         if coincident is None:
             coincident = _coincident_rows(div_l[..., 0])
+        pairs = _coincident_pairs(div_l[..., 0], diff, coincident) if np.count_nonzero(coincident) else None
     else:
         # One pass over the divisors costs less than sorting every row's users
-        coincident = (np.abs(diff) < COINCIDENT_GAP).any(axis=(1, 2))
-    rows = np.nonzero(coincident)[0]
-    if rows.size:
-        r, i, j = np.nonzero(np.abs(diff[rows]) < COINCIDENT_GAP)
-        r = rows[r]
+        pairs = np.nonzero(np.abs(diff) < COINCIDENT_GAP)
+    if pairs is None or not pairs[0].size:
+        g /= diff
+    else:
+        r, i, j = pairs
         diff[r, i, j] = 1.0
         g /= diff
         diff[r, i, j] = 0.0
         g[r, i, j] = _coincident_gram(div_l[r, i, 0], -div_k[r, 1, j], -num_l[r, i, 1], num_k[r, 0, j],
                                       config.max_index)
-    else:
-        g /= diff
     if ops_k is None:
         _self_pairs(g)[...] = 0.0
-        _self_pairs(diff)[...] = 0.0
+        diagonal[...] = 0.0
     return g.reshape(shape) if out is None else out
 
 

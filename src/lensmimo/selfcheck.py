@@ -35,11 +35,11 @@ from .stochastic import (
 
 # Shapes of the determinism check, each large enough to split into at least
 # two pieces, so the threaded runs really run in parallel: 100,000 Monte
-# Carlo pairs are two ranges, and 2 drops of 206 users are two ranges of
-# one drop, 206 being the fewest users for which harness._layout gives each
+# Carlo pairs are two ranges, and 2 drops of 212 users are two ranges of
+# one drop, 212 being the fewest users for which harness._layout gives each
 # of two drops a chunk of its own.
 DETERMINISM_MC_SAMPLES = 100_000
-DETERMINISM_USERS = 206
+DETERMINISM_USERS = 212
 DETERMINISM_TRIALS = 2
 
 

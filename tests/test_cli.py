@@ -383,6 +383,7 @@ class TestSelfcheck:
         assert [threads for threads, _ in used] == [1, 3]
         assert used[1][1] >= 2
         users, trials = selfcheck.DETERMINISM_USERS, selfcheck.DETERMINISM_TRIALS
+        assert (users, trials) == (212, 2)
         # the smallest such drop: one user fewer puts both drops in one chunk
         assert _layout(trials, users, 3) == (1, 1)
         assert _layout(trials, users - 1, 3)[0] == trials

@@ -21,7 +21,7 @@ from lensmimo import (
 from lensmimo import harness, interference
 from lensmimo.array_model import GRID_SNAP_TOL, _beam_coords
 from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _layout, _workspace
-from lensmimo.interference import _gram_operands, _pair_powers, _terms_gram, _user_terms
+from lensmimo.interference import COINCIDENT_GAP, _gram_operands, _pair_powers, _terms_gram, _user_terms
 from lensmimo.selfcheck import DETERMINISM_USERS
 from lensmimo.stochastic import SectorModel
 
@@ -191,14 +191,14 @@ class TestChunking:
     SMALL_DROPS = [
         # the per-user vectors count too, so a wide array with few users
         # still takes hundreds of drops a chunk, and a range of one chunk
-        ((1500, 10, 1), (430, 430)),
-        ((4 * 430, 10, 1), (430, 430)),
+        ((1500, 10, 1), (441, 441)),
+        ((4 * 441, 10, 1), (441, 441)),
     ]
     MANY_USERS = [
-        # one drop a chunk from L = 206, whose two drops overflow the budget,
+        # one drop a chunk from L = 212, whose two drops overflow the budget,
         # and at most T drops a chunk
-        ((2, 206, 3), (1, 1)),
-        ((2, 205, 3), (2, 2)),
+        ((2, 212, 3), (1, 1)),
+        ((2, 211, 3), (2, 2)),
         ((1, 30, 1), (1, 1)),
         ((9, 200, 1), (2, 2)),
         ((5, 3000, 2), (1, 1)),
@@ -210,7 +210,7 @@ class TestChunking:
         ((200, 200, 2), (2, 24)),
         ((200, 200, 3), (2, 16)),
     ]
-    USERS = (1, 2, 10, 50, 100, 200, DETERMINISM_USERS - 1, DETERMINISM_USERS, 292, 293, 1000, 3000)
+    USERS = (1, 2, 10, 50, 100, 200, DETERMINISM_USERS - 1, DETERMINISM_USERS, 292, 293, 301, 302, 1000, 3000)
     TRIALS = (1, 2, 7, 100, 431, 10**6, 10**9)
     THREADS = (1, 2, 3, 16)
 
@@ -218,14 +218,14 @@ class TestChunking:
         for args, expected in self.MANY_USERS:
             assert _layout(*args) == expected, args
         # a chunk's whole working set stays within CHUNK_BYTES, and its L x L
-        # part is the workspace itself: two float and two bool arrays
+        # part is the workspace itself: two float arrays and one bool array
         assert CHUNK_BYTES == 1_600_000
-        assert sum(w.nbytes for w in _workspace(3, 200)) == 3 * 18 * 200 * 200
+        assert sum(w.nbytes for w in _workspace(3, 200)) == 3 * 17 * 200 * 200
         for users in self.USERS:
-            size = users * (18 * users + USER_BYTES)
+            size = users * (17 * users + USER_BYTES)
             # a single drop too large for the budget still runs, one trial a chunk
             assert (2 * size > CHUNK_BYTES) == (users >= DETERMINISM_USERS)
-            assert (size > CHUNK_BYTES) == (users > 292)
+            assert (size > CHUNK_BYTES) == (users > 301)
             for trials in self.TRIALS:
                 for threads in self.THREADS:
                     chunk = _layout(trials, users, threads)[0]
@@ -316,8 +316,9 @@ class TestChunking:
 class TestWorkspace:
     @pytest.mark.parametrize("users, trials", [(200, 9), (10, 1700), (30, 1)])
     def test_each_thread_reuses_one_workspace(self, monkeypatch, users, trials):
-        # every chunk a thread takes writes the same four arrays, of the
-        # layout's chunk rows, and a call holds at most one per thread
+        # every chunk a thread takes writes the same three arrays, of the
+        # layout's chunk rows and 17 bytes a pair, and a call holds at most
+        # one per thread
         cfg = _cfg(d_tilde=5.0, users=users, trials=trials, seed=4)
         ref = run_scenario(cfg)
         block = harness._trial_block
@@ -335,7 +336,8 @@ class TestWorkspace:
             assert len(seen) == -(-trials // chunk)
             by_thread, workspaces = {}, []
             for ident, work in seen:
-                assert [w.shape for w in work] == [(chunk, users, users)] * 4
+                assert [w.shape for w in work] == [(chunk, users, users)] * 3
+                assert sum(w.nbytes for w in work) == 17 * chunk * users * users
                 first = by_thread.setdefault(ident, work)
                 assert all(np.shares_memory(a, b) for a, b in zip(first, work))
                 if not any(np.shares_memory(work[0], w[0]) for w in workspaces):
@@ -484,6 +486,52 @@ class TestElementSpaceOracle:
         assert_element_space_totals(cfg, run_scenario(cfg, threads=2))
 
 
+class TestCoincidentPairs:
+    """Forced coincident pairs, |t_l - t_k| < COINCIDENT_GAP, in one chunk.
+    The ensemble's self form searches only the users with a sorted
+    neighbour within the gap; the reference is the cross form of each drop
+    with itself, which searches every pair."""
+
+    D_TILDE = 5.0
+
+    @staticmethod
+    def beams():
+        beams = np.random.default_rng(41).uniform(-4.3, 4.3, (6, 40))
+        # three users whose outer pair, not adjacent in sorted order, is
+        # within the gap too
+        beams[0, [3, 17, 29]] = 1.3 + np.array([0.0, 0.45e-5, 0.9e-5])
+        # two clusters in one drop
+        beams[1, [1, 2]] = -2.2 + np.array([0.0, 3e-6])
+        beams[1, [30, 31, 32]] = 0.7 + np.array([0.0, 4e-6, 8e-6])
+        # pairs in two more drops of the chunk, one of them exactly coincident
+        beams[2, [5, 6]] = 0.4
+        beams[3, [9, 11]] = -1.1 + np.array([0.0, 2e-7])
+        # two users snapped onto one grid point
+        beams[4, [0, 39]] = 2.0 + np.array([4e-10, -6e-10])
+        return beams
+
+    def test_clusters_match_the_search_of_every_pair(self, run_forced):
+        cfg = _cfg(d_tilde=self.D_TILDE, users=40, trials=6)
+        assert _layout(6, 40, 1)[0] == 6
+        doas = np.arcsin(self.beams() / self.D_TILDE)
+        t = _beam_coords(cfg.array, np.sin(doas))
+        near = np.abs(t[:, :, None] - t[:, None, :]) < COINCIDENT_GAP
+        near[:, np.arange(40), np.arange(40)] = False
+        assert (np.count_nonzero(near, axis=(1, 2)) // 2).tolist() == [3, 4, 1, 1, 1, 0]
+        assert t[4, 0] == t[4, 39] == 2.0
+        for threads in (1, 2):
+            res = run_forced(cfg, doas, threads)
+            for drop, st in enumerate(np.sin(doas)):
+                power = _pair_powers(cfg.array, st, st)
+                np.fill_diagonal(power, 0.0)
+                gate = np.abs(self.D_TILDE * (st[:, None] - st[None, :])) <= 1.0
+                np.fill_diagonal(gate, False)
+                assert np.array_equal(res.exact_totals[drop], power.sum(axis=1)), drop
+                assert np.array_equal(res.effective_totals[drop], (power * gate).sum(axis=1)), drop
+                assert np.array_equal(res.effective_counts[drop], np.count_nonzero(gate, axis=1)), drop
+            assert_element_space_totals(cfg, res, doas)
+
+
 class TestEffectiveCount:
     def test_matches_pair_probability(self):
         cfg = _cfg(users=10, trials=4000, d_tilde=10.0, seed=21)
@@ -576,9 +624,10 @@ class TestSortedReductions:
         # effective totals: a gated share of the exact ones, zeros included
         effective = exact * (np.arange(exact.size).reshape(exact.shape) % 3 != 0)
         ordered = np.full(exact.size, np.nan)
-        exact_summary = harness._summary(exact, ordered)
-        grid, cdf = harness._empirical_cdf(ordered)
-        effective_summary = harness._summary(effective, ordered)
+        exact_summary, ends = harness._summary(exact, ordered, harness.CDF_ENDS)
+        grid, cdf = harness._empirical_cdf(ordered, *ends)
+        effective_summary, rest = harness._summary(effective, ordered)
+        assert rest == []
         assert float_bits(exact_summary) == float_bits(reference_summary(exact))
         assert float_bits(effective_summary) == float_bits(reference_summary(effective))
         ref_grid, ref_cdf = reference_cdf(exact)
@@ -661,6 +710,48 @@ class TestDivisorGate:
         assert np.flatnonzero(in_band).tolist() == [5]
         counts = assert_gate_matches_sines(run_forced, cfg, doas)
         assert counts[5, 0] >= 1 and np.count_nonzero(counts.sum(axis=1)) > 6
+
+    @pytest.mark.parametrize("d_tilde", [10.0, 10.3])
+    def test_band_pair_and_coincident_pair_in_one_chunk(self, run_forced, d_tilde):
+        # Coincident pairs and self-pairs both have a divisor of 0, inside the
+        # gate and the band, and neither may hide a band pair or pose as one.
+        cfg = _cfg(d_tilde=d_tilde, users=8, trials=12)
+        doas = np.random.default_rng(32).uniform(-math.pi / 3.0, math.pi / 3.0, (12, 8))
+        doas[5, :3] = np.arcsin(np.array([-1.0, 0.0, 0.0]) / d_tilde)
+        doas[8, 6:] = np.arcsin(np.array([2.5, 2.5 + 3e-6]) / d_tilde)
+        t = _beam_coords(cfg.array, np.sin(doas))
+        assert np.abs(t[5, 1] - t[5, 2]) < COINCIDENT_GAP and np.abs(t[8, 6] - t[8, 7]) < COINCIDENT_GAP
+        counts = assert_gate_matches_sines(run_forced, cfg, doas)
+        assert counts[5, 0] >= 2 and counts[8, 6] >= 1
+
+    def test_sine_gate_only_for_chunks_with_a_band_pair(self, monkeypatch, run_forced):
+        # A chunk's band count exceeds its gate's count by its rows L
+        # self-pairs exactly when no pair lies in the band, and only then is
+        # the sine gate's operand formed.
+        formed = []
+        operands = harness._difference_operands
+
+        def spied(x):
+            formed.append(x.shape)
+            return operands(x)
+
+        monkeypatch.setattr(harness, "_difference_operands", spied)
+        cfg = _cfg(d_tilde=10.3, users=30, trials=300, seed=19)
+        doas = sample_doas(cfg.seed, 300 * 30).reshape(300, 30)
+        t = _beam_coords(cfg.array, np.sin(doas))
+        gap = np.abs(t[:, :, None] - t[:, None, :])
+        m = self.margin(cfg.array.d_tilde)
+        assert not ((gap > 1.0 - m) & (gap <= 1.0 + m)).any()
+        assert _layout(300, 30, 1)[0] < 300
+        res = run_scenario(cfg)
+        assert formed == []
+        assert np.array_equal(res.effective_counts, sine_gate(cfg, doas)[0])
+        # one chunk of 12 drops, one of which holds grid neighbours
+        cfg = _cfg(d_tilde=10.0, users=8, trials=12)
+        doas = np.random.default_rng(31).uniform(-math.pi / 3.0, math.pi / 3.0, (12, 8))
+        doas[5, :2] = np.arcsin(np.array([-1.0, 0.0]) / 10.0)
+        assert_gate_matches_sines(run_forced, cfg, doas)
+        assert formed == [(12, 8)]
 
     @pytest.mark.parametrize("users", [300, 700])
     def test_counts_beyond_a_byte(self, run_forced, users):
