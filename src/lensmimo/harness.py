@@ -124,11 +124,10 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     coordinates t, each computed once for the chunk's whole range. work is
     a _workspace of at least rows rows, whose leading rows the chunk
     overwrites. _terms_gram writes every pairwise G of a drop into the
-    first array, self-pairs zeroed, which are squared into powers in place,
-    and leaves its divisor, the beam-coordinate differences t_l - t_k, in
-    the second. The comparisons write the band mask, and then the gate as
-    0.0 and 1.0 over the divisor. So a chunk allocates nothing of size
-    L x L.
+    first array, which are squared into powers in place, and leaves its
+    divisor, the beam-coordinate differences t_l - t_k, in the second. The
+    comparisons write the band mask, and then the gate as 0.0 and 1.0 over
+    the divisor. So a chunk allocates nothing of size L x L.
 
     The mainlobe gate is |Theta| <= 1 for Theta = d (s_l - s_k) as rounded,
     with d = d_tilde and s = sin(phi). It is read off the divisor: a pair
@@ -140,12 +139,13 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     exact d (s_l - s_k); rounding that difference, and the difference and
     product in Theta, adds at most 4 eps wherever |Theta| or |t_l - t_k| is
     near 1. The rest of the constant covers the rounding of 1 -+ m. The
-    kernel leaves 0 at the self-pairs and at the coincident pairs, which lie
-    well inside the mainlobe. The self-pairs are then cleared from the gate,
-    so the band mask, |t_l - t_k| <= 1 + m, holds every pair of the gate
-    and the rows L self-pairs, and more exactly when some pair lies in the
-    band (1 - m, 1 + m]. A chunk with such a pair takes the sine gate for
-    every pair instead, its s_l - s_k formed as the divisors are.
+    kernel leaves 0 at the coincident pairs, which lie well inside the
+    mainlobe, and +inf at the self-pairs, which neither the gate nor the
+    band mask, |t_l - t_k| <= 1 + m, admits. So the band mask holds every
+    pair of the gate, and more exactly when some pair lies in the band
+    (1 - m, 1 + m]. A chunk with such a pair takes the sine gate for every
+    pair instead, its s_l - s_k formed as the divisors are, and clears its
+    self-pairs, where Theta = 0.
 
     The powers are finite and non-negative, so multiplying them by the
     float gate gives x for 1.0 and +0 for 0.0, the bits of a bool mask.
@@ -153,8 +153,7 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     in any order, as one matrix-vector product.
     """
     arr = config.array
-    rows, users = st.shape
-    power, gate, band = (w[:rows] for w in work)
+    power, gate, band = (w[:len(st)] for w in work)
     _gram_powers(arr, _terms_gram(arr, ops, coincident=coincident, scratch=gate, out=power))
     margin = 2.0 * GRID_SNAP_TOL + (2.0 * arr.d_tilde + 16.0) * 2.0**-53
     np.abs(gate, out=gate)
@@ -162,10 +161,11 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     np.less_equal(gate, 1.0 - margin, out=gate)
     # The columns (1, -t) of the chunk's first drop: a row of L ones
     ones = ops[3][0, 0]
-    if _gate_counts(gate, counts, ones) + rows * users != in_band:
+    if _gate_counts(gate, counts, ones) != in_band:
         theta = np.matmul(*_difference_operands(st), out=gate)
         theta *= arr.d_tilde
         np.less_equal(np.abs(theta, out=theta), 1.0, out=gate)
+        _self_pairs(gate)[...] = 0.0
         _gate_counts(gate, counts, ones)
 
     power.sum(axis=2, out=exact)
@@ -175,10 +175,9 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
 
 
 def _gate_counts(gate, counts, ones) -> float:
-    """Clear the self-pairs of the (rows, L, L) 0.0/1.0 gate, write its row
-    sums, its product with the L ones of ones, into the (rows, L) counts,
-    and return their total, all exact."""
-    _self_pairs(gate)[...] = 0.0
+    """Write the row sums of the (rows, L, L) 0.0/1.0 gate, its product with
+    the L ones of ones, into the (rows, L) counts, and return their total,
+    all exact."""
     sums = gate.reshape(-1, gate.shape[2]) @ ones
     counts[...] = sums.reshape(counts.shape)
     return sums.sum()

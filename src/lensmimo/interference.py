@@ -179,34 +179,34 @@ def _coincident_rows(t: np.ndarray) -> np.ndarray:
     return (gaps < COINCIDENT_GAP).any(axis=1)
 
 
-def _coincident_pairs(t: np.ndarray, diff: np.ndarray, coincident: np.ndarray) -> tuple:
-    """(r, i, j), the pairs of the (rows, L, L) divisors diff of one set of
-    users that lie closer than COINCIDENT_GAP.
+def _coincident_pairs(t: np.ndarray, coincident: np.ndarray) -> tuple:
+    """(r, i, j), the pairs of users of the (rows, L) coordinates t that lie
+    closer than COINCIDENT_GAP, in both orders, from the rows that
+    coincident flags as _coincident_rows does; empty when none is flagged.
 
-    t holds the (rows, L) coordinates whose differences diff holds, with
-    the self-pairs at or beyond the gap, and coincident flags the rows of t
-    that _coincident_rows flags. In each such row the candidates are the
-    users with a sorted neighbour within the gap, and only the pairs of
-    the first users of the row, its candidates first, are read from diff,
-    as many as the most candidates of any row. No pair is lost: rounding is
-    monotone, so the gap between a user and its sorted neighbour toward its
-    partner never exceeds the pair's own rounded difference, and a user
-    that is no candidate has no partner within the gap.
+    The flagged rows are sorted once, and the users s places apart in
+    sorted order are compared for s = 1, 2, ... up to the first s with no
+    close pair. No pair is lost: rounding is monotone, so every pair that
+    lies between the ends of a close pair in sorted order is close too. A
+    sorted difference has the bits of |t_l - t_k|, which the divisors hold.
     """
-    rows = np.flatnonzero(coincident)
+    rows = coincident.nonzero()[0]
+    # Most chunks flag no row. Returning here spares them about ten small
+    # NumPy calls, which hold the interpreter lock that other threads wait on
+    if not rows.size:
+        return rows, rows, rows
     ts = t[rows]
     order = ts.argsort(axis=1)
-    at = np.arange(rows.size)[:, None]
-    ranked = ts[at, order]
-    near = ranked[:, 1:] - ranked[:, :-1] < COINCIDENT_GAP
-    candidate = np.zeros(ts.shape, dtype=bool)
-    candidate[:, 1:] = near
-    candidate[:, :-1] |= near
-    first = (~candidate).argsort(axis=1)[:, : candidate.sum(axis=1).max()]
-    users = order[at, first]
-    pair = np.abs(diff[rows[:, None, None], users[:, :, None], users[:, None, :]]) < COINCIDENT_GAP
-    r, a, b = np.nonzero(pair)
-    return rows[r], users[r, a], users[r, b]
+    ranked = np.sort(ts, axis=1)
+    pairs = []
+    for s in range(1, t.shape[1]):
+        r, i = np.nonzero(ranked[:, s:] - ranked[:, :-s] < COINCIDENT_GAP)
+        if not r.size:
+            break
+        a, b = order[r, i], order[r, i + s]
+        pairs.append((rows[r], a, b))
+        pairs.append((rows[r], b, a))
+    return tuple(np.concatenate(pairs, axis=1))
 
 
 def _difference_operands(x: np.ndarray) -> tuple:
@@ -239,7 +239,7 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
     sf_l and sf_k have shapes (..., L) and (..., N) with the same leading
     shape, and the result has shape (..., L, N). Without sf_k the pairs are
     those of sf_l with itself, and the self-pairs, which the drop ensembles
-    exclude, read 0.
+    exclude, read +-0.
 
     The two halves are the per-user _user_terms and their _gram_operands,
     once for each side, which call the special functions O(L + N) times
@@ -257,23 +257,23 @@ def _terms_gram(config: LensArrayConfig, ops_l, ops_k=None, coincident=None, scr
     Their users' arrays have shapes (..., L) and (..., N) with the same
     leading shape, and the result has shape (..., L, N). Only the rows of
     ops_l and the columns of ops_k are read. Without ops_k the pairs are
-    those of ops_l with itself, and the self-pairs read 0. The divisor
-    a - b is written into scratch, a float array of shape (rows, L, N) with
-    rows the size of the leading shape, when one is given. Afterwards
-    scratch holds the beam-coordinate differences t_l - t_k of the snapped
-    coordinates, except at the self-pairs and at the coincident pairs,
-    |t_l - t_k| < COINCIDENT_GAP, where it holds 0. Given out, a
+    those of ops_l with itself. The divisor a - b is written into scratch,
+    a float array of shape (rows, L, N) with rows the size of the leading
+    shape, when one is given. Afterwards scratch holds the beam-coordinate
+    differences t_l - t_k of the snapped coordinates, except at the
+    coincident pairs, |t_l - t_k| < COINCIDENT_GAP, where it holds 0, and,
+    without ops_k, at the self-pairs, where it holds +inf. Given out, a
     C-contiguous float array of the result's shape, the result is written
     into it and out is returned, with the bits of the call without it.
 
     The numerators u_l v_k - v_l u_k and the divisors t_l - t_k are each
     one rank-2 matrix product per row, whatever M and wherever the users
-    lie. Coincident pairs are rare. For pairs of one set, only the rows
-    that hold two users closer than COINCIDENT_GAP are searched, and in
-    them only the users with a sorted neighbour within the gap, by
-    _coincident_pairs; coincident may give those rows as _coincident_rows
-    of its (rows, L) coordinates, or else they are found here. For pairs of
-    two sets they are found by one pass over the divisors.
+    lie. Each rare pair has one rule. A self-pair divides its finite
+    numerator by +inf, so its G is +-0 and its power +0. The coincident
+    pairs of one set come from its (rows, L) coordinates, by the sorted
+    search of _coincident_pairs in the rows that coincident flags as
+    _coincident_rows does, or that are flagged here without it; those of
+    two sets come from one pass over the divisors.
     """
     num_l, _, div_l, _ = ops_l
     _, num_k, _, div_k = ops_l if ops_k is None else ops_k
@@ -284,27 +284,22 @@ def _terms_gram(config: LensArrayConfig, ops_l, ops_k=None, coincident=None, scr
     g = np.matmul(num_l, num_k, out=gram)
     diff = np.matmul(div_l, div_k, out=scratch)
     if ops_k is None:
-        # Self-pairs are zeroed below, so any divisor serves there.
-        diagonal = _self_pairs(diff)
-        diagonal[...] = 1.0
+        # A self-pair's finite numerator over +inf gives G = +-0
+        _self_pairs(diff)[...] = np.inf
         if coincident is None:
             coincident = _coincident_rows(div_l[..., 0])
-        pairs = _coincident_pairs(div_l[..., 0], diff, coincident) if np.count_nonzero(coincident) else None
+        r, i, j = _coincident_pairs(div_l[..., 0], coincident)
     else:
         # One pass over the divisors costs less than sorting every row's users
-        pairs = np.nonzero(np.abs(diff) < COINCIDENT_GAP)
-    if pairs is None or not pairs[0].size:
+        r, i, j = np.nonzero(np.abs(diff) < COINCIDENT_GAP)
+    if not r.size:
         g /= diff
     else:
-        r, i, j = pairs
         diff[r, i, j] = 1.0
         g /= diff
         diff[r, i, j] = 0.0
         g[r, i, j] = _coincident_gram(div_l[r, i, 0], -div_k[r, 1, j], -num_l[r, i, 1], num_k[r, 0, j],
                                       config.max_index)
-    if ops_k is None:
-        _self_pairs(g)[...] = 0.0
-        diagonal[...] = 0.0
     return g.reshape(shape) if out is None else out
 
 

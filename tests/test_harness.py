@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import special
 
 from lensmimo import (
     LensArrayConfig,
@@ -24,6 +25,8 @@ from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _layout, _workspace
 from lensmimo.interference import COINCIDENT_GAP, _gram_operands, _pair_powers, _terms_gram, _user_terms
 from lensmimo.selfcheck import DETERMINISM_USERS
 from lensmimo.stochastic import SectorModel
+
+from test_acceptance import _ensembles
 
 TRUE_P10 = 0.1122673842  # see test_stochastic for the independent oracle
 
@@ -156,10 +159,10 @@ class TestDeterminism:
                     assert res.effective_summary == ref.effective_summary
                     assert res.mean_effective_count == ref.mean_effective_count
                     assert res.mean_effective_count_se == ref.mean_effective_count_se
-            # a caller's scratch holds the divisors, and 0 at the self-pairs
+            # a caller's scratch holds the divisors, and +inf at the self-pairs
             scratch = np.full((50, users, users), np.nan)
             gram = _terms_gram(cfg.array, _gram_operands(_user_terms(cfg.array, np.sin(forced))), scratch=scratch)
-            assert np.all(np.diagonal(scratch, axis1=1, axis2=2) == 0.0)
+            assert np.all(np.diagonal(scratch, axis1=1, axis2=2) == np.inf)
             assert np.all(np.diagonal(gram, axis1=1, axis2=2) == 0.0)
             assert not np.isnan(scratch).any()
 
@@ -442,6 +445,72 @@ class TestEnsembleMean:
         assert abs(per_trial.mean() - (users - 1) * mean_pair_power(d_tilde)) <= 3.0 * se
 
 
+def gated_pair_power(d_tilde, panels=24, nodes=16, inner=32, block=256):
+    """E[I 1{|Theta| <= 1}] for a_z = 1: the mean gated power of one pair of
+    independent DOAs uniform on the sector, with pairwise_interference_direct
+    as the integrand, not the kernel. The outer Gauss-Legendre rule over
+    phi_l takes panels x nodes on each piece of the sector between the
+    points where sin phi_l -+ 1/d_tilde meets its edge; the inner rule takes
+    inner nodes over phi_k on the mainlobe interval |sin phi_l - sin phi_k|
+    <= 1/d_tilde clipped to the sector. block outer nodes run at a time."""
+    h = SectorModel().half_width
+    edge, w = math.sin(h), 1.0 / d_tilde
+    cuts = [math.asin(x) for x in (w - edge, edge - w) if -edge < x < edge]
+    breaks = np.unique([-h, h, *cuts])
+    x, wx = np.polynomial.legendre.leggauss(nodes)
+    edges = np.append(np.concatenate([np.linspace(a, b, panels + 1)[:-1]
+                                      for a, b in zip(breaks[:-1], breaks[1:])]), h)
+    half = 0.5 * np.diff(edges)[:, None]
+    phi_l = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x).ravel()
+    weight_l = (half * wx).ravel()
+    y, wy = np.polynomial.legendre.leggauss(inner)
+    cfg = LensArrayConfig(d_tilde)
+    total = 0.0
+    for a in range(0, phi_l.size, block):
+        s_l = np.sin(phi_l[a:a + block])[:, None]
+        lo = np.arcsin(np.maximum(-edge, s_l - w))
+        hi = np.arcsin(np.minimum(edge, s_l + w))
+        phi_k = 0.5 * (lo + hi) + 0.5 * (hi - lo) * y
+        power = pairwise_interference_direct(cfg, s_l, np.sin(phi_k))
+        total += weight_l[a:a + block] @ (0.5 * (hi - lo)[:, 0] * (power @ wy))
+    return total / (2.0 * h) ** 2
+
+
+def captured_share(d_tilde):
+    """kappa(d_tilde) = E[I 1{|Theta| <= 1}] / E[I], the captured fraction
+    of an infinite ensemble, from the two quadrature references."""
+    return gated_pair_power(d_tilde) / mean_pair_power(d_tilde)
+
+
+class TestGatedMean:
+    """The captured fraction against the gated-mean reference, built from
+    pairwise_interference_direct, not the kernel."""
+
+    def test_reference_converged(self):
+        for d_tilde in (5.0, 20.0):
+            assert gated_pair_power(d_tilde, panels=16, nodes=16, inner=24) == pytest.approx(
+                gated_pair_power(d_tilde), rel=1e-12)
+
+    def test_share_falls_toward_the_mainlobe_share(self):
+        # the sector's bounded separation density cuts off more sidelobe
+        # energy at small apertures; the two values are those an earlier,
+        # separate quadrature of the same integrals gave
+        mainlobe_share = 2.0 * special.sici(2.0 * math.pi)[0] / math.pi
+        assert captured_share(5.0) == pytest.approx(0.93609, abs=5e-6)
+        assert captured_share(20.0) == pytest.approx(0.91781, abs=5e-6)
+        assert captured_share(5.0) > captured_share(20.0) > mainlobe_share
+
+    @pytest.mark.parametrize("d_tilde", [5.0, 20.0])
+    def test_criterion_6_fractions_within_three_se(self, d_tilde):
+        # the fraction is a ratio of the per-trial means of the effective
+        # and exact totals; its delta-method SE is that of e - R x over x
+        config, result = _ensembles()[d_tilde]
+        fraction = approximation_quality(config, scenario_result=result).captured_fraction
+        e, x = result.effective_totals.mean(axis=1), result.exact_totals.mean(axis=1)
+        se = np.std(e - fraction * x, ddof=1) / math.sqrt(x.size) / x.mean()
+        assert abs(fraction - captured_share(d_tilde)) <= 3.0 * se
+
+
 def element_space_totals(config, doas, block=100):
     """Every drop's exact totals (A^2/M) (p_l^T W p_l - (p_l^T p_l)^2), with
     p the M-element sinc profiles of the snapped beam coordinates and
@@ -530,6 +599,33 @@ class TestCoincidentPairs:
                 assert np.array_equal(res.effective_totals[drop], (power * gate).sum(axis=1)), drop
                 assert np.array_equal(res.effective_counts[drop], np.count_nonzero(gate, axis=1)), drop
             assert_element_space_totals(cfg, res, doas)
+
+    @pytest.mark.parametrize("d_tilde, users, trials", [
+        pytest.param(1e-6, 50, 3, id="every-pair"),
+        pytest.param(1e-3, 60, 4, id="d0.001"),
+        pytest.param(0.01, 200, 2, id="d0.01"),
+    ])
+    def test_near_coincident_ensembles(self, d_tilde, users, trials):
+        # one element, K = 0, so every user and every coincident pair's
+        # midpoint lies beyond the span; at 1e-6 every pair coincides, and
+        # the sorted search runs all L - 1 of its steps
+        cfg = _cfg(d_tilde=d_tilde, users=users, trials=trials, seed=29)
+        doas = sample_doas(cfg.seed, trials * users).reshape(trials, users)
+        t = _beam_coords(cfg.array, np.sin(doas))
+        assert cfg.array.max_index == 0 and np.all(t != 0.0)
+        near = np.abs(t[:, :, None] - t[:, None, :]) < COINCIDENT_GAP
+        assert np.all(near.sum(axis=(1, 2)) > users)
+        if d_tilde == 1e-6:
+            assert near.all()
+        ref, *runs = (run_scenario(cfg, threads) for threads in (1, 2, 3))
+        for res in runs:
+            for field in ("exact_totals", "effective_totals", "effective_counts", "cdf_grid", "cdf_values"):
+                assert getattr(res, field).tobytes() == getattr(ref, field).tobytes(), field
+            assert float_bits(res.exact_summary) == float_bits(ref.exact_summary)
+            assert float_bits(res.effective_summary) == float_bits(ref.effective_summary)
+            assert res.mean_effective_count == ref.mean_effective_count
+            assert res.mean_effective_count_se == ref.mean_effective_count_se
+        assert_element_space_totals(cfg, ref)
 
 
 class TestEffectiveCount:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -26,6 +26,7 @@ from lensmimo.interference import (
     SIDELOBE_PEAK_X,
     SIDELOBE_RATIO_DB,
     _beam_terms,
+    _coincident_rows,
     _difference_operands,
     _gram_operands,
     _pair_gram,
@@ -278,14 +279,17 @@ def test_differences_match_broadcast_subtraction():
     theta *= cfg.d_tilde
     assert np.array_equal(theta, cfg.d_tilde * (sines[0][:, :, None] - sines[0][:, None, :]))
     # the kernel's scratch holds the same differences, 0 where G took the
-    # coincident limit
+    # coincident limit and +inf at the self-pairs of the self form
     for ops_k, y in ((None, t), (_gram_operands(_user_terms(cfg, sf_k)), t_k)):
         expect = (t[..., :, None] - y[..., None, :]).reshape(6, 9, -1)
         scratch = np.full(expect.shape, np.nan)
         _terms_gram(cfg, _gram_operands(_user_terms(cfg, sf)), ops_k, scratch=scratch)
         limit = np.abs(expect) < COINCIDENT_GAP
         assert limit.any()
-        assert np.array_equal(scratch, np.where(limit, 0.0, expect))
+        expect = np.where(limit, 0.0, expect)
+        if ops_k is None:
+            expect[:, range(9), range(9)] = np.inf
+        assert np.array_equal(scratch, expect)
 
 
 def beam_terms_mod_reference(t, max_index):
@@ -530,12 +534,90 @@ class TestPairKernel:
             assert _terms_gram(cfg, *ops, scratch=scratch, out=out) is out
             assert out.tobytes() == fresh.tobytes()
             # the divisors are the coordinate differences, 0 where G took the
-            # coincident limit
+            # coincident limit and +inf at the self-pairs of the self form
             t_l, t_k = terms[0][0], terms[-1][0]
             diff = (t_l[..., :, None] - t_k[..., None, :]).reshape(scratch.shape)
             limit = np.abs(diff) < COINCIDENT_GAP
             assert limit.any()
-            assert np.array_equal(scratch, np.where(limit, 0.0, diff))
+            diff = np.where(limit, 0.0, diff)
+            if len(args) == 1:
+                diff[:, range(9), range(9)] = np.inf
+            assert np.array_equal(scratch, diff)
+
+
+# Spacings of planted chains of users, in units of COINCIDENT_GAP: ties,
+# chains whose ends lie within the gap, chains whose neighbours do but whose
+# ends do not, and users just beyond it
+CHAIN_STEPS = (0.0, 0.2, 0.3, 0.45, 0.6, 0.95, 1.05, 3.0)
+
+
+@st.composite
+def planted_coordinates(draw):
+    """(d_tilde, sf): (rows, L) spatial frequencies whose beam coordinates
+    hold, row by row, a chain of near-coincident users, exact ties, users
+    snapped onto one grid point, a row in which every user coincides, or
+    no planted user."""
+    d_tilde = draw(st.sampled_from((0.01, 2.5, 5.0, 10.3)))
+    rows, users = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    lim = 0.99 * d_tilde
+    t = np.array(draw(st.lists(st.floats(-lim, lim), min_size=rows * users, max_size=rows * users)))
+    t = t.reshape(rows, users)
+    for row in t:
+        kind = draw(st.sampled_from(("none", "chain", "whole", "ties", "grid")))
+        size = users if kind == "whole" else draw(st.integers(min(2, users), users))
+        at = draw(st.permutations(range(users)))[:size]
+        if kind == "whole":
+            # every pair of the row lies within the gap
+            step = draw(st.floats(0.0, 0.99 / max(1, users - 1))) * COINCIDENT_GAP
+        else:
+            step = draw(st.sampled_from(CHAIN_STEPS)) * COINCIDENT_GAP
+        if kind in ("chain", "whole"):
+            start = min(row[at[0]], lim - step * size)
+            row[at] = start + step * np.arange(size)
+        elif kind == "ties":
+            row[at] = row[at[0]]
+        elif kind == "grid":
+            jitter = draw(st.lists(st.floats(-0.9, 0.9), min_size=size, max_size=size))
+            row[at] = round(row[at[0]]) + GRID_SNAP_TOL * np.array(jitter)
+    return d_tilde, np.clip(t / d_tilde, -1.0, 1.0)
+
+
+# one drop whose four-user chain has its ends within the gap, three sorted
+# places apart, among users far from it
+_CHAIN_OF_FOUR = np.array([[1.3 + 0.9 * COINCIDENT_GAP, -3.0, 1.3 + 0.3 * COINCIDENT_GAP, 2.0,
+                            1.3, 0.0, 1.3 + 0.6 * COINCIDENT_GAP]]) / 5.0
+# two drops in which every user coincides, and one with none
+_WHOLE_ROWS = np.array([0.004 + 0.1 * COINCIDENT_GAP * np.arange(10),
+                        np.full(10, -0.002),
+                        np.linspace(-0.009, 0.009, 10)]) / 0.01
+
+
+@given(planted_coordinates())
+@example((5.0, _CHAIN_OF_FOUR))
+@example((0.01, _WHOLE_ROWS))
+@settings(max_examples=150, deadline=None)
+def test_sorted_search_finds_the_pairs_of_every_pair_search(case):
+    # The self form, with its rows flagged by _coincident_rows, finds the
+    # coincident pairs by comparing users s sorted places apart; the cross
+    # form of the same users searches every divisor. Off the self-pairs
+    # both give the same bits, and the self form's scratch holds +inf at
+    # the self-pairs and 0 at every coincident pair.
+    d_tilde, sf = case
+    cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
+    terms = _user_terms(cfg, sf)
+    ops = _gram_operands(terms)
+    t = terms[0]
+    rows, users = t.shape
+    scratch = np.full((rows, users, users), np.nan)
+    g = _terms_gram(cfg, ops, coincident=_coincident_rows(t), scratch=scratch)
+    cross = _terms_gram(cfg, ops, ops)
+    off = ~np.eye(users, dtype=bool)
+    assert g[:, off].tobytes() == cross[:, off].tobytes()
+    assert np.all(np.diagonal(g, axis1=1, axis2=2) == 0.0)
+    diff = t[:, :, None] - t[:, None, :]
+    expect = np.where(np.abs(diff) < COINCIDENT_GAP, 0.0, diff)
+    expect[:, ~off] = np.inf
+    assert np.array_equal(scratch, expect)
 
 
 class TestSweepPattern:
