@@ -34,7 +34,7 @@ through Hurwitz zeta functions. Within the span the sum over all integers
 m is sinc(a - b), and G is sinc(a - b) less the tail |m| > K; beyond it,
 G is the nearest element's term plus the other elements.
 pairwise_interference_closed expands each user on Python floats in one
-call and takes a coincident pair through the array kernel.
+call and passes a coincident pair's t and v to the same limit.
 
 pairwise_interference_direct builds the channel vectors of a broadcast
 batch of pairs and takes their Hermitian inner products along the element
@@ -127,27 +127,29 @@ def _beam_terms(t: np.ndarray, max_index: int):
     return v, u
 
 
-def _coincident_gram(a, b, v_a, v_b, max_index: int):
-    """G(a, b) for |a - b| < COINCIDENT_GAP.
+def _coincident_gram(a, b, v_a, v_b, max_index: int) -> np.ndarray:
+    """G(a, b) for |a - b| < COINCIDENT_GAP, of 1-d arrays of pairs.
 
     Each 1/((m - a)(m - b)) at least 1 from the midpoint x is taken as
     1/(m - x)^2 and summed by the Hurwitz zeta function
-    zeta(2, q) = sum_{j >= 0} 1/(j + q)^2. With |x| <= K the sum over all m
-    is sinc(a - b), less the tail |m| > K. With |x| > K the nearest element
-    +-K is taken exactly and the other 2K elements are summed.
+    zeta(2, q) = sum_{j >= 0} 1/(j + q)^2. Each pair takes only the formula
+    of its own region. With |x| <= K the sum over all m is sinc(|a - b|),
+    less the tail |m| > K. With |x| > K the nearest element +-K is taken
+    exactly and the other 2K elements are summed. Each term is symmetric
+    in a and b, so G(a, b) and G(b, a) have the same bits.
     """
     x = 0.5 * (a + b)
+    s = np.abs(x)
     k1 = max_index + 1.0
-    # 0 * inf where both users snap to x = +-(K + 1); such entries are redone below
-    with np.errstate(invalid="ignore"):
-        g = sinc(a - b) - v_a * v_b * (zeta(2.0, k1 - x) + zeta(2.0, k1 + x))
-    out = np.abs(x) > max_index
+    g = np.empty_like(x)
+    at = s <= max_index
+    tail = zeta(2.0, k1 - x[at]) + zeta(2.0, k1 + x[at])
+    g[at] = sinc(np.abs(a[at] - b[at])) - v_a[at] * v_b[at] * tail
+    out = ~at
     if out.any():
-        x, s = x[out], np.abs(x[out])
-        edge = np.copysign(max_index, x)
+        s, edge = s[out], np.copysign(max_index, x[out])
         near = sinc(edge - a[out]) * sinc(edge - b[out])
-        rest = zeta(2.0, s - max_index + 1.0) - zeta(2.0, s + k1)
-        g[out] = near + v_a[out] * v_b[out] * rest
+        g[out] = near + v_a[out] * v_b[out] * (zeta(2.0, s - max_index + 1.0) - zeta(2.0, s + k1))
     return g
 
 
@@ -181,8 +183,9 @@ def _coincident_rows(t: np.ndarray) -> np.ndarray:
 
 def _coincident_pairs(t: np.ndarray, coincident: np.ndarray) -> tuple:
     """(r, i, j), the pairs of users of the (rows, L) coordinates t that lie
-    closer than COINCIDENT_GAP, in both orders, from the rows that
-    coincident flags as _coincident_rows does; empty when none is flagged.
+    closer than COINCIDENT_GAP, each unordered pair once, with t[r, i] <=
+    t[r, j], from the rows that coincident flags as _coincident_rows does;
+    empty when none is flagged.
 
     The flagged rows are sorted once, and the users s places apart in
     sorted order are compared for s = 1, 2, ... up to the first s with no
@@ -203,9 +206,7 @@ def _coincident_pairs(t: np.ndarray, coincident: np.ndarray) -> tuple:
         r, i = np.nonzero(ranked[:, s:] - ranked[:, :-s] < COINCIDENT_GAP)
         if not r.size:
             break
-        a, b = order[r, i], order[r, i + s]
-        pairs.append((rows[r], a, b))
-        pairs.append((rows[r], b, a))
+        pairs.append((rows[r], order[r, i], order[r, i + s]))
     return tuple(np.concatenate(pairs, axis=1))
 
 
@@ -272,8 +273,9 @@ def _terms_gram(config: LensArrayConfig, ops_l, ops_k=None, coincident=None, scr
     numerator by +inf, so its G is +-0 and its power +0. The coincident
     pairs of one set come from its (rows, L) coordinates, by the sorted
     search of _coincident_pairs in the rows that coincident flags as
-    _coincident_rows does, or that are flagged here without it; those of
-    two sets come from one pass over the divisors.
+    _coincident_rows does, or that are flagged here without it, and each
+    pair's limit is taken once and written in both orders; those of two
+    sets come from one pass over the divisors.
     """
     num_l, _, div_l, _ = ops_l
     _, num_k, _, div_k = ops_l if ops_k is None else ops_k
@@ -289,17 +291,19 @@ def _terms_gram(config: LensArrayConfig, ops_l, ops_k=None, coincident=None, scr
         if coincident is None:
             coincident = _coincident_rows(div_l[..., 0])
         r, i, j = _coincident_pairs(div_l[..., 0], coincident)
+        # G is symmetric, so each unordered pair's limit serves both orders
+        mirror = r, j, i
     else:
         # One pass over the divisors costs less than sorting every row's users
-        r, i, j = np.nonzero(np.abs(diff) < COINCIDENT_GAP)
+        r, i, j = mirror = np.nonzero(np.abs(diff) < COINCIDENT_GAP)
     if not r.size:
         g /= diff
     else:
-        diff[r, i, j] = 1.0
+        diff[r, i, j] = diff[mirror] = 1.0
         g /= diff
-        diff[r, i, j] = 0.0
-        g[r, i, j] = _coincident_gram(div_l[r, i, 0], -div_k[r, 1, j], -num_l[r, i, 1], num_k[r, 0, j],
-                                      config.max_index)
+        diff[r, i, j] = diff[mirror] = 0.0
+        g[r, i, j] = g[mirror] = _coincident_gram(div_l[r, i, 0], -div_k[r, 1, j], -num_l[r, i, 1],
+                                                  num_k[r, 0, j], config.max_index)
     return g.reshape(shape) if out is None else out
 
 
@@ -333,10 +337,9 @@ def _user_float(config: LensArrayConfig, sf: float) -> tuple:
         v, c = -v, -c
     k = config.max_index
     k1 = k + 1.0
-    if t > k:
-        return t, v, v * float(digamma(t - k) - digamma(t + k1))
-    if t < -k:
-        return t, v, v * float(digamma(k1 - t) - digamma(-k - t))
+    s = abs(t)
+    if s > k:
+        return t, v, math.copysign(1.0, t) * v * float(digamma(s - k) - digamma(s + k1))
     return t, v, v * float(digamma(k1 - t) - digamma(k1 + t)) - c
 
 
@@ -364,13 +367,13 @@ def pairwise_interference_closed(
     """Closed-form interference, identical to the direct path to rounding.
 
     O(1) work whatever the element count, for every pair of users. A
-    coincident pair, |t_l - t_k| < COINCIDENT_GAP, takes the array kernel.
+    coincident pair, |t_l - t_k| < COINCIDENT_GAP, takes the limit of
+    _coincident_gram on its users' t and v.
     """
-    sf_l, sf_k = float(phi_tilde_l), float(phi_tilde_k)
-    a, v_a, u_a = _user_float(config, sf_l)
-    b, v_b, u_b = _user_float(config, sf_k)
+    a, v_a, u_a = _user_float(config, float(phi_tilde_l))
+    b, v_b, u_b = _user_float(config, float(phi_tilde_k))
     if abs(a - b) < COINCIDENT_GAP:
-        g = float(_pair_gram(config, [sf_l], [sf_k])[0, 0])
+        g = float(_coincident_gram(*np.array([[a], [b], [v_a], [v_b]]), config.max_index)[0])
     else:
         g = (u_a * v_b - v_a * u_b) / (a - b)
     return config.peak_power * g * g

@@ -14,6 +14,7 @@ from lensmimo import (
     NullNotFoundError,
     ScenarioConfig,
     first_null,
+    interference,
     pairwise_interference_closed,
     pairwise_interference_direct,
     power_to_db,
@@ -35,7 +36,7 @@ from lensmimo.interference import (
     _user_float,
     _user_terms,
 )
-from scipy.special import digamma
+from scipy.special import digamma, zeta
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 
@@ -404,13 +405,15 @@ class TestPairKernel:
 
     APERTURES = [5.0, 10.0, 20.0, 57.3, 100.0]
 
-    @pytest.mark.parametrize("d_tilde", [1.5, 2.5, 5.0, 10.0, 10.3, 20.0, 57.3, 100.0])
+    @pytest.mark.parametrize("d_tilde", [0.5, 1.5, 2.5, 5.0, 5.9999999995, 10.0, 10.3, 20.0, 57.3, 100.0])
     def test_coincident_pairs_across_the_switch(self, run_forced, d_tilde):
         # beam-coordinate gaps from 1e-14 to 1e-2, with COINCIDENT_GAP = 1e-5 bracketed,
         # at a random user, at t = +-(K - 1/2), where the tail the limit form subtracts
         # is largest, at a grid user and at end-fire, where a fractional d_tilde puts
         # the midpoint beyond the span; each partner steps both ways where it stays
-        # a spatial frequency
+        # a spatial frequency. At d_tilde = 0.5, K = 0 and every coincident pair lies
+        # beyond the span; at 5.9999999995 the end-fire pairs snap together onto
+        # +-(K + 1)
         cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
         coincident = [0.0, 1e-12 * d_tilde, 1e-9, 3e-6]
         gaps = np.concatenate([coincident, np.logspace(-14, -2, 25), [0.99e-5, 1e-5, 1.01e-5]])
@@ -427,6 +430,28 @@ class TestPairKernel:
             if abs(a - b) * d_tilde < 0.9 * COINCIDENT_GAP:
                 g = _pair_gram(cfg, [a], [b])[0, 0]
                 assert pairwise_interference_closed(cfg, a, b) == peak * g * g
+
+    @pytest.mark.parametrize("d_tilde", [2.5, 1e-3])
+    def test_each_coincident_limit_is_taken_once(self, monkeypatch, d_tilde):
+        # A three-user cluster, inside the span at d_tilde = 2.5, and an end-fire
+        # pair beyond it, among users far apart: four unordered coincident pairs.
+        # Each pair's limit takes two zeta evaluations, whatever its region, and
+        # a scalar pair passes its users' terms to the limit without expanding
+        # them again.
+        cfg = LensArrayConfig(d_tilde=d_tilde)
+        gap = 1e-7 / d_tilde
+        sf = np.array([0.1, 0.1 + gap, 0.1 + 2.0 * gap, 0.999, 0.999 + gap, -0.5, 0.3, -0.9])
+        ops = _gram_operands(_user_terms(cfg, sf))
+        seen, expanded = [], []
+        monkeypatch.setattr(interference, "zeta", lambda s, q: seen.append(np.size(q)) or zeta(s, q))
+        _terms_gram(cfg, ops)
+        assert sum(seen) == 8
+        monkeypatch.setattr(interference, "_beam_terms", lambda *a: expanded.append(a) or _beam_terms(*a))
+        for a, b in ((sf[0], sf[2]), (sf[4], sf[3])):
+            seen.clear()
+            pairwise_interference_closed(cfg, a, b)
+            assert sum(seen) == 2
+        assert not expanded
 
     @pytest.mark.parametrize("d_tilde", APERTURES)
     def test_coordinates_at_the_snap_tolerance(self, run_forced, d_tilde):
