@@ -26,6 +26,7 @@ from .harness import ScenarioConfig, approximation_quality, run_scenario
 from .interference import sweep_pattern
 from .selfcheck import run_checks
 from .stochastic import (
+    MAX_THREADS,
     effective_prob_closed,
     effective_prob_mc,
     effective_prob_quadrature,
@@ -61,8 +62,8 @@ def _finite_float(text: str) -> float:
 
 def _thread_count(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not 1 <= value <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"must lie in [1, {MAX_THREADS}], got {value}")
     return value
 
 

@@ -39,12 +39,12 @@ CDF_POINTS = 256
 CDF_ENDS = (0.001, 0.999)
 
 # Bytes of one chunk's working set, as _layout counts it, sized to stay in a
-# core's 2 MiB L2 cache. A sweep of the bench's two ensemble workloads (job
-# p50 of 3 runs each, 2-core Xeon) over budgets of 0.76, 1.6, 2.3, 3.1, 4 and
-# 8 MB was fastest at 1.6 MB: 2 drops a chunk at d_tilde 5, L 200 (0.089 s,
-# against 0.101 s at 1 drop and 0.106 s at 10) and 430 at d_tilde 100, L 10
-# (0.0081 s, against 0.0093 s at 2150), when the workspace took 18 bytes a
-# pair; at 17 the same budget gives 2 and 441.
+# core's 2 MiB L2 cache. A sweep of the bench's two ensemble job shapes over
+# budgets of 0.76, 1.6, 2.3, 3.1, 4 and 8 MB (one thread on a 2-core Xeon,
+# medians of 10 alternating rounds of 9 or 25 jobs) kept 1.6 MB: 2 drops a
+# chunk at d_tilde 5, L 200 (50.3 ms, against 51.8 ms at 1 drop and 54.8 ms
+# at 3, each lower in at most 2 of 10 rounds) and 441 at d_tilde 100, L 10
+# (4.46 ms, against 4.41 ms at 635 drops, lower in 7 of 10, and 4.91 ms at 209).
 CHUNK_BYTES = 1_600_000
 
 # Bytes budgeted for a drop's per-user vectors, 24 doubles a user. A range
@@ -150,7 +150,10 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     The powers are finite and non-negative, so multiplying them by the
     float gate gives x for 1.0 and +0 for 0.0, the bits of a bool mask.
     The counts are the gate's row sums, sums of 0.0 and 1.0 that are exact
-    in any order, as one matrix-vector product.
+    in any order, as one matrix-vector product. The totals are _row_sums of
+    the powers, the exact ones before the gate scales them and the
+    effective ones after, so each effective total adds the same terms in
+    the same order, some of them zeroed, and is at most its exact total.
     """
     arr = config.array
     power, gate, band = (w[:len(st)] for w in work)
@@ -168,10 +171,26 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
         _self_pairs(gate)[...] = 0.0
         _gate_counts(gate, counts, ones)
 
-    power.sum(axis=2, out=exact)
+    _row_sums(power, exact)
     # The same summation with the gated-out powers zeroed keeps effective <= exact
     power *= gate
-    power.sum(axis=2, out=effective)
+    _row_sums(power, effective)
+
+
+def _row_sums(a, out=None):
+    """The (rows, L) sums of the (rows, L, L) array a over its last axis,
+    written into out when given, the one summation of the ensemble totals.
+
+    The one-operand einsum reduction adds each row of L terms in one order
+    fixed by L, whatever the batch shape or the alignment, so a drop's sums
+    have the same bits alone and inside any chunk. Its loop is compiled at
+    NumPy's build baseline, with no runtime SIMD dispatch and no BLAS call.
+    It costs a fraction of the ufunc reduce's per-row overhead, the larger
+    share of the sums' cost at small L. The order does not depend on the
+    values and rounding is monotone, so lowering some terms of a row never
+    raises its sum.
+    """
+    return np.einsum("ijk->ij", a, out=out)
 
 
 def _gate_counts(gate, counts, ones) -> float:

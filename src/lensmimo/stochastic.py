@@ -37,6 +37,11 @@ from scipy.special import elliprf
 # range size never changes a result.
 MC_RANGE_PAIRS = 1 << 16
 
+# The most threads a call may use, the same on every machine. Each thread
+# holds its own working set, a range's uniforms or an ensemble workspace,
+# about 1.6 MB for up to 301 users, so a call holds at most 64 of them.
+MAX_THREADS = 64
+
 
 @dataclass(frozen=True)
 class SectorModel:
@@ -139,8 +144,8 @@ def _is_integer(value) -> bool:
 
 
 def _check_threads(threads: int) -> None:
-    if not (_is_integer(threads) and threads >= 1):
-        raise ValueError(f"threads must be an integer of at least 1, got {threads}")
+    if not (_is_integer(threads) and 1 <= threads <= MAX_THREADS):
+        raise ValueError(f"threads must be an integer in [1, {MAX_THREADS}], got {threads}")
 
 
 def _check_seed(seed: int) -> None:

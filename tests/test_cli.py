@@ -27,12 +27,13 @@ from lensmimo import (
     harness,
     run_scenario,
     selfcheck,
+    stochastic,
     sweep_pattern,
     theta_pdf,
 )
 from lensmimo.cli import _emit, _parser, main
 from lensmimo.harness import _layout
-from lensmimo.stochastic import MC_RANGE_PAIRS, _map_ranges
+from lensmimo.stochastic import MAX_THREADS, MC_RANGE_PAIRS, _map_ranges
 
 TRUE_P10 = 0.1122673842
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -401,6 +402,22 @@ class TestIntegerFlags:
         out = tmp_path / "x.json"
         assert run_cli(*base, "--threads", threads, "--out", out) == 2
         assert "--threads" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("threads", [MAX_THREADS + 1, 100_000])
+    @pytest.mark.parametrize("command", ["prob", "scenario"])
+    def test_thread_count_above_the_bound_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                         command, threads):
+        # at 100,000 threads these would ask for 15,258 and 99,999 helpers
+        def no_pool(max_workers):
+            raise AssertionError(f"asked for {max_workers} helper threads")
+
+        monkeypatch.setattr(stochastic, "ThreadPoolExecutor", no_pool)
+        base = (("prob", "--d-tilde", 10, "--method", "mc", "--samples", 10**9) if command == "prob"
+                else ("scenario", "--d-tilde", 5, "--users", 200, "--trials", 1_000_000))
+        out = tmp_path / "x.json"
+        assert run_cli(*base, "--seed", 1, "--threads", threads, "--out", out) == 2
+        assert f"--threads: must lie in [1, {MAX_THREADS}]" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed", [-1, 2**128, "2**128"])

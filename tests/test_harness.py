@@ -3,6 +3,9 @@
 import dataclasses
 import inspect
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -21,12 +24,14 @@ from lensmimo import (
 )
 from lensmimo import harness, interference
 from lensmimo.array_model import GRID_SNAP_TOL, _beam_coords
-from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _layout, _workspace
+from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _layout, _row_sums, _workspace
 from lensmimo.interference import COINCIDENT_GAP, _gram_operands, _pair_powers, _terms_gram, _user_terms
 from lensmimo.selfcheck import DETERMINISM_USERS
 from lensmimo.stochastic import SectorModel
 
 from test_acceptance import _ensembles
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 TRUE_P10 = 0.1122673842  # see test_stochastic for the independent oracle
 
@@ -410,6 +415,69 @@ class TestBounds:
         assert res.cdf_values[-1] >= 0.999 - 1.0 / res.exact_totals.size
 
 
+class TestRowSums:
+    """The totals' one summation, _row_sums, adds each row in an order fixed
+    by L alone, and a lower term never raises a sum."""
+
+    @pytest.mark.parametrize("users", [1, 2, 7, 8, 9, 10, 200, 301])
+    def test_a_drop_alone_matches_its_rows_in_a_chunk_at_any_offset(self, users):
+        rows = 3
+        powers = np.random.default_rng(users).exponential(size=(rows, users, users))
+        alone = [_row_sums(powers[r:r + 1]) for r in range(rows)]
+        # a float buffer shifted by 0 to 7 doubles moves the chunk's alignment
+        # through every residue of a 64-byte vector
+        for shift in range(8):
+            buffer = np.empty(powers.size + shift)
+            chunk = buffer[shift:].reshape(powers.shape)
+            chunk[...] = powers
+            out = np.full((rows, users), np.nan)
+            assert _row_sums(chunk, out) is out
+            for r in range(rows):
+                assert np.array_equal(out[r:r + 1], alone[r]), (shift, r)
+
+    # Row sums of exact inputs, Philox uniforms scaled by powers of two with no
+    # transcendental call, printed as the hex of their bytes
+    PROBE = """
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from lensmimo.harness import _row_sums
+rng = np.random.Generator(np.random.Philox(26))
+sums = [_row_sums(np.ldexp(rng.random((3, users, users)), rng.integers(-40, 40, (3, users, users))))
+        for users in (1, 2, 7, 8, 9, 10, 200, 301)]
+print(__cpu_features__["X86_V4"], np.concatenate(sums, axis=None).tobytes().hex())
+"""
+
+    @pytest.mark.skipif(
+        not np._core._multiarray_umath.__cpu_features__["AVX512F"],
+        reason="AVX-512 dispatch can be switched off only where the CPU has it")
+    @pytest.mark.parametrize("setting, avx512", [
+        ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}, "False"),
+        ({"OPENBLAS_CORETYPE": "Prescott"}, None),
+    ])
+    def test_bits_do_not_depend_on_simd_dispatch_or_the_blas_kernel(self, capsys, setting, avx512):
+        exec(self.PROBE, {})
+        here = capsys.readouterr().out.split()
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC, **setting})
+        assert proc.returncode == 0, proc.stderr
+        dispatch, sums = proc.stdout.split()
+        assert dispatch == (avx512 or here[0])
+        assert sums == here[1]
+
+    @pytest.mark.parametrize("d_tilde, users, trials", [
+        (5.0, 200, 6), (100.0, 10, 900), (10.3, 12, 700), (0.5, 60, 20),
+    ])
+    def test_effective_never_above_exact(self, d_tilde, users, trials):
+        # at d_tilde 0.5 every pair of the sector lies in one mainlobe
+        cfg = _cfg(d_tilde=d_tilde, users=users, trials=trials, seed=23)
+        for threads in (1, 2, 3):
+            res = run_scenario(cfg, threads)
+            kept = res.effective_counts == users - 1
+            assert np.all(res.effective_totals <= res.exact_totals)
+            assert np.array_equal(res.effective_totals[kept], res.exact_totals[kept])
+            assert kept.all() == (d_tilde == 0.5)
+
+
 def mean_pair_power(d_tilde, half_width=math.pi / 3.0, panels=64, nodes=64):
     """E[I] = (A^2/M) ||C||_F^2 for a_z = 1: the mean power of one pair of
     independent DOAs uniform on the sector, with C = E[p(phi) p(phi)^T] and
@@ -595,8 +663,8 @@ class TestCoincidentPairs:
                 np.fill_diagonal(power, 0.0)
                 gate = np.abs(self.D_TILDE * (st[:, None] - st[None, :])) <= 1.0
                 np.fill_diagonal(gate, False)
-                assert np.array_equal(res.exact_totals[drop], power.sum(axis=1)), drop
-                assert np.array_equal(res.effective_totals[drop], (power * gate).sum(axis=1)), drop
+                assert np.array_equal(res.exact_totals[drop], _row_sums(power[None])[0]), drop
+                assert np.array_equal(res.effective_totals[drop], _row_sums((power * gate)[None])[0]), drop
                 assert np.array_equal(res.effective_counts[drop], np.count_nonzero(gate, axis=1)), drop
             assert_element_space_totals(cfg, res, doas)
 
@@ -748,9 +816,9 @@ def sine_gate(config, doas):
     self_pair = np.arange(st.shape[1])
     mask[:, self_pair, self_pair] = False
     power = _pair_powers(config.array, st)
-    exact = power.sum(axis=2)
+    exact = _row_sums(power)
     power *= mask
-    return np.count_nonzero(mask, axis=2), exact, power.sum(axis=2)
+    return np.count_nonzero(mask, axis=2), exact, _row_sums(power)
 
 
 def assert_gate_matches_sines(run_forced, config, doas):
@@ -860,6 +928,8 @@ class TestDivisorGate:
         assert res.effective_counts.dtype == np.intp
         assert np.all(res.effective_counts == users - 1)
         assert np.array_equal(res.effective_counts, sine_gate(cfg, doas)[0])
+        # the gate keeps every power, so the same summation gives the same bits
+        assert np.array_equal(res.effective_totals, res.exact_totals)
 
     @pytest.mark.parametrize("d_tilde", [2.5, 5.0, 10.3, 100.0, 1e6])
     def test_random_drops(self, d_tilde):

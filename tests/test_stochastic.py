@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -24,16 +25,21 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from lensmimo import (
+    LensArrayConfig,
     ProbEstimate,
+    ScenarioConfig,
     SectorModel,
     effective_prob_closed,
     effective_prob_mc,
     effective_prob_quadrature,
+    run_scenario,
     sample_doas,
     spatial_freq_pdf,
     theta_pdf,
 )
+from lensmimo import stochastic
 from lensmimo.stochastic import (
+    MAX_THREADS,
     MC_RANGE_PAIRS,
     _classify_pairs,
     _count_effective,
@@ -540,6 +546,65 @@ class TestMapRangesCallerJoins:
             sys.setswitchinterval(interval)
         assert got == list(range(2000))
         assert sorted(starts) == list(range(2000))
+
+
+class InlineExecutor:
+    """A stand-in for ThreadPoolExecutor that records its max_workers and
+    runs each submitted call at once on the calling thread."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestThreadBound:
+    """threads is bounded by MAX_THREADS, so a call never asks for more
+    helper threads, and their working sets, than that. No thread starts:
+    the executor is patched."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(InlineExecutor, "sizes", [])
+        return InlineExecutor.sizes
+
+    def test_the_bound_is_the_most_helpers_asked_for(self, sizes):
+        assert _map_ranges(lambda a, b: a, 1000, 1, MAX_THREADS) == list(range(1000))
+        assert sizes == [MAX_THREADS - 1]
+
+    @pytest.mark.parametrize("threads", [MAX_THREADS + 1, 100_000, 2**70])
+    def test_threads_above_the_bound_rejected(self, sizes, threads):
+        calls = []
+        with pytest.raises(ValueError, match=f"threads must be an integer in \\[1, {MAX_THREADS}\\]"):
+            _map_ranges(lambda a, b: calls.append(a), 10**6, 1, threads)
+        with pytest.raises(ValueError, match="threads"):
+            effective_prob_mc(10.0, sample_count=10**9, seed=1, threads=threads)
+        cfg = ScenarioConfig(LensArrayConfig(5.0), 200, 1_000_000, 1)
+        with pytest.raises(ValueError, match="threads"):
+            run_scenario(cfg, threads=threads)
+        assert calls == [] and sizes == []
+
+    def test_results_at_the_bound_match_one_thread(self, sizes):
+        cfg = ScenarioConfig(LensArrayConfig(10.3), 12, 700, 6)
+        one, most = run_scenario(cfg), run_scenario(cfg, threads=MAX_THREADS)
+        for field in ("exact_totals", "effective_totals", "effective_counts", "cdf_grid", "cdf_values"):
+            assert getattr(most, field).tobytes() == getattr(one, field).tobytes(), field
+        mc = [effective_prob_mc(10.0, sample_count=300_000, seed=5, threads=t) for t in (1, MAX_THREADS)]
+        assert mc[0] == mc[1]
+        # 3 ranges of whole chunks and 5 Monte Carlo ranges
+        assert sizes == [2, 4]
 
 
 def full_sin_hits(u, d_tilde, half_width):
