@@ -19,7 +19,6 @@ from .interference import (
     _coincident_rows,
     _difference_operands,
     _gram_operands,
-    _gram_powers,
     _self_pairs,
     _terms_gram,
     _user_terms,
@@ -40,11 +39,11 @@ CDF_ENDS = (0.001, 0.999)
 
 # Bytes of one chunk's working set, as _layout counts it, sized to stay in a
 # core's 2 MiB L2 cache. A sweep of the bench's two ensemble job shapes over
-# budgets of 0.76, 1.6, 2.3, 3.1, 4 and 8 MB (one thread on a 2-core Xeon,
-# medians of 10 alternating rounds of 9 or 25 jobs) kept 1.6 MB: 2 drops a
-# chunk at d_tilde 5, L 200 (50.3 ms, against 51.8 ms at 1 drop and 54.8 ms
-# at 3, each lower in at most 2 of 10 rounds) and 441 at d_tilde 100, L 10
-# (4.46 ms, against 4.41 ms at 635 drops, lower in 7 of 10, and 4.91 ms at 209).
+# budgets of 0.76, 1.6, 2.3 and 3.1 MB (one thread on a 2-core Xeon, medians
+# of 10 alternating rounds of 9 or 25 jobs) kept 1.6 MB: 2 drops a chunk at
+# d_tilde 5, L 200 (45.1 ms, against 45.0 ms at 1 drop, lower in 5 of 10
+# rounds, and 48.9 ms at 3, lower in 2) and 441 at d_tilde 100, L 10
+# (4.10 ms, against 4.13 ms at 635 drops, lower in 6 of 10, and 4.37 ms at 209).
 CHUNK_BYTES = 1_600_000
 
 # Bytes budgeted for a drop's per-user vectors, 24 doubles a user. A range
@@ -109,7 +108,7 @@ class ApproximationReport:
 
 def _workspace(rows: int, user_count: int) -> tuple:
     """The (rows, L, L) arrays one thread reuses for each of its chunks: the
-    powers, the kernel's divisor, which ends each chunk as the 0.0/1.0
+    signed G, the kernel's divisor, which ends each chunk as the 0.0/1.0
     gate, and the band mask, 17 bytes a pair."""
     shape = (rows, user_count, user_count)
     return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
@@ -123,11 +122,11 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     _user_terms and coincident the _coincident_rows of their beam
     coordinates t, each computed once for the chunk's whole range. work is
     a _workspace of at least rows rows, whose leading rows the chunk
-    overwrites. _terms_gram writes every pairwise G of a drop into the
-    first array, which are squared into powers in place, and leaves its
-    divisor, the beam-coordinate differences t_l - t_k, in the second. The
-    comparisons write the band mask, and then the gate as 0.0 and 1.0 over
-    the divisor. So a chunk allocates nothing of size L x L.
+    overwrites. _terms_gram writes every pairwise signed G of a drop into
+    the first array and leaves its divisor, the beam-coordinate differences
+    t_l - t_k, in the second. The comparisons write the band mask, and then
+    the gate through the band mask, once its count is taken, as 0.0 and 1.0
+    over the divisor. So a chunk allocates nothing of size L x L.
 
     The mainlobe gate is |Theta| <= 1 for Theta = d (s_l - s_k) as rounded,
     with d = d_tilde and s = sin(phi). It is read off the divisor: a pair
@@ -147,50 +146,54 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     pair instead, its s_l - s_k formed as the divisors are, and clears its
     self-pairs, where Theta = 0.
 
-    The powers are finite and non-negative, so multiplying them by the
-    float gate gives x for 1.0 and +0 for 0.0, the bits of a bool mask.
-    The counts are the gate's row sums, sums of 0.0 and 1.0 that are exact
-    in any order, as one matrix-vector product. The totals are _row_sums of
-    the powers, the exact ones before the gate scales them and the
+    G is finite, so multiplying it by the float gate gives G for 1.0 and
+    +-0 for 0.0, whose square is +0, the bits of a bool mask. The counts
+    are the gate's row sums, sums of 0.0 and 1.0 that are exact in any
+    order, as one matrix-vector product. The totals are A^2/M times the
+    _square_sums of G, the exact ones before the gate scales G and the
     effective ones after, so each effective total adds the same terms in
-    the same order, some of them zeroed, and is at most its exact total.
+    the same order, some of them +0, and is at most its exact total.
     """
     arr = config.array
-    power, gate, band = (w[:len(st)] for w in work)
-    _gram_powers(arr, _terms_gram(arr, ops, coincident=coincident, scratch=gate, out=power))
+    g, gate, band = (w[:len(st)] for w in work)
+    _terms_gram(arr, ops, coincident=coincident, scratch=gate, out=g)
     margin = 2.0 * GRID_SNAP_TOL + (2.0 * arr.d_tilde + 16.0) * 2.0**-53
     np.abs(gate, out=gate)
     in_band = np.count_nonzero(np.less_equal(gate, 1.0 + margin, out=band))
-    np.less_equal(gate, 1.0 - margin, out=gate)
+    # A bool comparison and one cast cost less than NumPy's buffered cast of a
+    # comparison written into floats
+    np.copyto(gate, np.less_equal(gate, 1.0 - margin, out=band))
     # The columns (1, -t) of the chunk's first drop: a row of L ones
     ones = ops[3][0, 0]
     if _gate_counts(gate, counts, ones) != in_band:
         theta = np.matmul(*_difference_operands(st), out=gate)
         theta *= arr.d_tilde
-        np.less_equal(np.abs(theta, out=theta), 1.0, out=gate)
+        np.copyto(gate, np.less_equal(np.abs(theta, out=theta), 1.0, out=band))
         _self_pairs(gate)[...] = 0.0
         _gate_counts(gate, counts, ones)
 
-    _row_sums(power, exact)
-    # The same summation with the gated-out powers zeroed keeps effective <= exact
-    power *= gate
-    _row_sums(power, effective)
+    _square_sums(g, exact)
+    exact *= arr.peak_power
+    # The same summation with the gated-out G zeroed keeps effective <= exact
+    g *= gate
+    _square_sums(g, effective)
+    effective *= arr.peak_power
 
 
-def _row_sums(a, out=None):
-    """The (rows, L) sums of the (rows, L, L) array a over its last axis,
-    written into out when given, the one summation of the ensemble totals.
+def _square_sums(g, out=None):
+    """The (rows, L) sums of squares of the (rows, L, L) array g over its
+    last axis, written into out when given, the one summation of the
+    ensemble totals.
 
-    The one-operand einsum reduction adds each row of L terms in one order
-    fixed by L, whatever the batch shape or the alignment, so a drop's sums
-    have the same bits alone and inside any chunk. Its loop is compiled at
-    NumPy's build baseline, with no runtime SIMD dispatch and no BLAS call.
-    It costs a fraction of the ufunc reduce's per-row overhead, the larger
-    share of the sums' cost at small L. The order does not depend on the
-    values and rounding is monotone, so lowering some terms of a row never
+    The two-operand einsum reduction adds each row's L products in one
+    order fixed by L, whatever the batch shape or the alignment, so a
+    drop's sums have the same bits alone and inside any chunk. Its loop is
+    compiled at NumPy's build baseline, with no runtime SIMD dispatch and
+    no BLAS call. The order does not depend on the values and rounding is
+    monotone, so lowering the magnitude of some entries of a row never
     raises its sum.
     """
-    return np.einsum("ijk->ij", a, out=out)
+    return np.einsum("ijk,ijk->ij", g, g, out=out)
 
 
 def _gate_counts(gate, counts, ones) -> float:

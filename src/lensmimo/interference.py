@@ -307,16 +307,12 @@ def _terms_gram(config: LensArrayConfig, ops_l, ops_k=None, coincident=None, scr
     return g.reshape(shape) if out is None else out
 
 
-def _gram_powers(config: LensArrayConfig, g: np.ndarray) -> np.ndarray:
-    """Interference (A^2/M) G^2 of the signed G g, in place."""
+def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
+    """Interference (A^2/M) G^2 between the users of sf_l and sf_k, as _pair_gram."""
+    g = _pair_gram(config, sf_l, sf_k)
     np.square(g, out=g)
     g *= config.peak_power
     return g
-
-
-def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
-    """Interference (A^2/M) G^2 between the users of sf_l and sf_k, as _pair_gram."""
-    return _gram_powers(config, _pair_gram(config, sf_l, sf_k))
 
 
 def _user_float(config: LensArrayConfig, sf: float) -> tuple:

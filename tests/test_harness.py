@@ -24,8 +24,8 @@ from lensmimo import (
 )
 from lensmimo import harness, interference
 from lensmimo.array_model import GRID_SNAP_TOL, _beam_coords
-from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _layout, _row_sums, _workspace
-from lensmimo.interference import COINCIDENT_GAP, _gram_operands, _pair_powers, _terms_gram, _user_terms
+from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _layout, _square_sums, _workspace
+from lensmimo.interference import COINCIDENT_GAP, _gram_operands, _pair_gram, _terms_gram, _user_terms
 from lensmimo.selfcheck import DETERMINISM_USERS
 from lensmimo.stochastic import SectorModel
 
@@ -416,33 +416,34 @@ class TestBounds:
 
 
 class TestRowSums:
-    """The totals' one summation, _row_sums, adds each row in an order fixed
-    by L alone, and a lower term never raises a sum."""
+    """The totals' one summation, the row sums of squares _square_sums, adds
+    each row in an order fixed by L alone, and a lower term never raises a
+    sum."""
 
     @pytest.mark.parametrize("users", [1, 2, 7, 8, 9, 10, 200, 301])
     def test_a_drop_alone_matches_its_rows_in_a_chunk_at_any_offset(self, users):
         rows = 3
-        powers = np.random.default_rng(users).exponential(size=(rows, users, users))
-        alone = [_row_sums(powers[r:r + 1]) for r in range(rows)]
+        g = np.random.default_rng(users).standard_normal(size=(rows, users, users))
+        alone = [_square_sums(g[r:r + 1]) for r in range(rows)]
         # a float buffer shifted by 0 to 7 doubles moves the chunk's alignment
         # through every residue of a 64-byte vector
         for shift in range(8):
-            buffer = np.empty(powers.size + shift)
-            chunk = buffer[shift:].reshape(powers.shape)
-            chunk[...] = powers
+            buffer = np.empty(g.size + shift)
+            chunk = buffer[shift:].reshape(g.shape)
+            chunk[...] = g
             out = np.full((rows, users), np.nan)
-            assert _row_sums(chunk, out) is out
+            assert _square_sums(chunk, out) is out
             for r in range(rows):
                 assert np.array_equal(out[r:r + 1], alone[r]), (shift, r)
 
-    # Row sums of exact inputs, Philox uniforms scaled by powers of two with no
-    # transcendental call, printed as the hex of their bytes
+    # Sums of squares of exact inputs, signed Philox uniforms scaled by powers
+    # of two with no transcendental call, printed as the hex of their bytes
     PROBE = """
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
-from lensmimo.harness import _row_sums
+from lensmimo.harness import _square_sums
 rng = np.random.Generator(np.random.Philox(26))
-sums = [_row_sums(np.ldexp(rng.random((3, users, users)), rng.integers(-40, 40, (3, users, users))))
+sums = [_square_sums(np.ldexp(rng.random((3, users, users)) - 0.5, rng.integers(-40, 40, (3, users, users))))
         for users in (1, 2, 7, 8, 9, 10, 200, 301)]
 print(__cpu_features__["X86_V4"], np.concatenate(sums, axis=None).tobytes().hex())
 """
@@ -659,12 +660,13 @@ class TestCoincidentPairs:
         for threads in (1, 2):
             res = run_forced(cfg, doas, threads)
             for drop, st in enumerate(np.sin(doas)):
-                power = _pair_powers(cfg.array, st, st)
-                np.fill_diagonal(power, 0.0)
+                g = _pair_gram(cfg.array, st, st)
+                np.fill_diagonal(g, 0.0)
                 gate = np.abs(self.D_TILDE * (st[:, None] - st[None, :])) <= 1.0
                 np.fill_diagonal(gate, False)
-                assert np.array_equal(res.exact_totals[drop], _row_sums(power[None])[0]), drop
-                assert np.array_equal(res.effective_totals[drop], _row_sums((power * gate)[None])[0]), drop
+                exact, effective = gated_totals(cfg, g[None], gate[None])
+                assert np.array_equal(res.exact_totals[drop], exact[0]), drop
+                assert np.array_equal(res.effective_totals[drop], effective[0]), drop
                 assert np.array_equal(res.effective_counts[drop], np.count_nonzero(gate, axis=1)), drop
             assert_element_space_totals(cfg, res, doas)
 
@@ -808,6 +810,14 @@ class TestSortedReductions:
         assert res.cdf_values.tobytes() == cdf.tobytes()
 
 
+def gated_totals(config, g, mask):
+    """(exact, effective) totals of the (rows, L, L) signed G g, bit for bit
+    as the ensemble forms them: A^2/M times the sums of squares of G, with G
+    zeroed outside the bool mask for the effective ones."""
+    peak = config.array.peak_power
+    return peak * _square_sums(g), peak * _square_sums(g * mask)
+
+
 def sine_gate(config, doas):
     """Counts and (exact, effective) totals under |d_tilde (sin phi_l - sin phi_k)| <= 1."""
     st = np.sin(doas)
@@ -815,10 +825,7 @@ def sine_gate(config, doas):
     mask = np.abs(theta) <= 1.0
     self_pair = np.arange(st.shape[1])
     mask[:, self_pair, self_pair] = False
-    power = _pair_powers(config.array, st)
-    exact = _row_sums(power)
-    power *= mask
-    return np.count_nonzero(mask, axis=2), exact, _row_sums(power)
+    return np.count_nonzero(mask, axis=2), *gated_totals(config, _pair_gram(config.array, st), mask)
 
 
 def assert_gate_matches_sines(run_forced, config, doas):
