@@ -51,7 +51,7 @@ CHUNK_BYTES = 1_600_000
 # rows. Expanding its users peaks at 8 more, in the special-function steps and
 # the sorted gap search, and then holds 11: the beam coordinates and kernel
 # terms t, v and u, and the 8 of their matrix-product operands (u, -v),
-# (v, u), (t, 1) and (1, -t), which take 2 more while they are stacked.
+# (v, u), (t, 1) and (1, -t), written in place with no temporaries.
 USER_BYTES = 192
 
 
@@ -266,9 +266,12 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     exact_summary, ends = _summary(exact, ordered, CDF_ENDS)
     grid, cdf = _empirical_cdf(ordered, *ends)
     effective_summary, _ = _summary(effective, ordered)
-    mean_count = float(counts.mean())
+    # Integer row sums are exact, so these have the bits of counts.mean()
+    # and counts.mean(axis=1) without their float pass over T L counts
+    trial_sums = counts.sum(axis=1)
+    mean_count = int(trial_sums.sum()) / (T * L)
     if T > 1:
-        per_trial = counts.mean(axis=1)
+        per_trial = trial_sums / L
         se = float(per_trial.std(ddof=1) / math.sqrt(T))
     else:
         se = 0.0
@@ -290,23 +293,46 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 def _summary(totals: np.ndarray, ordered: np.ndarray, extra=()) -> tuple:
     """(summary, quantiles): the mean and quantiles of totals, whose values
     are left sorted in ordered, a float array of totals.size, and the
-    quantiles at the probabilities extra, from the same np.quantile call.
+    _sorted_quantiles at the probabilities extra.
 
-    Quantiles depend only on order statistics, and np.quantile takes each
-    of its probabilities alone, so they have the bits of np.quantile on
-    totals at each probability; its partition is cheap on sorted values.
+    Quantiles depend only on order statistics, so read off the sorted
+    values they have the bits of np.quantile on totals.
     """
     ordered[...] = totals.ravel()
     ordered.sort()
-    q10, q50, q90, q99, *quantiles = np.quantile(ordered, [0.10, 0.50, 0.90, 0.99, *extra])
+    q10, q50, q90, q99, *quantiles = _sorted_quantiles(ordered, (0.10, 0.50, 0.90, 0.99, *extra))
     summary = {
         "mean": float(totals.mean()),
-        "median": float(q50),
-        "q10": float(q10),
-        "q90": float(q90),
-        "q99": float(q99),
+        "median": q50,
+        "q10": q10,
+        "q90": q90,
+        "q99": q99,
     }
     return summary, quantiles
+
+
+def _sorted_quantiles(ordered: np.ndarray, probs) -> list:
+    """The quantiles of the sorted 1-D values ordered at the probabilities
+    probs in [0, 1], as Python floats, with the bits of np.quantile's
+    default "linear" method (Hyndman and Fan's type 7) for finite values,
+    but for a -0.0 at the top, which may come back as +0.0; sums of squares
+    are never -0.0.
+
+    Each takes NumPy's formulas verbatim on the two order statistics around
+    the virtual index h = (n - 1) q: a + (b - a) gamma, or, where
+    gamma >= 0.5, b - (b - a) (1 - gamma), for gamma the fraction of h. It
+    reads two values where np.quantile partitions and copies all n.
+    """
+    n = ordered.size
+    out = []
+    for q in probs:
+        h = (n - 1) * q
+        i = math.floor(h)
+        gamma = h - i
+        a = float(ordered[i])
+        b = float(ordered[min(i + 1, n - 1)])
+        out.append(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+    return out
 
 
 def _empirical_cdf(ordered: np.ndarray, lo, hi):

@@ -212,7 +212,7 @@ def _coincident_pairs(t: np.ndarray, coincident: np.ndarray) -> tuple:
 
 def _difference_operands(x: np.ndarray) -> tuple:
     """The (..., L, 2) rows (x, 1) and (..., 2, L) columns (1, -x) of x, an
-    array of shape (..., L).
+    array of shape (..., L), each written into a fresh array.
 
     The matrix product of one array's rows and another's columns is
     x_l - y_k for every pair, the one rounding of a two-term sum, so it has
@@ -220,18 +220,29 @@ def _difference_operands(x: np.ndarray) -> tuple:
     Like the numerators, a batch of such differences is one rank-2 product
     per row, which BLAS forms faster than NumPy broadcasts a subtraction.
     """
-    ones = np.ones_like(x)
-    return np.stack((x, ones), -1), np.stack((ones, -x), -2)
+    rows = np.empty(x.shape + (2,))
+    cols = np.empty(x.shape[:-1] + (2, x.shape[-1]))
+    rows[..., 0] = x
+    rows[..., 1] = 1.0
+    cols[..., 0, :] = 1.0
+    np.negative(x, out=cols[..., 1, :])
+    return rows, cols
 
 
 def _gram_operands(terms) -> tuple:
     """The matrix-product operands of the _user_terms (t, v, u) of shape
     (..., L): the numerator rows (u, -v) and columns (v, u), then the
     _difference_operands rows (t, 1) and columns (1, -t), each of shape
-    (..., L, 2) or (..., 2, L). Each holds its users' t or v, negated
-    exactly where it holds -t or -v."""
+    (..., L, 2) or (..., 2, L) and written into a fresh array. Each holds
+    its users' t or v, negated exactly where it holds -t or -v."""
     t, v, u = terms
-    return (np.stack((u, -v), -1), np.stack((v, u), -2)) + _difference_operands(t)
+    rows = np.empty(u.shape + (2,))
+    cols = np.empty(u.shape[:-1] + (2, u.shape[-1]))
+    rows[..., 0] = u
+    np.negative(v, out=rows[..., 1])
+    cols[..., 0, :] = v
+    cols[..., 1, :] = u
+    return (rows, cols) + _difference_operands(t)
 
 
 def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:

@@ -191,7 +191,7 @@ def _check_determinism() -> CheckResult:
 def _check_harness_bounds() -> CheckResult:
     cfg = ScenarioConfig(array=LensArrayConfig(d_tilde=10.0), user_count=5, trial_count=300, seed=11)
     res = run_scenario(cfg)
-    bound_ok = bool(np.all(res.effective_totals <= res.exact_totals + 1e-12))
+    bound_ok = bool(np.all(res.effective_totals <= res.exact_totals))
     count_ok = bool(np.all(res.effective_counts <= cfg.user_count - 1))
     rep = approximation_quality(cfg, scenario_result=res)
     frac_ok = 0.0 < rep.captured_fraction <= 1.0

@@ -699,6 +699,25 @@ class TestCoincidentPairs:
 
 
 class TestEffectiveCount:
+    @pytest.mark.parametrize("trials", [1, 2, 7, 300])
+    def test_moments_have_the_bits_of_the_float_means(self, run_forced, trials):
+        # From the integer row sums; a count's mean and its per-trial means
+        # keep the bits of NumPy's float means of the counts
+        cfg = _cfg(d_tilde=5.0, users=9, trials=trials, seed=23)
+        rng = np.random.default_rng(trials)
+        doas = rng.uniform(-math.pi / 3.0, math.pi / 3.0, (trials, 9))
+        # grid users, one at broadside, and a tight cluster
+        doas[::2, :4] = np.arcsin(np.array([0.0, 0.2, 0.4, -0.6]))
+        doas[1::3, 4:7] = 0.3 + np.array([0.0, 1e-3, 2e-3])
+        res = run_forced(cfg, doas)
+        counts = res.effective_counts
+        assert len(np.unique(counts)) > 2
+        assert type(res.mean_effective_count) is float
+        assert res.mean_effective_count.hex() == float(counts.mean()).hex()
+        se = float(counts.mean(axis=1).std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        assert type(res.mean_effective_count_se) is float
+        assert res.mean_effective_count_se.hex() == se.hex()
+
     def test_matches_pair_probability(self):
         cfg = _cfg(users=10, trials=4000, d_tilde=10.0, seed=21)
         res = run_scenario(cfg, threads=4)
@@ -808,6 +827,38 @@ class TestSortedReductions:
         grid, cdf = reference_cdf(res.exact_totals)
         assert res.cdf_grid.tobytes() == grid.tobytes()
         assert res.cdf_values.tobytes() == cdf.tobytes()
+
+
+class TestSortedQuantiles:
+    """_sorted_quantiles reads np.quantile's bits off sorted values."""
+
+    PROBS = (0.10, 0.50, 0.90, 0.99, *harness.CDF_ENDS)
+
+    @staticmethod
+    def values(case, n):
+        rng = np.random.default_rng(n)
+        if case == "random":
+            return rng.random(n) ** 4
+        if case == "wide":
+            return 10.0 ** rng.uniform(-300.0, 300.0, n)
+        if case == "ties":
+            return rng.integers(0, 3, n) * 0.375
+        if case == "zeros":
+            x = rng.random(n)
+            x[x < 0.5] = 0.0
+            x[:n // 7] = 1e-300
+            return x
+        assert case == "all_zero"
+        return np.zeros(n)
+
+    @pytest.mark.parametrize("case", ["random", "wide", "ties", "zeros", "all_zero"])
+    def test_bits_of_np_quantile(self, case):
+        for n in (*range(1, 71), 15_000, 40_000):
+            ordered = np.sort(self.values(case, n))
+            got = harness._sorted_quantiles(ordered, self.PROBS)
+            expect = np.quantile(ordered, self.PROBS)
+            assert all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == [float(x).hex() for x in expect], (case, n)
 
 
 def gated_totals(config, g, mask):

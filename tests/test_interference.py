@@ -293,6 +293,29 @@ def test_differences_match_broadcast_subtraction():
         assert np.array_equal(scratch, expect)
 
 
+def test_operands_have_the_bits_of_stacked_columns():
+    # The operands are written in place; they keep the bytes of stacking the
+    # terms and their negations, so the sign of each zero too. Grid users
+    # have v = +-0, and users at broadside t = +-0.
+    cfg = LensArrayConfig(d_tilde=5.0)
+    rng = np.random.default_rng(8)
+    sf = rng.uniform(-1.0, 1.0, (3, 4, 11))
+    sf[..., :8] = [0.0, -0.0, 0.2, -0.2, 0.4, -0.6, 1.0, -1.0]
+    terms = _user_terms(cfg, sf)
+    t, v, u = terms
+    assert np.any(np.signbit(v[..., :8])) and not np.all(np.signbit(v[..., :8]))
+    assert np.all(v[..., :8] == 0.0) and np.signbit(t[..., 1]).all()
+    def stacked(x):
+        ones = np.ones_like(x)
+        return np.stack((x, ones), -1), np.stack((ones, -x), -2)
+
+    cases = [(_difference_operands(x), stacked(x)) for x in (t, t[0, 0], np.sin(sf))]
+    cases.append((_gram_operands(terms), (np.stack((u, -v), -1), np.stack((v, u), -2)) + stacked(t)))
+    for got, expect in cases:
+        assert [a.shape for a in got] == [a.shape for a in expect]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+
+
 def beam_terms_mod_reference(t, max_index):
     """_beam_terms with the parity of n = rint(t) taken as n % 2.0."""
     n = np.rint(t)
