@@ -107,11 +107,12 @@ class ApproximationReport:
 
 
 def _workspace(rows: int, user_count: int) -> tuple:
-    """The (rows, L, L) arrays one thread reuses for each of its chunks: the
+    """The arrays one thread reuses for each of its chunks: the (rows, L, L)
     signed G, the kernel's divisor, which ends each chunk as the 0.0/1.0
-    gate, and the band mask, 17 bytes a pair."""
+    gate, and the band mask, 17 bytes a pair, and then a row of L ones,
+    which sums the gate's rows into the counts."""
     shape = (rows, user_count, user_count)
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool), np.ones(user_count)
 
 
 def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops, coincident) -> None:
@@ -122,11 +123,12 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     _user_terms and coincident the _coincident_rows of their beam
     coordinates t, each computed once for the chunk's whole range. work is
     a _workspace of at least rows rows, whose leading rows the chunk
-    overwrites. _terms_gram writes every pairwise signed G of a drop into
-    the first array and leaves its divisor, the beam-coordinate differences
-    t_l - t_k, in the second. The comparisons write the band mask, and then
-    the gate through the band mask, once its count is taken, as 0.0 and 1.0
-    over the divisor. So a chunk allocates nothing of size L x L.
+    overwrites. _terms_gram, the kernel's drop form, writes every pairwise
+    signed G of a drop into the first array and leaves its divisor, the
+    beam-coordinate differences t_l - t_k, in the second. The comparisons
+    write the band mask, and then the gate through the band mask, once its
+    count is taken, as 0.0 and 1.0 over the divisor. So a chunk allocates
+    nothing of size L x L.
 
     The mainlobe gate is |Theta| <= 1 for Theta = d (s_l - s_k) as rounded,
     with d = d_tilde and s = sin(phi). It is read off the divisor: a pair
@@ -149,22 +151,22 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     G is finite, so multiplying it by the float gate gives G for 1.0 and
     +-0 for 0.0, whose square is +0, the bits of a bool mask. The counts
     are the gate's row sums, sums of 0.0 and 1.0 that are exact in any
-    order, as one matrix-vector product. The totals are A^2/M times the
-    _square_sums of G, the exact ones before the gate scales G and the
-    effective ones after, so each effective total adds the same terms in
-    the same order, some of them +0, and is at most its exact total.
+    order, as one matrix-vector product with the workspace's row of ones.
+    The totals are A^2/M times the _square_sums of G, the exact ones before
+    the gate scales G and the effective ones after, so each effective total
+    adds the same terms in the same order, some of them +0, and is at most
+    its exact total.
     """
     arr = config.array
-    g, gate, band = (w[:len(st)] for w in work)
-    _terms_gram(arr, ops, coincident=coincident, scratch=gate, out=g)
+    *pairs, ones = work
+    g, gate, band = (w[:len(st)] for w in pairs)
+    _terms_gram(arr, ops, coincident, scratch=gate, out=g)
     margin = 2.0 * GRID_SNAP_TOL + (2.0 * arr.d_tilde + 16.0) * 2.0**-53
     np.abs(gate, out=gate)
     in_band = np.count_nonzero(np.less_equal(gate, 1.0 + margin, out=band))
     # A bool comparison and one cast cost less than NumPy's buffered cast of a
     # comparison written into floats
     np.copyto(gate, np.less_equal(gate, 1.0 - margin, out=band))
-    # The columns (1, -t) of the chunk's first drop: a row of L ones
-    ones = ops[3][0, 0]
     if _gate_counts(gate, counts, ones) != in_band:
         theta = np.matmul(*_difference_operands(st), out=gate)
         theta *= arr.d_tilde
@@ -263,9 +265,9 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 
     # One buffer holds each of the two sorted totals in turn
     ordered = np.empty(T * L)
-    exact_summary, ends = _summary(exact, ordered, CDF_ENDS)
-    grid, cdf = _empirical_cdf(ordered, *ends)
-    effective_summary, _ = _summary(effective, ordered)
+    exact_summary = _summary(exact, ordered)
+    grid, cdf = _empirical_cdf(ordered)
+    effective_summary = _summary(effective, ordered)
     # Integer row sums are exact, so these have the bits of counts.mean()
     # and counts.mean(axis=1) without their float pass over T L counts
     trial_sums = counts.sum(axis=1)
@@ -290,25 +292,23 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
     )
 
 
-def _summary(totals: np.ndarray, ordered: np.ndarray, extra=()) -> tuple:
-    """(summary, quantiles): the mean and quantiles of totals, whose values
-    are left sorted in ordered, a float array of totals.size, and the
-    _sorted_quantiles at the probabilities extra.
+def _summary(totals: np.ndarray, ordered: np.ndarray) -> dict:
+    """The mean and quantiles of totals, whose values are left sorted in
+    ordered, a float array of totals.size.
 
     Quantiles depend only on order statistics, so read off the sorted
     values they have the bits of np.quantile on totals.
     """
     ordered[...] = totals.ravel()
     ordered.sort()
-    q10, q50, q90, q99, *quantiles = _sorted_quantiles(ordered, (0.10, 0.50, 0.90, 0.99, *extra))
-    summary = {
+    q10, q50, q90, q99 = _sorted_quantiles(ordered, (0.10, 0.50, 0.90, 0.99))
+    return {
         "mean": float(totals.mean()),
         "median": q50,
         "q10": q10,
         "q90": q90,
         "q99": q99,
     }
-    return summary, quantiles
 
 
 def _sorted_quantiles(ordered: np.ndarray, probs) -> list:
@@ -335,8 +335,8 @@ def _sorted_quantiles(ordered: np.ndarray, probs) -> list:
     return out
 
 
-def _empirical_cdf(ordered: np.ndarray, lo, hi):
-    """Log-spaced CDF grid between lo and hi, the CDF_ENDS quantiles of the
+def _empirical_cdf(ordered: np.ndarray):
+    """Log-spaced CDF grid between the CDF_ENDS _sorted_quantiles of the
     sorted 1-D values ordered, and the empirical CDF on it.
 
     Interference spans many dB across an ensemble, so the grid is geometric.
@@ -349,6 +349,7 @@ def _empirical_cdf(ordered: np.ndarray, lo, hi):
     if first_positive == n:
         grid = np.zeros(CDF_POINTS)
         return grid, np.ones(CDF_POINTS)
+    lo, hi = _sorted_quantiles(ordered, CDF_ENDS)
     if lo <= 0.0:
         lo = float(ordered[first_positive])
     if hi <= lo:

@@ -245,81 +245,73 @@ def _gram_operands(terms) -> tuple:
     return (rows, cols) + _difference_operands(t)
 
 
-def _pair_gram(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
-    """Signed G between every user of sf_l and every user of sf_k.
+def _pair_gram(config: LensArrayConfig, sf_l, sf_k) -> np.ndarray:
+    """Signed G between every user of sf_l and every user of sf_k, the pair
+    form of the kernel, which the pattern sweep and selfcheck's batch take.
 
     sf_l and sf_k have shapes (..., L) and (..., N) with the same leading
-    shape, and the result has shape (..., L, N). Without sf_k the pairs are
-    those of sf_l with itself, and the self-pairs, which the drop ensembles
-    exclude, read +-0.
-
-    The two halves are the per-user _user_terms and their _gram_operands,
-    once for each side, which call the special functions O(L + N) times
-    per row whatever M, and _terms_gram, which callers that keep the
-    operands of many rows call alone.
+    shape, and the result has shape (..., L, N). The per-user _user_terms
+    call the special functions O(L + N) times per row whatever M. The
+    numerators u_l v_k - v_l u_k and the divisors t_l - t_k are each one
+    rank-2 matrix product of their _gram_operands per row. Every pair
+    closer than COINCIDENT_GAP, a user paired with itself included, takes
+    the limit of _coincident_gram, found in one pass over the divisors.
     """
-    ops_l = _gram_operands(_user_terms(config, sf_l))
-    ops_k = None if sf_k is None else _gram_operands(_user_terms(config, sf_k))
-    return _terms_gram(config, ops_l, ops_k)
+    (t_l, v_l, u_l), (t_k, v_k, u_k) = _user_terms(config, sf_l), _user_terms(config, sf_k)
+    num_l, _, div_l, _ = _gram_operands((t_l, v_l, u_l))
+    _, num_k, _, div_k = _gram_operands((t_k, v_k, u_k))
+    g = np.matmul(num_l, num_k)
+    diff = np.matmul(div_l, div_k)
+    near = np.abs(diff) < COINCIDENT_GAP
+    diff[near] = 1.0
+    g /= diff
+    if near.any():
+        ends = (t_l[..., :, None], t_k[..., None, :], v_l[..., :, None], v_k[..., None, :])
+        g[near] = _coincident_gram(*(np.broadcast_to(x, g.shape)[near] for x in ends), config.max_index)
+    return g
 
 
-def _terms_gram(config: LensArrayConfig, ops_l, ops_k=None, coincident=None, scratch=None, out=None):
-    """Signed G between the users of the _gram_operands ops_l and ops_k.
+def _terms_gram(config: LensArrayConfig, ops, coincident, scratch=None, out=None):
+    """Signed G between every two users of each drop, the drop form of the
+    kernel, which the ensembles take, from the _gram_operands ops of the
+    drops' (rows, L) _user_terms, of shape (rows, L, L).
 
-    Their users' arrays have shapes (..., L) and (..., N) with the same
-    leading shape, and the result has shape (..., L, N). Only the rows of
-    ops_l and the columns of ops_k are read. Without ops_k the pairs are
-    those of ops_l with itself. The divisor a - b is written into scratch,
-    a float array of shape (rows, L, N) with rows the size of the leading
-    shape, when one is given. Afterwards scratch holds the beam-coordinate
-    differences t_l - t_k of the snapped coordinates, except at the
-    coincident pairs, |t_l - t_k| < COINCIDENT_GAP, where it holds 0, and,
-    without ops_k, at the self-pairs, where it holds +inf. Given out, a
+    The divisor t_l - t_k is written into scratch, a C-contiguous float
+    array of the result's shape, when one is given. Afterwards it holds the
+    beam-coordinate differences of the snapped coordinates, except at the
+    self-pairs, where it holds +inf, and at the coincident pairs,
+    |t_l - t_k| < COINCIDENT_GAP, where it holds 0. Given out, a
     C-contiguous float array of the result's shape, the result is written
     into it and out is returned, with the bits of the call without it.
 
-    The numerators u_l v_k - v_l u_k and the divisors t_l - t_k are each
-    one rank-2 matrix product per row, whatever M and wherever the users
-    lie. Each rare pair has one rule. A self-pair divides its finite
-    numerator by +inf, so its G is +-0 and its power +0. The coincident
-    pairs of one set come from its (rows, L) coordinates, by the sorted
-    search of _coincident_pairs in the rows that coincident flags as
-    _coincident_rows does, or that are flagged here without it, and each
-    pair's limit is taken once and written in both orders; those of two
-    sets come from one pass over the divisors.
+    The numerators u_l v_k - v_l u_k and the divisors are each one rank-2
+    matrix product per drop, whatever M and wherever the users lie. Each
+    rare pair has one rule. A self-pair divides its finite numerator by
+    +inf, so its G is +-0 and its power +0. The coincident pairs come from
+    the sorted search of _coincident_pairs in the rows that coincident
+    flags, as _coincident_rows does, and each pair's limit is taken once
+    and written in both orders, as G is symmetric.
     """
-    num_l, _, div_l, _ = ops_l
-    _, num_k, _, div_k = ops_l if ops_k is None else ops_k
-    shape = num_l.shape[:-1] + num_k.shape[-1:]
-    num_l, div_l = (x.reshape(-1, shape[-2], 2) for x in (num_l, div_l))
-    num_k, div_k = (x.reshape(-1, 2, shape[-1]) for x in (num_k, div_k))
-    gram = None if out is None else out.reshape(-1, *out.shape[-2:])
-    g = np.matmul(num_l, num_k, out=gram)
+    num_l, num_k, div_l, div_k = ops
+    g = np.matmul(num_l, num_k, out=out)
     diff = np.matmul(div_l, div_k, out=scratch)
-    if ops_k is None:
-        # A self-pair's finite numerator over +inf gives G = +-0
-        _self_pairs(diff)[...] = np.inf
-        if coincident is None:
-            coincident = _coincident_rows(div_l[..., 0])
-        r, i, j = _coincident_pairs(div_l[..., 0], coincident)
-        # G is symmetric, so each unordered pair's limit serves both orders
-        mirror = r, j, i
-    else:
-        # One pass over the divisors costs less than sorting every row's users
-        r, i, j = mirror = np.nonzero(np.abs(diff) < COINCIDENT_GAP)
+    # A self-pair's finite numerator over +inf gives G = +-0
+    _self_pairs(diff)[...] = np.inf
+    t, v = div_l[..., 0], num_k[:, 0]
+    r, i, j = _coincident_pairs(t, coincident)
     if not r.size:
         g /= diff
-    else:
-        diff[r, i, j] = diff[mirror] = 1.0
-        g /= diff
-        diff[r, i, j] = diff[mirror] = 0.0
-        g[r, i, j] = g[mirror] = _coincident_gram(div_l[r, i, 0], -div_k[r, 1, j], -num_l[r, i, 1],
-                                                  num_k[r, 0, j], config.max_index)
-    return g.reshape(shape) if out is None else out
+        return g
+    diff[r, i, j] = diff[r, j, i] = 1.0
+    g /= diff
+    diff[r, i, j] = diff[r, j, i] = 0.0
+    g[r, i, j] = g[r, j, i] = _coincident_gram(t[r, i], t[r, j], v[r, i], v[r, j], config.max_index)
+    return g
 
 
-def _pair_powers(config: LensArrayConfig, sf_l, sf_k=None) -> np.ndarray:
-    """Interference (A^2/M) G^2 between the users of sf_l and sf_k, as _pair_gram."""
+def _pair_powers(config: LensArrayConfig, sf_l, sf_k) -> np.ndarray:
+    """Interference (A^2/M) G^2 between the users of sf_l and sf_k, of the
+    pair form _pair_gram."""
     g = _pair_gram(config, sf_l, sf_k)
     np.square(g, out=g)
     g *= config.peak_power

@@ -187,11 +187,16 @@ def sample_doas(seed: int, count: int, offset: int = 0, sector: SectorModel = DE
     # Philox wraps a negative counter and fails on a float or NumPy integer
     if not (_is_integer(offset) and offset >= 0):
         raise ValueError(f"offset must be a non-negative integer, got {offset}")
-    u = _unit_stream(seed, int(offset), count)
-    # (2u - 1) h, rounded step by step as written, in place
+    return _to_doas(_unit_stream(seed, int(offset), count), sector.half_width)
+
+
+def _to_doas(u: np.ndarray, half_width: float) -> np.ndarray:
+    """The DOAs (2u - 1) h of the uniforms u, written over u and returned,
+    rounded step by step as written: the ensembles and Monte Carlo take
+    their DOAs here, and _gate_band's margin rests on these roundings."""
     u *= 2.0
     u -= 1.0
-    u *= sector.half_width
+    u *= half_width
     return u
 
 
@@ -199,13 +204,16 @@ def spatial_freq_pdf(y, sector: SectorModel = DEFAULT_SECTOR):
     """Density of sin(phi) for phi uniform on the sector.
 
     Equals 1/(2 h sqrt(1 - y^2)) on |y| <= sin(h) and 0 outside; for the
-    default sector the constant is 3/(2 pi).
+    default sector the constant is 3/(2 pi). On the half-space sector it is
+    +inf at |y| = 1.
     """
     y = np.asarray(y, dtype=float)
     s = sector.max_spatial_freq
     inside = np.abs(y) <= s
     ysafe = np.where(inside, y, 0.0)
-    val = np.where(inside, 1.0 / (2.0 * sector.half_width * np.sqrt(1.0 - ysafe * ysafe)), 0.0)
+    # The square root is 0 only at |y| = 1, where the density is +inf
+    with np.errstate(divide="ignore"):
+        val = np.where(inside, 1.0 / (2.0 * sector.half_width * np.sqrt(1.0 - ysafe * ysafe)), 0.0)
     return float(val) if val.ndim == 0 else val
 
 
@@ -294,7 +302,8 @@ def effective_prob_closed(d_tilde: float, sector: SectorModel = DEFAULT_SECTOR) 
     """First-order closed form artanh(sin h) / (h^2 d_tilde), clamped to 1.
 
     For the default sector this is 9 artanh(sqrt(3)/2) / (pi^2 d_tilde).
-    The expansion assumes a large array, so d_tilde < 2 is rejected.
+    The expansion assumes a large array, so d_tilde < 2 is rejected, and a
+    sector whose sin h rounds to 1, where artanh and the form diverge.
     """
     _check_d_tilde(d_tilde)
     if d_tilde < 2.0:
@@ -302,6 +311,8 @@ def effective_prob_closed(d_tilde: float, sector: SectorModel = DEFAULT_SECTOR) 
             f"closed form requires d_tilde >= 2 (large-array regime), got {d_tilde}"
         )
     h = sector.half_width
+    if sector.max_spatial_freq >= 1.0:
+        raise ValueError(f"closed form requires sin(half_width) < 1, got half_width {h}")
     return min(1.0, math.atanh(sector.max_spatial_freq) / (h * h * d_tilde))
 
 
@@ -366,10 +377,7 @@ def _count_effective(d_tilde: float, seed: int, half_width: float, start: int, s
     """
     u = _unit_stream(seed, 2 * start, 2 * (stop - start))
     sure, undecided = _classify_pairs(u, d_tilde, half_width)
-    y = np.compress(undecided, u.reshape(-1, 2), axis=0)
-    y *= 2.0
-    y -= 1.0
-    y *= half_width
+    y = _to_doas(np.compress(undecided, u.reshape(-1, 2), axis=0), half_width)
     np.sin(y, out=y)
     theta = y[:, 0] - y[:, 1]
     theta *= d_tilde

@@ -25,7 +25,8 @@ from lensmimo import (
 from lensmimo import harness, interference
 from lensmimo.array_model import GRID_SNAP_TOL, _beam_coords
 from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _layout, _square_sums, _workspace
-from lensmimo.interference import COINCIDENT_GAP, _gram_operands, _pair_gram, _terms_gram, _user_terms
+from lensmimo.interference import (COINCIDENT_GAP, _coincident_rows, _gram_operands, _pair_gram, _terms_gram,
+                                   _user_terms)
 from lensmimo.selfcheck import DETERMINISM_USERS
 from lensmimo.stochastic import SectorModel
 
@@ -166,7 +167,8 @@ class TestDeterminism:
                     assert res.mean_effective_count_se == ref.mean_effective_count_se
             # a caller's scratch holds the divisors, and +inf at the self-pairs
             scratch = np.full((50, users, users), np.nan)
-            gram = _terms_gram(cfg.array, _gram_operands(_user_terms(cfg.array, np.sin(forced))), scratch=scratch)
+            terms = _user_terms(cfg.array, np.sin(forced))
+            gram = _terms_gram(cfg.array, _gram_operands(terms), _coincident_rows(terms[0]), scratch=scratch)
             assert np.all(np.diagonal(scratch, axis1=1, axis2=2) == np.inf)
             assert np.all(np.diagonal(gram, axis1=1, axis2=2) == 0.0)
             assert not np.isnan(scratch).any()
@@ -226,9 +228,12 @@ class TestChunking:
         for args, expected in self.MANY_USERS:
             assert _layout(*args) == expected, args
         # a chunk's whole working set stays within CHUNK_BYTES, and its L x L
-        # part is the workspace itself: two float arrays and one bool array
+        # part is the workspace itself: two float arrays and one bool array,
+        # beside the one row of L ones a thread keeps for the counts
         assert CHUNK_BYTES == 1_600_000
-        assert sum(w.nbytes for w in _workspace(3, 200)) == 3 * 17 * 200 * 200
+        *pairs, ones = _workspace(3, 200)
+        assert sum(w.nbytes for w in pairs) == 3 * 17 * 200 * 200
+        assert ones.tobytes() == np.ones(200).tobytes()
         for users in self.USERS:
             size = users * (17 * users + USER_BYTES)
             # a single drop too large for the budget still runs, one trial a chunk
@@ -325,8 +330,8 @@ class TestWorkspace:
     @pytest.mark.parametrize("users, trials", [(200, 9), (10, 1700), (30, 1)])
     def test_each_thread_reuses_one_workspace(self, monkeypatch, users, trials):
         # every chunk a thread takes writes the same three arrays, of the
-        # layout's chunk rows and 17 bytes a pair, and a call holds at most
-        # one per thread
+        # layout's chunk rows and 17 bytes a pair, and reads the same row of
+        # L ones, and a call holds at most one per thread
         cfg = _cfg(d_tilde=5.0, users=users, trials=trials, seed=4)
         ref = run_scenario(cfg)
         block = harness._trial_block
@@ -344,8 +349,8 @@ class TestWorkspace:
             assert len(seen) == -(-trials // chunk)
             by_thread, workspaces = {}, []
             for ident, work in seen:
-                assert [w.shape for w in work] == [(chunk, users, users)] * 3
-                assert sum(w.nbytes for w in work) == 17 * chunk * users * users
+                assert [w.shape for w in work] == [(chunk, users, users)] * 3 + [(users,)]
+                assert sum(w.nbytes for w in work[:3]) == 17 * chunk * users * users
                 first = by_thread.setdefault(ident, work)
                 assert all(np.shares_memory(a, b) for a, b in zip(first, work))
                 if not any(np.shares_memory(work[0], w[0]) for w in workspaces):
@@ -809,10 +814,9 @@ class TestSortedReductions:
         # effective totals: a gated share of the exact ones, zeros included
         effective = exact * (np.arange(exact.size).reshape(exact.shape) % 3 != 0)
         ordered = np.full(exact.size, np.nan)
-        exact_summary, ends = harness._summary(exact, ordered, harness.CDF_ENDS)
-        grid, cdf = harness._empirical_cdf(ordered, *ends)
-        effective_summary, rest = harness._summary(effective, ordered)
-        assert rest == []
+        exact_summary = harness._summary(exact, ordered)
+        grid, cdf = harness._empirical_cdf(ordered)
+        effective_summary = harness._summary(effective, ordered)
         assert float_bits(exact_summary) == float_bits(reference_summary(exact))
         assert float_bits(effective_summary) == float_bits(reference_summary(effective))
         ref_grid, ref_cdf = reference_cdf(exact)
@@ -876,7 +880,9 @@ def sine_gate(config, doas):
     mask = np.abs(theta) <= 1.0
     self_pair = np.arange(st.shape[1])
     mask[:, self_pair, self_pair] = False
-    return np.count_nonzero(mask, axis=2), *gated_totals(config, _pair_gram(config.array, st), mask)
+    g = _pair_gram(config.array, st, st)
+    g[:, self_pair, self_pair] = 0.0
+    return np.count_nonzero(mask, axis=2), *gated_totals(config, g, mask)
 
 
 def assert_gate_matches_sines(run_forced, config, doas):

@@ -265,6 +265,7 @@ def test_differences_match_broadcast_subtraction():
     rng = np.random.default_rng(3)
     sf = rng.uniform(-1.0, 1.0, (2, 3, 9))
     sf[..., 0], sf[..., 1] = 1.0, -1.0
+    sf[..., 3] = sf[..., 2]
     sf_k = rng.uniform(-1.0, 1.0, (2, 3, 6))
     sf_k[..., 0] = sf[..., 2]
     t, t_k = _user_terms(cfg, sf)[0], _user_terms(cfg, sf_k)[0]
@@ -279,18 +280,19 @@ def test_differences_match_broadcast_subtraction():
     theta = np.matmul(*_difference_operands(sines[0]))
     theta *= cfg.d_tilde
     assert np.array_equal(theta, cfg.d_tilde * (sines[0][:, :, None] - sines[0][:, None, :]))
-    # the kernel's scratch holds the same differences, 0 where G took the
-    # coincident limit and +inf at the self-pairs of the self form
-    for ops_k, y in ((None, t), (_gram_operands(_user_terms(cfg, sf_k)), t_k)):
-        expect = (t[..., :, None] - y[..., None, :]).reshape(6, 9, -1)
-        scratch = np.full(expect.shape, np.nan)
-        _terms_gram(cfg, _gram_operands(_user_terms(cfg, sf)), ops_k, scratch=scratch)
-        limit = np.abs(expect) < COINCIDENT_GAP
-        assert limit.any()
-        expect = np.where(limit, 0.0, expect)
-        if ops_k is None:
-            expect[:, range(9), range(9)] = np.inf
-        assert np.array_equal(scratch, expect)
+    # the drop form's scratch holds the same differences, 0 where G took the
+    # coincident limit and +inf at the self-pairs
+    drops = t.reshape(6, 9)
+    expect = drops[:, :, None] - drops[:, None, :]
+    scratch = np.full(expect.shape, np.nan)
+    _terms_gram(cfg, _gram_operands(_user_terms(cfg, sf.reshape(6, 9))), _coincident_rows(drops),
+                scratch=scratch)
+    limit = np.abs(expect) < COINCIDENT_GAP
+    limit[:, range(9), range(9)] = False
+    assert limit.any()
+    expect = np.where(limit, 0.0, expect)
+    expect[:, range(9), range(9)] = np.inf
+    assert np.array_equal(scratch, expect)
 
 
 def test_operands_have_the_bits_of_stacked_columns():
@@ -464,10 +466,11 @@ class TestPairKernel:
         cfg = LensArrayConfig(d_tilde=d_tilde)
         gap = 1e-7 / d_tilde
         sf = np.array([0.1, 0.1 + gap, 0.1 + 2.0 * gap, 0.999, 0.999 + gap, -0.5, 0.3, -0.9])
-        ops = _gram_operands(_user_terms(cfg, sf))
+        terms = _user_terms(cfg, sf[None])
+        ops = _gram_operands(terms)
         seen, expanded = [], []
         monkeypatch.setattr(interference, "zeta", lambda s, q: seen.append(np.size(q)) or zeta(s, q))
-        _terms_gram(cfg, ops)
+        _terms_gram(cfg, ops, _coincident_rows(terms[0]))
         assert sum(seen) == 8
         monkeypatch.setattr(interference, "_beam_terms", lambda *a: expanded.append(a) or _beam_terms(*a))
         for a, b in ((sf[0], sf[2]), (sf[4], sf[3])):
@@ -560,10 +563,10 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("d_tilde", [2.5, 5.0, 10.3])
     def test_out_receives_the_bits_of_a_fresh_result(self, d_tilde):
-        # a drop's workspace passed to _terms_gram as out is returned, holding
-        # the G a call without it gives, and as scratch holds the divisors, in
-        # self form and cross form, with grid users, coincident pairs below
-        # COINCIDENT_GAP and exactly coincident pairs
+        # a drop's workspace passed to the drop form as out is returned,
+        # holding the G a call without it gives, and as scratch holds the
+        # divisors, with grid users, coincident pairs below COINCIDENT_GAP
+        # and exactly coincident pairs
         cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
         k = cfg.max_index
         rng = np.random.default_rng(23)
@@ -571,26 +574,23 @@ class TestPairKernel:
         sf[:, 0] = rng.integers(1 - k, k, 4) / d_tilde
         sf[:, 1] = sf[:, 0] + 0.3 * COINCIDENT_GAP / d_tilde
         sf[1:, 3] = sf[1:, 2]
-        sf_k = np.concatenate([sf[:, :3], rng.uniform(-1.0, 1.0, (4, 2))], axis=1)
-        for args in ((sf,), (sf, sf_k), (sf[0],), (sf[0], sf_k[0])):
-            terms = [_user_terms(cfg, x) for x in args]
-            ops = [_gram_operands(x) for x in terms]
-            fresh = _terms_gram(cfg, *ops)
-            assert fresh.tobytes() == _pair_gram(cfg, *args).tobytes()
-            out = np.full(fresh.shape, np.nan)
-            scratch = np.full(fresh.shape, np.nan).reshape(-1, *fresh.shape[-2:])
-            assert _terms_gram(cfg, *ops, scratch=scratch, out=out) is out
-            assert out.tobytes() == fresh.tobytes()
-            # the divisors are the coordinate differences, 0 where G took the
-            # coincident limit and +inf at the self-pairs of the self form
-            t_l, t_k = terms[0][0], terms[-1][0]
-            diff = (t_l[..., :, None] - t_k[..., None, :]).reshape(scratch.shape)
-            limit = np.abs(diff) < COINCIDENT_GAP
-            assert limit.any()
-            diff = np.where(limit, 0.0, diff)
-            if len(args) == 1:
-                diff[:, range(9), range(9)] = np.inf
-            assert np.array_equal(scratch, diff)
+        terms = _user_terms(cfg, sf)
+        ops = _gram_operands(terms)
+        coincident = _coincident_rows(terms[0])
+        fresh = _terms_gram(cfg, ops, coincident)
+        out = np.full(fresh.shape, np.nan)
+        scratch = np.full(fresh.shape, np.nan)
+        assert _terms_gram(cfg, ops, coincident, scratch=scratch, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
+        # the divisors are the coordinate differences, 0 where G took the
+        # coincident limit and +inf at the self-pairs
+        t = terms[0]
+        diff = t[:, :, None] - t[:, None, :]
+        limit = np.abs(diff) < COINCIDENT_GAP
+        assert limit.any()
+        diff = np.where(limit, 0.0, diff)
+        diff[:, range(9), range(9)] = np.inf
+        assert np.array_equal(scratch, diff)
 
 
 # Spacings of planted chains of users, in units of COINCIDENT_GAP: ties,
@@ -645,23 +645,24 @@ _WHOLE_ROWS = np.array([0.004 + 0.1 * COINCIDENT_GAP * np.arange(10),
 @example((0.01, _WHOLE_ROWS))
 @settings(max_examples=150, deadline=None)
 def test_sorted_search_finds_the_pairs_of_every_pair_search(case):
-    # The self form, with its rows flagged by _coincident_rows, finds the
-    # coincident pairs by comparing users s sorted places apart; the cross
-    # form of the same users searches every divisor. Off the self-pairs
-    # both give the same bits, and the self form's scratch holds +inf at
-    # the self-pairs and 0 at every coincident pair.
+    # The drop form, with its rows flagged by _coincident_rows, finds the
+    # coincident pairs by comparing users s sorted places apart; the pair
+    # form of the same users against themselves searches every divisor.
+    # With the pair form's self-pairs set to 0 both give the same G, and
+    # the drop form's scratch holds +inf at the self-pairs and 0 at every
+    # coincident pair.
     d_tilde, sf = case
     cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
     terms = _user_terms(cfg, sf)
-    ops = _gram_operands(terms)
     t = terms[0]
     rows, users = t.shape
     scratch = np.full((rows, users, users), np.nan)
-    g = _terms_gram(cfg, ops, coincident=_coincident_rows(t), scratch=scratch)
-    cross = _terms_gram(cfg, ops, ops)
+    g = _terms_gram(cfg, _gram_operands(terms), _coincident_rows(t), scratch=scratch)
+    pair = _pair_gram(cfg, sf, sf)
     off = ~np.eye(users, dtype=bool)
-    assert g[:, off].tobytes() == cross[:, off].tobytes()
-    assert np.all(np.diagonal(g, axis1=1, axis2=2) == 0.0)
+    pair[:, ~off] = 0.0
+    assert g[:, off].tobytes() == pair[:, off].tobytes()
+    assert np.array_equal(g, pair)
     diff = t[:, :, None] - t[:, None, :]
     expect = np.where(np.abs(diff) < COINCIDENT_GAP, 0.0, diff)
     expect[:, ~off] = np.inf

@@ -163,6 +163,15 @@ class TestSpatialFreqPdf:
         assert spatial_freq_pdf(y) >= 0.0
         assert spatial_freq_pdf(y) == spatial_freq_pdf(-y)
 
+    def test_half_space_sector_is_infinite_at_end_fire(self):
+        # 1/(2 h sqrt(1 - y^2)) at |y| = 1, as theta_pdf is at z = 0 there
+        sector = SectorModel(math.pi / 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spatial_freq_pdf(1.0, sector) == spatial_freq_pdf(-1.0, sector) == math.inf
+            got = spatial_freq_pdf(np.array([-1.0, 0.0, 1.0, 1.5]), sector)
+        assert got.tolist() == [math.inf, 1.0 / math.pi, math.inf, 0.0]
+
 
 class TestThetaPdf:
     def test_center_value_analytic(self):
@@ -394,6 +403,16 @@ class TestEffectiveProbClosed:
         with pytest.raises(ValueError):
             effective_prob_closed(1.0)
         assert 0.0 < effective_prob_closed(2.0) <= 1.0
+
+    @pytest.mark.parametrize("half_width", [math.pi / 2.0, math.pi / 2.0 - 1e-8])
+    def test_sector_whose_sine_rounds_to_one_rejected(self, half_width):
+        # artanh(sin h) diverges as sin h -> 1, while the probability stays finite
+        sector = SectorModel(half_width)
+        assert sector.max_spatial_freq == 1.0
+        with pytest.raises(ValueError, match="half_width"):
+            effective_prob_closed(10.0, sector)
+        assert effective_prob_quadrature(10.0, sector) == pytest.approx(0.1091, abs=5e-5)
+        assert effective_prob_closed(10.0, SectorModel(math.pi / 2.0 - 1e-7)) > 0.0
 
     def test_first_order_error_law(self):
         """The closed form is first-order accurate: its gap to the true
