@@ -279,10 +279,14 @@ def _integrate(f, lo: float, hi: float) -> float:
     toward its outer end, so kinks at the ends cost no accuracy. f gets all
     840 points in one array and must be smooth inside; points may round onto
     lo or hi, where f must be finite, but none reaches lo = 0.
+
+    The weighted values are summed by math.fsum, correctly rounded, where a
+    BLAS dot would add them in an order that depends on its kernel, so the
+    integral has the same bits on every machine whose f does.
     """
     half = 0.5 * (hi - lo)
     offsets = half * _RULE_NODES
-    return half * float(f(np.concatenate((lo + offsets, hi - offsets))) @ _RULE_WEIGHTS)
+    return half * math.fsum((f(np.concatenate((lo + offsets, hi - offsets))) * _RULE_WEIGHTS).tolist())
 
 
 def effective_prob_quadrature(d_tilde: float, sector: SectorModel = DEFAULT_SECTOR) -> float:

@@ -12,6 +12,8 @@ cross-checked as central differences of that same CDF.
 """
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -48,6 +50,8 @@ from lensmimo.stochastic import (
     _map_ranges,
     _unit_stream,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 HALF_WIDTH = math.pi / 3.0
 S_MAX = math.sin(HALF_WIDTH)
@@ -349,6 +353,26 @@ class TestIntegrate:
         assert _integrate(f, 2.0, 5.0) == pytest.approx(3.0, rel=1e-15)
         assert len(calls) == 1 and calls[0].shape == (840,)
         assert calls[0].min() >= 2.0 and calls[0].max() <= 5.0
+
+    # The quadrature probabilities of the prob command on both sectors and
+    # selfcheck's density integrals, printed as the hex of their bytes
+    PROBE = """
+import math
+from lensmimo.stochastic import SectorModel, _integrate, effective_prob_quadrature, theta_pdf
+probs = [effective_prob_quadrature(d, s) for d in (2.0, 5.0, 5.3, 10.0, 20.0, 50.0)
+         for s in (SectorModel(), SectorModel(math.pi / 2.0))]
+norms = [_integrate(lambda z: theta_pdf(z, d), 0.0, math.sqrt(3.0) * d) for d in (2.0, 10.0, 50.0)]
+print(" ".join(x.hex() for x in probs + norms))
+"""
+
+    @pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+    def test_bits_do_not_depend_on_the_blas_kernel(self, capsys, coretype):
+        exec(self.PROBE, {})
+        here = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_CORETYPE": coretype})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == here
 
 
 class TestEffectiveProbQuadrature:
