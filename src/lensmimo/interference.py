@@ -257,24 +257,24 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k) -> np.ndarray:
     closer than COINCIDENT_GAP, a user paired with itself included, takes
     the limit of _coincident_gram, found in one pass over the divisors.
     """
-    (t_l, v_l, u_l), (t_k, v_k, u_k) = _user_terms(config, sf_l), _user_terms(config, sf_k)
-    num_l, _, div_l, _ = _gram_operands((t_l, v_l, u_l))
-    _, num_k, _, div_k = _gram_operands((t_k, v_k, u_k))
+    terms = _user_terms(config, sf_l), _user_terms(config, sf_k)
+    (num_l, _, div_l, _), (_, num_k, _, div_k) = (_gram_operands(x) for x in terms)
     g = np.matmul(num_l, num_k)
     diff = np.matmul(div_l, div_k)
     near = np.abs(diff) < COINCIDENT_GAP
     diff[near] = 1.0
     g /= diff
     if near.any():
+        (t_l, v_l, _), (t_k, v_k, _) = terms
         ends = (t_l[..., :, None], t_k[..., None, :], v_l[..., :, None], v_k[..., None, :])
         g[near] = _coincident_gram(*(np.broadcast_to(x, g.shape)[near] for x in ends), config.max_index)
     return g
 
 
 def _terms_gram(config: LensArrayConfig, ops, coincident, scratch=None, out=None):
-    """Signed G between every two users of each drop, the drop form of the
-    kernel, which the ensembles take, from the _gram_operands ops of the
-    drops' (rows, L) _user_terms, of shape (rows, L, L).
+    """Signed G of shape (rows, L, L) between every two users of each drop,
+    the drop form of the kernel, which the ensembles take, from the
+    _gram_operands ops of the drops' (rows, L) _user_terms.
 
     The divisor t_l - t_k is written into scratch, a C-contiguous float
     array of the result's shape, when one is given. Afterwards it holds the

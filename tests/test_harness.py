@@ -631,8 +631,8 @@ class TestElementSpaceOracle:
 
 class TestCoincidentPairs:
     """Forced coincident pairs, |t_l - t_k| < COINCIDENT_GAP, in one chunk.
-    The ensemble's self form searches only the users with a sorted
-    neighbour within the gap; the reference is the cross form of each drop
+    The ensemble's drop form searches only the users with a sorted
+    neighbour within the gap; the reference is the pair form of each drop
     with itself, which searches every pair."""
 
     D_TILDE = 5.0

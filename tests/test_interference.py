@@ -258,9 +258,9 @@ def _assert_kernel_matches_direct(run_forced, cfg, pairs):
 def test_differences_match_broadcast_subtraction():
     # The kernel's divisors t_l - t_k and the sine gate's s_l - s_k are matrix
     # products of _difference_operands, one rounding of a two-term sum. They
-    # keep the bits of the broadcast subtraction, in cross form and with a
-    # 3-D leading shape, out to users snapped onto t = +-(K + 1); only the
-    # sign of a zero may differ, and array_equal does not see it.
+    # keep the bits of the broadcast subtraction, between two sets of users
+    # and with a 3-D leading shape, out to users snapped onto t = +-(K + 1);
+    # only the sign of a zero may differ, and array_equal does not see it.
     cfg = LensArrayConfig(d_tilde=6.0 - 5e-10, a_z=2.0)
     rng = np.random.default_rng(3)
     sf = rng.uniform(-1.0, 1.0, (2, 3, 9))
