@@ -57,7 +57,6 @@ from .array_model import (
     GRID_SNAP_TOL,
     SPATIAL_FREQ_ERROR,
     LensArrayConfig,
-    _beam_coords,
     _validate_spatial_freq,
     channel_vectors,
     sinc,
@@ -104,14 +103,14 @@ def power_to_db(power_linear) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _beam_terms(t: np.ndarray, max_index: int):
-    """Per-user kernel terms v = sin(pi t)/pi and u = v S(t) of beam coordinates t.
+def _beam_terms(t: np.ndarray, n: np.ndarray, max_index: int):
+    """Per-user kernel terms v = sin(pi t)/pi and u = v S(t) of beam
+    coordinates t, given their nearest integers n = rint(t).
 
     sin and cos are taken of the offset from the nearest integer, so grid
     users give v = 0 exactly. Coordinates beyond the span, |t| > K, take
     the recurrence form of S with c = 0; only those entries are redone.
     """
-    n = np.rint(t)
     e = np.pi * (t - n)
     # n - 2 floor(n / 2) is n mod 2, exactly, for every integral double n
     sign = 1.0 - 2.0 * (n - 2.0 * np.floor(0.5 * n))
@@ -166,19 +165,34 @@ def _self_pairs(a: np.ndarray) -> np.ndarray:
 
 def _user_terms(config: LensArrayConfig, sf) -> tuple:
     """(t, v, u) of the users of sf, an array of shape (..., L): the
-    validated, snapped beam coordinates of _beam_coords and their kernel
-    terms of _beam_terms, each of sf's shape. The array twin of
-    _user_float; every entry depends only on its own user."""
-    t = np.asarray(_beam_coords(config, sf))
-    v, u = _beam_terms(t, config.max_index)
+    validated beam coordinates, snapped to the grid with the bits of
+    _beam_coords, and their kernel terms of _beam_terms, each of sf's
+    shape. The array twin of _user_float, it takes the same steps: each
+    user is rounded once, and the snap is applied only when some user lies
+    within GRID_SNAP_TOL of the grid, which a random drop almost never
+    does. Every entry depends only on its own user."""
+    sf = np.asarray(sf, dtype=float)
+    _validate_spatial_freq(sf)
+    # |sf| <= 1, so t is finite and t - n raises no invalid-value warning
+    t = np.asarray(config.d_tilde * sf)
+    n = np.rint(t)
+    near = np.abs(t - n) < GRID_SNAP_TOL
+    if near.any():
+        # n keeps the sign of t, so a snapped -0.0 stays -0.0
+        t = np.where(near, n, t)
+    v, u = _beam_terms(t, n, config.max_index)
     return t, v, u
 
 
 def _coincident_rows(t: np.ndarray) -> np.ndarray:
     """Which rows of the (rows, L) coordinates t hold two users closer than
     COINCIDENT_GAP, by one sort of each row and its gaps."""
-    gaps = np.diff(np.sort(t, axis=1), axis=1)
-    return (gaps < COINCIDENT_GAP).any(axis=1)
+    ranked = np.sort(t, axis=1)
+    close = ranked[:, 1:] - ranked[:, :-1] < COINCIDENT_GAP
+    # Most ranges hold no close pair, and one flat test spares them the per-row one
+    if not close.any():
+        return np.zeros(len(t), dtype=bool)
+    return close.any(axis=1)
 
 
 def _coincident_pairs(t: np.ndarray, coincident: np.ndarray) -> tuple:
@@ -319,9 +333,9 @@ def _pair_powers(config: LensArrayConfig, sf_l, sf_k) -> np.ndarray:
 
 
 def _user_float(config: LensArrayConfig, sf: float) -> tuple:
-    """(t, v, u) of one user on Python floats: the validated, snapped t of
-    _beam_coords and the terms of _beam_terms, with their bits, where
-    NumPy's per-call overhead would dominate a single pair."""
+    """(t, v, u) of one user on Python floats: the validated, snapped t and
+    the terms of _user_terms, with their bits and the sign of each zero,
+    where NumPy's per-call overhead would dominate a single pair."""
     # Written so that NaN fails the test too
     if not abs(sf) <= 1.0:
         raise ValueError(SPATIAL_FREQ_ERROR)
@@ -329,7 +343,11 @@ def _user_float(config: LensArrayConfig, sf: float) -> tuple:
     n = round(t)
     if abs(t - n) < GRID_SNAP_TOL:
         t = math.copysign(n, t)
-    e = math.pi * (t - n)
+        # t - n is +0.0 on the array path, where n is a float of t's sign;
+        # with the int n = 0 here, t = -0.0 would give e = -0.0
+        e = 0.0
+    else:
+        e = math.pi * (t - n)
     v = math.sin(e) / math.pi
     c = math.cos(e)
     if n % 2:

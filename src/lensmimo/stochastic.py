@@ -306,18 +306,31 @@ def effective_prob_closed(d_tilde: float, sector: SectorModel = DEFAULT_SECTOR) 
     """First-order closed form artanh(sin h) / (h^2 d_tilde), clamped to 1.
 
     For the default sector this is 9 artanh(sqrt(3)/2) / (pi^2 d_tilde).
-    The expansion assumes a large array, so d_tilde < 2 is rejected, and a
-    sector whose sin h rounds to 1, where artanh and the form diverge.
+    The form overstates the probability by the relative amount c / d_tilde
+    to first order, c = 1 / (4 cos^2 h artanh(sin h)). The expansion
+    assumes a large array, so d_tilde < 2 is rejected; so is a sector whose
+    sin h rounds to 1, where artanh and the form diverge, and any sector
+    and d_tilde with c / d_tilde above 1/2, where the first order no longer
+    bounds the error: near the half-space sector, or a narrow sector at a
+    small d_tilde. The default sector keeps every d_tilde >= 2.
     """
     _check_d_tilde(d_tilde)
     if d_tilde < 2.0:
         raise ValueError(
             f"closed form requires d_tilde >= 2 (large-array regime), got {d_tilde}"
         )
-    h = sector.half_width
-    if sector.max_spatial_freq >= 1.0:
+    h, s = sector.half_width, sector.max_spatial_freq
+    # math.atanh(1.0) raises, so this test comes first
+    if s >= 1.0:
         raise ValueError(f"closed form requires sin(half_width) < 1, got half_width {h}")
-    return min(1.0, math.atanh(sector.max_spatial_freq) / (h * h * d_tilde))
+    artanh = math.atanh(s)
+    error = 1.0 / (4.0 * math.cos(h) ** 2 * artanh) / d_tilde
+    if error > 0.5:
+        raise ValueError(
+            "closed form requires first-order relative error c/d_tilde <= 1/2, "
+            f"got {error:.3g} at half_width {h}, d_tilde {d_tilde}"
+        )
+    return min(1.0, artanh / (h * h * d_tilde))
 
 
 # Unit roundoff of a double.

@@ -309,16 +309,20 @@ class TestChunking:
         for field in ("exact_totals", "effective_totals", "effective_counts"):
             assert np.array_equal(getattr(res, field), getattr(ref, field)), field
 
-    @pytest.mark.parametrize("users, trials, threads",
-                             [(200, 200, 1), (200, 45, 2), (10, 2000, 3), (206, 3, 2)])
-    def test_beam_terms_see_each_user_once(self, monkeypatch, users, trials, threads):
-        cfg = _cfg(d_tilde=5.0, users=users, trials=trials, seed=6)
+    @pytest.mark.parametrize(
+        "d_tilde, users, trials, threads",
+        [pytest.param(5.0, *shape, id="-".join(map(str, shape)))
+         for shape in ((200, 200, 1), (200, 45, 2), (10, 2000, 3), (206, 3, 2))]
+        # the bench's wide-array shape
+        + [pytest.param(100.0, 10, 1500, 1, id="100.0-10-1500-1")])
+    def test_beam_terms_see_each_user_once(self, monkeypatch, d_tilde, users, trials, threads):
+        cfg = _cfg(d_tilde=d_tilde, users=users, trials=trials, seed=6)
         seen = []
         terms = interference._beam_terms
 
-        def recorded(t, max_index):
+        def recorded(t, n, max_index):
             seen.append(np.array(t).ravel())
-            return terms(t, max_index)
+            return terms(t, n, max_index)
 
         monkeypatch.setattr(interference, "_beam_terms", recorded)
         run_scenario(cfg, threads=threads)

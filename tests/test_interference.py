@@ -13,11 +13,13 @@ from lensmimo import (
     LensArrayConfig,
     NullNotFoundError,
     ScenarioConfig,
+    array_model,
     first_null,
     interference,
     pairwise_interference_closed,
     pairwise_interference_direct,
     power_to_db,
+    run_scenario,
     sidelobe_ratio_db,
     sweep_pattern,
 )
@@ -351,7 +353,7 @@ class TestBeamTermsParity:
             np.linspace(k, d_tilde, 7), -np.linspace(k, d_tilde, 7),
             rng.uniform(-d_tilde, d_tilde, 500),
         ]).reshape(2, -1)
-        v, u = _beam_terms(t, k)
+        v, u = _beam_terms(t, np.rint(t), k)
         v_ref, u_ref = beam_terms_mod_reference(t, k)
         assert v.tobytes() == v_ref.tobytes()
         assert u.tobytes() == u_ref.tobytes()
@@ -359,7 +361,7 @@ class TestBeamTermsParity:
     def test_signed_zero_and_huge_parities(self):
         k = 10
         t = np.array([0.0, -0.0, -1.0, -2.0, 2.0**52 - 1.0, -(2.0**52 - 1.0), 2.0**52, 2.0**53])
-        v, _ = _beam_terms(t, k)
+        v, _ = _beam_terms(t, np.rint(t), k)
         sign = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
         # v = sign sin(0) / pi is a zero of the parity's sign
         assert np.array_equal(np.signbit(v), sign < 0.0)
@@ -388,12 +390,8 @@ class TestUserFloat:
         for sf in _user_inputs(d_tilde):
             t, v, u = _user_float(cfg, sf)
             t_ref = _beam_coords(cfg, np.array([sf]))
-            v_ref, u_ref = _beam_terms(t_ref, cfg.max_index)
+            v_ref, u_ref = _beam_terms(t_ref, np.rint(t_ref), cfg.max_index)
             assert type(t) is float and type(v) is float and type(u) is float
-            # t = -0.0 gives v = -0.0 here and 0.0 there, a sign the squared power drops
-            if t == 0.0:
-                assert v == v_ref[0] == 0.0
-                v = v_ref[0]
             for got, want in ((t, t_ref[0]), (v, v_ref[0]), (u, u_ref[0])):
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), (sf, got, want)
 
@@ -402,6 +400,49 @@ class TestUserFloat:
         for sf in (-0.0, -1e-11, -GRID_SNAP_TOL / 20.0):
             assert math.copysign(1.0, _user_float(cfg, sf)[0]) == -1.0
         assert math.copysign(1.0, _user_float(cfg, 1e-11)[0]) == 1.0
+
+    @pytest.mark.parametrize("d_tilde", [5.9999999995, 10.3])
+    def test_array_path_on_mixed_rows_has_the_float_bits(self, d_tilde):
+        # Grid users, users GRID_SNAP_TOL/2 either side of the grid,
+        # half-integers, +-0.0 and end-fire users, which snap onto +-(K + 1)
+        # at 5.9999999995 and lie beyond the span at 10.3, shuffled into one
+        # (rows, L) array whose last row holds no user near the grid
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
+        k = cfg.max_index
+        m = np.arange(-k, k + 1, dtype=float)
+        t = np.concatenate([m, m + GRID_SNAP_TOL / 2.0, m - GRID_SNAP_TOL / 2.0, m[:-1] + 0.5,
+                            np.linspace(k + 0.05, d_tilde, 4)])
+        rng = np.random.default_rng(29)
+        mixed = np.concatenate([t / d_tilde, -t / d_tilde, [0.0, -0.0, 1.0, -1.0]])
+        mixed = mixed[np.abs(mixed) <= 1.0]
+        rng.shuffle(mixed)
+        width = 7
+        rows = -(-mixed.size // width)
+        sf = np.concatenate([mixed, rng.uniform(-1.0, 1.0, rows * width - mixed.size)]).reshape(rows, width)
+        far = (np.arange(width) - 2.7) / d_tilde
+        sf = np.concatenate([sf, far[None]])
+        terms = _user_terms(cfg, sf)
+        assert np.any(np.abs(terms[0]) > k) and np.any(terms[0][:-1] == np.rint(terms[0][:-1]))
+        for i, x in np.ndenumerate(sf):
+            want = _user_float(cfg, float(x))
+            got = tuple(float(a[i]) for a in terms)
+            assert [np.float64(a).tobytes() for a in got] == [np.float64(b).tobytes() for b in want], (x, got, want)
+        # the last row takes no snap alone and the same bits inside the mixed array
+        alone = _user_terms(cfg, sf[-1:])
+        assert [a.tobytes() for a in alone] == [a[-1:].tobytes() for a in terms]
+        assert [a.tobytes() for a in _user_terms(cfg, sf[-1])] == [a[-1].tobytes() for a in terms]
+
+    def test_ensembles_take_no_oracle_snap(self, monkeypatch):
+        # The array path snaps its own users; snap_to_grid serves the oracle
+        # path alone, _beam_coords to _profile_matrix
+        def refuse(t):
+            raise AssertionError("snap_to_grid called")
+
+        monkeypatch.setattr(array_model, "snap_to_grid", refuse)
+        cfg = ScenarioConfig(array=LensArrayConfig(d_tilde=100.0), user_count=10, trial_count=1500, seed=4242)
+        assert run_scenario(cfg).effective_counts.shape == (1500, 10)
+        with pytest.raises(AssertionError, match="snap_to_grid called"):
+            pairwise_interference_direct(cfg.array, 0.1, 0.2)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf, 1.0000000000000002, -1.5])
     def test_scalar_pair_rejects_each_side(self, bad):
@@ -667,6 +708,45 @@ def test_sorted_search_finds_the_pairs_of_every_pair_search(case):
     expect = np.where(np.abs(diff) < COINCIDENT_GAP, 0.0, diff)
     expect[:, ~off] = np.inf
     assert np.array_equal(scratch, expect)
+
+
+def _flagged_rows(kind):
+    """(rows, L) beam coordinates for _coincident_rows: no close pair, one
+    close pair in the last row only, several flagged rows, or identical
+    users."""
+    rng = np.random.default_rng(31)
+    t = np.sort(rng.uniform(-20.0, 20.0, (60, 10)), axis=1) + 1e-3 * np.arange(10)
+    rng.permuted(t, axis=1, out=t)
+    if kind == "last":
+        t[-1, 7] = t[-1, 3] + 0.5 * COINCIDENT_GAP
+    elif kind == "several":
+        t[0, 0] = t[0, 9] - 0.99 * COINCIDENT_GAP
+        t[5, 2] = t[5, 4] + 1e-12
+        t[17, 8] = t[17, 1] + 1.01 * COINCIDENT_GAP
+        t[30, 6] = t[30, 5] + 0.999 * COINCIDENT_GAP
+        t[59, :3] = t[59, 4] + COINCIDENT_GAP * np.array([0.3, 0.6, 0.9])
+    elif kind == "identical":
+        t[2] = t[2, 0]
+        t[4, 1] = t[4, 6]
+        t[11, ::2] = -0.0
+        t[11, 1::2] = 0.0
+    return t
+
+
+@pytest.mark.parametrize("kind", ["none", "last", "several", "identical"])
+@pytest.mark.parametrize("users", [1, 2, 10])
+def test_coincident_rows_match_a_brute_force_mask(kind, users):
+    # every row with a pair |t_l - t_k| < COINCIDENT_GAP, by all L^2 differences
+    t = np.ascontiguousarray(_flagged_rows(kind)[:, -users:])
+    close = np.abs(t[:, :, None] - t[:, None, :]) < COINCIDENT_GAP
+    close[:, range(users), range(users)] = False
+    expect = close.any(axis=(1, 2))
+    if users == 10:
+        planted = {"none": [], "last": [59], "several": [0, 5, 30, 59], "identical": [2, 4, 11]}
+        assert expect.nonzero()[0].tolist() == planted[kind]
+    got = _coincident_rows(t)
+    assert got.dtype == bool and got.shape == (len(t),)
+    assert np.array_equal(got, expect)
 
 
 class TestSweepPattern:

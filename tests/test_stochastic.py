@@ -436,7 +436,30 @@ class TestEffectiveProbClosed:
         with pytest.raises(ValueError, match="half_width"):
             effective_prob_closed(10.0, sector)
         assert effective_prob_quadrature(10.0, sector) == pytest.approx(0.1091, abs=5e-5)
-        assert effective_prob_closed(10.0, SectorModel(math.pi / 2.0 - 1e-7)) > 0.0
+        with pytest.raises(ValueError, match="c/d_tilde"):
+            effective_prob_closed(10.0, SectorModel(math.pi / 2.0 - 1e-7))
+
+    @pytest.mark.parametrize("gap", [1e-7, 1e-4, 1e-2])
+    def test_sector_near_half_space_rejected(self, gap):
+        # c/d_tilde is 1.5e11, 2.5e5 and 47 here, where the form read 0.681,
+        # 0.401 and 0.217 against 0.109 by quadrature
+        sector = SectorModel(math.pi / 2.0 - gap)
+        assert sector.max_spatial_freq < 1.0
+        with pytest.raises(ValueError, match="c/d_tilde"):
+            effective_prob_closed(10.0, sector)
+        assert effective_prob_quadrature(10.0, sector) == pytest.approx(0.109, abs=1e-3)
+
+    def test_error_law_bound(self):
+        # c/d_tilde <= 1/2: the default sector keeps every d_tilde >= 2 (0.380
+        # at 2), and a narrow one only d_tilde >= 2c, about 5.04 at h = 0.1
+        h = math.pi / 3.0
+        assert effective_prob_closed(2.0) == math.atanh(math.sin(h)) / (h * h * 2.0)
+        narrow = SectorModel(0.1)
+        c = 1.0 / (4.0 * math.cos(0.1) ** 2 * math.atanh(math.sin(0.1)))
+        assert 5.03 < 2.0 * c < 5.05
+        with pytest.raises(ValueError, match="c/d_tilde"):
+            effective_prob_closed(5.03, narrow)
+        assert 0.0 < effective_prob_closed(5.05, narrow) <= 1.0
 
     def test_first_order_error_law(self):
         """The closed form is first-order accurate: its gap to the true
