@@ -111,30 +111,14 @@ def _beam_terms(t: np.ndarray, n: np.ndarray, max_index: int):
     users give v = 0 exactly. Coordinates beyond the span, |t| > K, take
     the recurrence form of S with c = 0; only those entries are redone.
     """
-    # The steps update their arrays in place, which keeps a range's
-    # expansion to 9 fresh arrays instead of 20, with the roundings of
-    # e = pi (t - n), v = sign sin(e) / pi and u = v (psi - psi) - sign cos(e)
-    e = t - n
-    e *= np.pi
-    # sign = 1 - 2 (n - 2 floor(n / 2)), exactly, as n - 2 floor(n / 2) is
-    # n mod 2 for every integral double n
-    sign = np.floor(0.5 * n)
-    sign *= -2.0
-    sign += n
-    sign *= -2.0
-    sign += 1.0
-    v = np.sin(e)
-    v *= sign
-    v /= np.pi
+    e = np.pi * (t - n)
+    # n - 2 floor(n / 2) is n mod 2, exactly, for every integral double n
+    sign = 1.0 - 2.0 * (n - 2.0 * np.floor(0.5 * n))
+    v = sign * np.sin(e) / np.pi
     k1 = max_index + 1.0
-    u = digamma(k1 - t)
-    u -= digamma(k1 + t)
     # 0 * inf where a grid user snaps to t = +-(K + 1); such entries are redone below
     with np.errstate(invalid="ignore"):
-        u *= v
-    c = np.cos(e)
-    c *= sign
-    u -= c
+        u = v * (digamma(k1 - t) - digamma(k1 + t)) - sign * np.cos(e)
     out = np.abs(t) > max_index
     if out.any():
         s = np.abs(t[out])
