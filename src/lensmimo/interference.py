@@ -34,7 +34,11 @@ through Hurwitz zeta functions. Within the span the sum over all integers
 m is sinc(a - b), and G is sinc(a - b) less the tail |m| > K; beyond it,
 G is the nearest element's term plus the other elements.
 pairwise_interference_closed expands each user on Python floats in one
-call and passes a coincident pair's t and v to the same limit.
+call and passes a coincident pair's t and v to the same limit. The
+per-user terms of _user_terms, their matrix-product operands and the
+limit also serve the kernel's two array forms: the pair form here,
+_pair_gram, which pairs one set of users with another for the pattern
+sweep and selfcheck's batch, and the ensembles' drop form in harness.
 
 pairwise_interference_direct builds the channel vectors of a broadcast
 batch of pairs and takes their Hermitian inner products along the element
@@ -152,17 +156,6 @@ def _coincident_gram(a, b, v_a, v_b, max_index: int) -> np.ndarray:
     return g
 
 
-def _self_pairs(a: np.ndarray) -> np.ndarray:
-    """The (rows, L) view of the self-pairs a[:, i, i] of a (rows, L, L) array.
-
-    A C-contiguous array reshapes to (rows, L * L) without a copy, and its
-    diagonals are every (L + 1)-th element of each row, so one strided view
-    reaches them all.
-    """
-    assert a.flags.c_contiguous
-    return a.reshape(a.shape[0], -1)[:, :: a.shape[1] + 1]
-
-
 def _user_terms(config: LensArrayConfig, sf) -> tuple:
     """(t, v, u) of the users of sf, an array of shape (..., L): the
     validated beam coordinates, snapped to the grid with the bits of
@@ -182,46 +175,6 @@ def _user_terms(config: LensArrayConfig, sf) -> tuple:
         t = np.where(near, n, t)
     v, u = _beam_terms(t, n, config.max_index)
     return t, v, u
-
-
-def _coincident_rows(t: np.ndarray) -> np.ndarray:
-    """Which rows of the (rows, L) coordinates t hold two users closer than
-    COINCIDENT_GAP, by one sort of each row and its gaps."""
-    ranked = np.sort(t, axis=1)
-    close = ranked[:, 1:] - ranked[:, :-1] < COINCIDENT_GAP
-    # Most ranges hold no close pair, and one flat test spares them the per-row one
-    if not close.any():
-        return np.zeros(len(t), dtype=bool)
-    return close.any(axis=1)
-
-
-def _coincident_pairs(t: np.ndarray, coincident: np.ndarray) -> tuple:
-    """(r, i, j), the pairs of users of the (rows, L) coordinates t that lie
-    closer than COINCIDENT_GAP, each unordered pair once, with t[r, i] <=
-    t[r, j], from the rows that coincident flags as _coincident_rows does;
-    empty when none is flagged.
-
-    The flagged rows are sorted once, and the users s places apart in
-    sorted order are compared for s = 1, 2, ... up to the first s with no
-    close pair. No pair is lost: rounding is monotone, so every pair that
-    lies between the ends of a close pair in sorted order is close too. A
-    sorted difference has the bits of |t_l - t_k|, which the divisors hold.
-    """
-    rows = coincident.nonzero()[0]
-    # Most chunks flag no row. Returning here spares them about ten small
-    # NumPy calls, which hold the interpreter lock that other threads wait on
-    if not rows.size:
-        return rows, rows, rows
-    ts = t[rows]
-    order = ts.argsort(axis=1)
-    ranked = np.sort(ts, axis=1)
-    pairs = []
-    for s in range(1, t.shape[1]):
-        r, i = np.nonzero(ranked[:, s:] - ranked[:, :-s] < COINCIDENT_GAP)
-        if not r.size:
-            break
-        pairs.append((rows[r], order[r, i], order[r, i + s]))
-    return tuple(np.concatenate(pairs, axis=1))
 
 
 def _difference_operands(x: np.ndarray) -> tuple:
@@ -282,44 +235,6 @@ def _pair_gram(config: LensArrayConfig, sf_l, sf_k) -> np.ndarray:
         (t_l, v_l, _), (t_k, v_k, _) = terms
         ends = (t_l[..., :, None], t_k[..., None, :], v_l[..., :, None], v_k[..., None, :])
         g[near] = _coincident_gram(*(np.broadcast_to(x, g.shape)[near] for x in ends), config.max_index)
-    return g
-
-
-def _terms_gram(config: LensArrayConfig, ops, coincident, scratch=None, out=None):
-    """Signed G of shape (rows, L, L) between every two users of each drop,
-    the drop form of the kernel, which the ensembles take, from the
-    _gram_operands ops of the drops' (rows, L) _user_terms.
-
-    The divisor t_l - t_k is written into scratch, a C-contiguous float
-    array of the result's shape, when one is given. Afterwards it holds the
-    beam-coordinate differences of the snapped coordinates, except at the
-    self-pairs, where it holds +inf, and at the coincident pairs,
-    |t_l - t_k| < COINCIDENT_GAP, where it holds 0. Given out, a
-    C-contiguous float array of the result's shape, the result is written
-    into it and out is returned, with the bits of the call without it.
-
-    The numerators u_l v_k - v_l u_k and the divisors are each one rank-2
-    matrix product per drop, whatever M and wherever the users lie. Each
-    rare pair has one rule. A self-pair divides its finite numerator by
-    +inf, so its G is +-0 and its power +0. The coincident pairs come from
-    the sorted search of _coincident_pairs in the rows that coincident
-    flags, as _coincident_rows does, and each pair's limit is taken once
-    and written in both orders, as G is symmetric.
-    """
-    num_l, num_k, div_l, div_k = ops
-    g = np.matmul(num_l, num_k, out=out)
-    diff = np.matmul(div_l, div_k, out=scratch)
-    # A self-pair's finite numerator over +inf gives G = +-0
-    _self_pairs(diff)[...] = np.inf
-    t, v = div_l[..., 0], num_k[:, 0]
-    r, i, j = _coincident_pairs(t, coincident)
-    if not r.size:
-        g /= diff
-        return g
-    diff[r, i, j] = diff[r, j, i] = 1.0
-    g /= diff
-    diff[r, i, j] = diff[r, j, i] = 0.0
-    g[r, i, j] = g[r, j, i] = _coincident_gram(t[r, i], t[r, j], v[r, i], v[r, j], config.max_index)
     return g
 
 

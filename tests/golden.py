@@ -100,12 +100,8 @@ def _scenario(res) -> str:
                    res.mean_effective_count, res.mean_effective_count_se)
 
 
-def _cfg(d_tilde, users, trials, a_z=1.0):
-    return ScenarioConfig(LensArrayConfig(d_tilde=d_tilde, a_z=a_z), users, trials, SEED)
-
-
-def _arcsin(sf):
-    return np.arcsin(np.asarray(sf, dtype=float))
+def _cfg(d_tilde, users, trials):
+    return ScenarioConfig(LensArrayConfig(d_tilde=d_tilde), users, trials, SEED)
 
 
 def _forced_drops():
@@ -121,23 +117,23 @@ def _forced_drops():
     assert harness._layout(40, 200, 1) == (2, 10)
     for r in (0, 4, 9, 14, 19, 39):
         base = math.sin(doas[r, 3])
-        doas[r, 3:6] = _arcsin(base + COINCIDENT_GAP / 5.0 * np.array([0.0, 0.3, 0.6]))
+        doas[r, 3:6] = np.arcsin(base + COINCIDENT_GAP / 5.0 * np.array([0.0, 0.3, 0.6]))
     for r in (1, 5, 8, 10, 35):
         doas[r, 7] = doas[r, 150]
     yield "clusters_and_ties", cfg, doas
     # K = 0: every user beyond the span, coincident pairs among them
     cfg, doas = drops(0.5, 200, 40)
-    doas[0, :3] = _arcsin([0.3, 0.3 + 1e-7, 0.3])
+    doas[0, :3] = np.arcsin([0.3, 0.3 + 1e-7, 0.3])
     doas[9, -2:] = doas[9, 0]
     yield "clusters_beyond_the_span", cfg, doas
     # grid users, and users GRID_SNAP_TOL/2 either side of the grid
     for d_tilde in (5.0, 10.3):
         cfg, doas = drops(d_tilde, 10, 20)
         m = np.arange(-4, 5)
-        doas[0, :9] = _arcsin(m / d_tilde)
-        doas[1, :9] = _arcsin((m + 0.5 * GRID_SNAP_TOL) / d_tilde)
-        doas[2, :9] = _arcsin((m - 0.5 * GRID_SNAP_TOL) / d_tilde)
-        doas[3, :3] = _arcsin(np.array([2.0, 2.0 + 0.5 * GRID_SNAP_TOL, 3.0]) / d_tilde)
+        doas[0, :9] = np.arcsin(m / d_tilde)
+        doas[1, :9] = np.arcsin((m + 0.5 * GRID_SNAP_TOL) / d_tilde)
+        doas[2, :9] = np.arcsin((m - 0.5 * GRID_SNAP_TOL) / d_tilde)
+        doas[3, :3] = np.arcsin(np.array([2.0, 2.0 + 0.5 * GRID_SNAP_TOL, 3.0]) / d_tilde)
         yield f"grid_users_{d_tilde!r}", cfg, doas
     # signed zeros, alone, against each other and against a grid user
     for d_tilde in (5.0, 5.9999999995):
@@ -149,16 +145,16 @@ def _forced_drops():
     # end-fire users that snap onto +-(K + 1), and users beyond the span
     cfg, doas = drops(5.9999999995, 6, 4)
     doas[0] = [math.pi / 2, -math.pi / 2, math.pi / 2, 0.0, 0.3, -0.9]
-    doas[1, :3] = _arcsin([1.0, 1.0 - 1e-12, 5.5 / 5.9999999995])
+    doas[1, :3] = np.arcsin([1.0, 1.0 - 1e-12, 5.5 / 5.9999999995])
     yield "end_fire_snaps", cfg, doas
     cfg, doas = drops(10.3, 6, 4)
-    doas[0] = _arcsin([0.98, 0.99, 1.0, -0.995, -1.0, 0.99 + 1e-7])
-    doas[2, :2] = _arcsin([10.1 / 10.3, -10.2 / 10.3])
+    doas[0] = np.arcsin([0.98, 0.99, 1.0, -0.995, -1.0, 0.99 + 1e-7])
+    doas[2, :2] = np.arcsin([10.1 / 10.3, -10.2 / 10.3])
     yield "beyond_the_span", cfg, doas
     # grid neighbours at |t_l - t_k| = 1 in one drop of a chunk: the sine gate
     for d_tilde in (10.0, 10.3):
         cfg, doas = drops(d_tilde, 8, 12)
-        doas[5, :2] = _arcsin(np.array([-1.0, 0.0]) / d_tilde)
+        doas[5, :2] = np.arcsin(np.array([-1.0, 0.0]) / d_tilde)
         yield f"band_pair_{d_tilde!r}", cfg, doas
 
 

@@ -25,12 +25,12 @@ from lensmimo import (
 from lensmimo import harness, interference
 from lensmimo.array_model import GRID_SNAP_TOL, _beam_coords
 from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _layout, _square_sums, _workspace
-from lensmimo.interference import (COINCIDENT_GAP, _coincident_rows, _gram_operands, _pair_gram, _terms_gram,
-                                   _user_terms)
+from lensmimo.interference import COINCIDENT_GAP, _pair_gram, _user_terms
 from lensmimo.selfcheck import DETERMINISM_USERS
 from lensmimo.stochastic import SectorModel
 
 from test_acceptance import _ensembles
+from test_interference import drop_form
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -166,9 +166,7 @@ class TestDeterminism:
                     assert res.mean_effective_count == ref.mean_effective_count
                     assert res.mean_effective_count_se == ref.mean_effective_count_se
             # a caller's scratch holds the divisors, and +inf at the self-pairs
-            scratch = np.full((50, users, users), np.nan)
-            terms = _user_terms(cfg.array, np.sin(forced))
-            gram = _terms_gram(cfg.array, _gram_operands(terms), _coincident_rows(terms[0]), scratch=scratch)
+            gram, scratch = drop_form(cfg.array, _user_terms(cfg.array, np.sin(forced)))
             assert np.all(np.diagonal(scratch, axis1=1, axis2=2) == np.inf)
             assert np.all(np.diagonal(gram, axis1=1, axis2=2) == 0.0)
             assert not np.isnan(scratch).any()

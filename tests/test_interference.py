@@ -29,15 +29,14 @@ from lensmimo.interference import (
     SIDELOBE_PEAK_X,
     SIDELOBE_RATIO_DB,
     _beam_terms,
-    _coincident_rows,
     _difference_operands,
     _gram_operands,
     _pair_gram,
     _pair_powers,
-    _terms_gram,
     _user_float,
     _user_terms,
 )
+from lensmimo.harness import _coincident_pairs, _terms_gram
 from scipy.special import digamma, zeta
 
 SQRT3_HALF = math.sqrt(3.0) / 2.0
@@ -49,6 +48,15 @@ def _direct_correlation(config, phi_tilde_l: float, deltas) -> np.ndarray:
     """Signed channel correlation sum_m sinc(m - t_l) sinc(m - t_k) from sinc profiles."""
     sf_k = np.clip(phi_tilde_l - np.asarray(deltas, dtype=float), -1.0, 1.0)
     return _profile_matrix(config, sf_k) @ _profile_matrix(config, phi_tilde_l)
+
+
+def drop_form(config, terms):
+    """(g, scratch): the drop form's G of the (rows, L) _user_terms terms
+    and its divisors, each written into an array filled with NaN."""
+    t = terms[0]
+    g, scratch = (np.full(t.shape + t.shape[-1:], np.nan) for _ in range(2))
+    _terms_gram(config, _gram_operands(terms), _coincident_pairs(t), scratch, g)
+    return g, scratch
 
 
 def scan_nulls(config, phi_tilde_l: float, count: int) -> list:
@@ -286,9 +294,7 @@ def test_differences_match_broadcast_subtraction():
     # coincident limit and +inf at the self-pairs
     drops = t.reshape(6, 9)
     expect = drops[:, :, None] - drops[:, None, :]
-    scratch = np.full(expect.shape, np.nan)
-    _terms_gram(cfg, _gram_operands(_user_terms(cfg, sf.reshape(6, 9))), _coincident_rows(drops),
-                scratch=scratch)
+    scratch = drop_form(cfg, _user_terms(cfg, sf.reshape(6, 9)))[1]
     limit = np.abs(expect) < COINCIDENT_GAP
     limit[:, range(9), range(9)] = False
     assert limit.any()
@@ -508,10 +514,9 @@ class TestPairKernel:
         gap = 1e-7 / d_tilde
         sf = np.array([0.1, 0.1 + gap, 0.1 + 2.0 * gap, 0.999, 0.999 + gap, -0.5, 0.3, -0.9])
         terms = _user_terms(cfg, sf[None])
-        ops = _gram_operands(terms)
         seen, expanded = [], []
         monkeypatch.setattr(interference, "zeta", lambda s, q: seen.append(np.size(q)) or zeta(s, q))
-        _terms_gram(cfg, ops, _coincident_rows(terms[0]))
+        drop_form(cfg, terms)
         assert sum(seen) == 8
         monkeypatch.setattr(interference, "_beam_terms", lambda *a: expanded.append(a) or _beam_terms(*a))
         for a, b in ((sf[0], sf[2]), (sf[4], sf[3])):
@@ -604,10 +609,10 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("d_tilde", [2.5, 5.0, 10.3])
     def test_out_receives_the_bits_of_a_fresh_result(self, d_tilde):
-        # a drop's workspace passed to the drop form as out is returned,
-        # holding the G a call without it gives, and as scratch holds the
-        # divisors, with grid users, coincident pairs below COINCIDENT_GAP
-        # and exactly coincident pairs
+        # a drop's workspace passed to the drop form as out receives the G
+        # that the pair form returns in a fresh array, +-0 at the self-pairs,
+        # and as scratch the divisors, with grid users, coincident pairs below
+        # COINCIDENT_GAP and exactly coincident pairs
         cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
         k = cfg.max_index
         rng = np.random.default_rng(23)
@@ -616,13 +621,10 @@ class TestPairKernel:
         sf[:, 1] = sf[:, 0] + 0.3 * COINCIDENT_GAP / d_tilde
         sf[1:, 3] = sf[1:, 2]
         terms = _user_terms(cfg, sf)
-        ops = _gram_operands(terms)
-        coincident = _coincident_rows(terms[0])
-        fresh = _terms_gram(cfg, ops, coincident)
-        out = np.full(fresh.shape, np.nan)
-        scratch = np.full(fresh.shape, np.nan)
-        assert _terms_gram(cfg, ops, coincident, scratch=scratch, out=out) is out
-        assert out.tobytes() == fresh.tobytes()
+        out, scratch = drop_form(cfg, terms)
+        off = ~np.eye(9, dtype=bool)
+        assert out[:, off].tobytes() == _pair_gram(cfg, sf, sf)[:, off].tobytes()
+        assert np.all(out[:, ~off] == 0.0)
         # the divisors are the coordinate differences, 0 where G took the
         # coincident limit and +inf at the self-pairs
         t = terms[0]
@@ -686,8 +688,8 @@ _WHOLE_ROWS = np.array([0.004 + 0.1 * COINCIDENT_GAP * np.arange(10),
 @example((0.01, _WHOLE_ROWS))
 @settings(max_examples=150, deadline=None)
 def test_sorted_search_finds_the_pairs_of_every_pair_search(case):
-    # The drop form, with its rows flagged by _coincident_rows, finds the
-    # coincident pairs by comparing users s sorted places apart; the pair
+    # The drop form, with the pairs of _coincident_pairs, which compares
+    # users s sorted places apart, takes their coincident limits; the pair
     # form of the same users against themselves searches every divisor.
     # With the pair form's self-pairs set to 0 both give the same G, and
     # the drop form's scratch holds +inf at the self-pairs and 0 at every
@@ -696,9 +698,8 @@ def test_sorted_search_finds_the_pairs_of_every_pair_search(case):
     cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
     terms = _user_terms(cfg, sf)
     t = terms[0]
-    rows, users = t.shape
-    scratch = np.full((rows, users, users), np.nan)
-    g = _terms_gram(cfg, _gram_operands(terms), _coincident_rows(t), scratch=scratch)
+    users = t.shape[1]
+    g, scratch = drop_form(cfg, terms)
     pair = _pair_gram(cfg, sf, sf)
     off = ~np.eye(users, dtype=bool)
     pair[:, ~off] = 0.0
@@ -711,7 +712,7 @@ def test_sorted_search_finds_the_pairs_of_every_pair_search(case):
 
 
 def _flagged_rows(kind):
-    """(rows, L) beam coordinates for _coincident_rows: no close pair, one
+    """(rows, L) beam coordinates for _coincident_pairs: no close pair, one
     close pair in the last row only, several flagged rows, or identical
     users."""
     rng = np.random.default_rng(31)
@@ -735,18 +736,24 @@ def _flagged_rows(kind):
 
 @pytest.mark.parametrize("kind", ["none", "last", "several", "identical"])
 @pytest.mark.parametrize("users", [1, 2, 10])
-def test_coincident_rows_match_a_brute_force_mask(kind, users):
-    # every row with a pair |t_l - t_k| < COINCIDENT_GAP, by all L^2 differences
+def test_coincident_pairs_match_a_brute_force_scan(kind, users):
+    # every unordered pair |t_l - t_k| < COINCIDENT_GAP of all L^2 differences,
+    # once, with t[r, i] <= t[r, j], ordered by r
     t = np.ascontiguousarray(_flagged_rows(kind)[:, -users:])
     close = np.abs(t[:, :, None] - t[:, None, :]) < COINCIDENT_GAP
     close[:, range(users), range(users)] = False
-    expect = close.any(axis=(1, 2))
+    expect = {(r, *sorted((i, j), key=lambda k: (t[r, k], k))) for r, i, j in zip(*close.nonzero())}
     if users == 10:
         planted = {"none": [], "last": [59], "several": [0, 5, 30, 59], "identical": [2, 4, 11]}
-        assert expect.nonzero()[0].tolist() == planted[kind]
-    got = _coincident_rows(t)
-    assert got.dtype == bool and got.shape == (len(t),)
-    assert np.array_equal(got, expect)
+        assert sorted({r for r, _, _ in expect}) == planted[kind]
+    got = _coincident_pairs(t)
+    assert all(x.dtype == np.intp and x.shape == got[0].shape for x in got)
+    r, i, j = got
+    assert np.all(t[r, i] <= t[r, j]) and np.all(r[1:] >= r[:-1])
+    # each unordered pair once; of two equal users, either may come first
+    found = [(r, *sorted((i, j), key=lambda k: (t[r, k], k))) for r, i, j in zip(*got)]
+    assert len(found) == len(set(found))
+    assert set(found) == expect
 
 
 class TestSweepPattern:

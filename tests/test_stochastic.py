@@ -475,6 +475,22 @@ class TestEffectiveProbClosed:
         ]
         np.testing.assert_allclose(rel_gaps, [0.1314, 0.0697, 0.0362], atol=1e-3)
 
+    @pytest.mark.parametrize("half_width, bound", [(math.pi / 3.0, 1.5), (0.1, 0.19), (1.2, 4.4)])
+    def test_second_order_error_law(self, half_width, bound):
+        """The separation density has a kink at 0, f(a) = f(0) - J^2 |a| +
+        O(a^2), with J = 1/(2 h cos h) the jump of the spatial-frequency
+        density at +-sin h. Integrating it over |a| <= 1/d_tilde gives
+        P2 = P1 - 1/(4 h^2 cos^2 h d_tilde^2), with P1 the closed form, so
+        P2 errs by O(1/d_tilde^2) relative. Each bound is the largest
+        |P2 - quad|/quad * d_tilde^2 measured over these d_tilde, 1.36, 0.169
+        and 3.96, each reached at d_tilde = 100, plus about 10% headroom."""
+        h = half_width
+        sector = SectorModel(h)
+        for d in (5.0, 7.0, 10.0, 14.0, 20.0, 30.0, 50.0, 70.0, 100.0):
+            quad = effective_prob_quadrature(d, sector)
+            p2 = math.atanh(math.sin(h)) / (h * h * d) - 1.0 / (4.0 * h * h * math.cos(h) ** 2 * d * d)
+            assert abs(p2 - quad) / quad <= bound / (d * d), d
+
 
 class TestEffectiveProbMc:
     def test_agrees_with_quadrature(self):
