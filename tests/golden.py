@@ -3,9 +3,12 @@
     PYTHONPATH=src python tests/golden.py           # list the cases whose hash moved
     PYTHONPATH=src python tests/golden.py --write   # rewrite tests/golden.json
 
-The cases are seeded and forced drop ensembles at threads 1-3, pattern
-sweeps, every CLI file of scenario, pattern, prob and density, with each
-manifest hashed without duration_seconds, and the selfcheck stdout.
+The cases are seeded and forced drop ensembles at threads 1-3, one whose
+users all coincide among them; the drop form and the pair form of the
+kernel on rows of coincident users; scalar pairs on both sides of
+COINCIDENT_GAP; pattern sweeps; every CLI file of scenario, pattern, prob
+and density, with each manifest hashed without duration_seconds; and the
+selfcheck stdout.
 test_golden.py recomputes them and compares them with golden.json. A
 change that moves output bits on purpose rewrites the file with --write
 and says in CHANGES.md what moved and why.
@@ -29,9 +32,11 @@ import tempfile
 
 import numpy as np
 
-from lensmimo import LensArrayConfig, ScenarioConfig, cli, harness, sweep_pattern
+from lensmimo import LensArrayConfig, ScenarioConfig, cli, harness, pairwise_interference_closed, sweep_pattern
 from lensmimo.array_model import GRID_SNAP_TOL
-from lensmimo.interference import COINCIDENT_GAP
+from lensmimo.interference import COINCIDENT_GAP, _gram_operands, _pair_gram, _user_terms
+
+from test_interference import _CHAIN_OF_FOUR, _WHOLE_ROWS, SQRT3_HALF
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
@@ -156,6 +161,36 @@ def _forced_drops():
         cfg, doas = drops(d_tilde, 8, 12)
         doas[5, :2] = np.arcsin(np.array([-1.0, 0.0]) / d_tilde)
         yield f"band_pair_{d_tilde!r}", cfg, doas
+    # every user coincides: ranges of two 45-drop chunks at one thread, the
+    # last of them ragged, and the sorted search runs all L - 1 of its steps
+    cfg, doas = drops(1e-6, 40, 350)
+    assert harness._layout(350, 40, 1) == (45, 90)
+    yield "all_coincident", cfg, doas
+
+
+def _drop_form(cfg, sf):
+    """The hash of the drop form's G and divisors of the (rows, L) spatial
+    frequencies sf, each written into an array filled with NaN."""
+    terms = _user_terms(cfg, sf)
+    t = terms[0]
+    g, scratch = (np.full(t.shape + t.shape[-1:], np.nan) for _ in range(2))
+    harness._terms_gram(cfg, _gram_operands(terms), harness._coincident_pairs(t), scratch, g)
+    return _digest(g, scratch)
+
+
+def _switch_pairs(d_tilde):
+    """The hash of pairwise_interference_closed on the pairs of
+    test_coincident_pairs_across_the_switch: gaps from 1e-14 to 1e-2 at a
+    random user, at t = +-(K - 1/2), at a grid user and at end-fire."""
+    cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
+    coincident = [0.0, 1e-12 * d_tilde, 1e-9, 3e-6]
+    gaps = np.concatenate([coincident, np.logspace(-14, -2, 25), [0.99e-5, 1e-5, 1.01e-5]])
+    edge = (cfg.max_index - 0.5) / d_tilde
+    bases = (np.random.default_rng(17).uniform(-SQRT3_HALF, SQRT3_HALF), edge, -edge, 1.0 / d_tilde, 1.0, -1.0)
+    pairs = [(base, partner) for base in bases for gap in gaps
+             for partner in (base + gap / d_tilde, base - gap / d_tilde) if abs(partner) <= 1.0]
+    pairs += [(b, a) for a, b in pairs]
+    return _digest([float(pairwise_interference_closed(cfg, a, b)) for a, b in pairs])
 
 
 def _cli(args, outputs) -> str:
@@ -186,6 +221,12 @@ def cases():
     for name, cfg, doas in _forced_drops():
         for threads in THREADS:
             yield f"forced {name} threads={threads}", lambda c=cfg, x=doas, n=threads: _scenario(run_forced(c, x, n))
+    for name, d_tilde, sf in (("chain_of_four", 5.0, _CHAIN_OF_FOUR), ("whole_rows", 0.01, _WHOLE_ROWS)):
+        cfg = LensArrayConfig(d_tilde=d_tilde, a_z=2.0)
+        yield f"drop form {name}", lambda c=cfg, x=sf: _drop_form(c, x)
+        yield f"pair form {name}", lambda c=cfg, x=sf: _digest(_pair_gram(c, x, x))
+    for d_tilde in (0.5, 1.5, 2.5, 5.0, 5.9999999995, 10.0, 10.3, 20.0, 57.3, 100.0):
+        yield f"closed pairs across the switch d_tilde={d_tilde!r}", lambda d=d_tilde: _switch_pairs(d)
     for d_tilde in (5.0, 20.0, 100.0):
         for phi_l in (0.0, 0.3137, 2.0 / d_tilde, 0.9):
             def sweep(c=LensArrayConfig(d_tilde=d_tilde, a_z=2.0), p=phi_l):
