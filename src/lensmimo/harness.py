@@ -13,8 +13,8 @@ which reads its divisors t_l - t_k. The two hold to one contract: the
 divisor is +inf at a self-pair, which neither the gate nor its band
 admits, and 0 at a coincident pair, |t_l - t_k| < COINCIDENT_GAP, which
 lies well inside the mainlobe and whose G takes the limit of
-interference._coincident_gram. _coincident_pairs finds those pairs once
-per range of drops.
+interference._coincident_gram. The drop form finds those pairs itself,
+with _coincident_pairs, on the drops of its own chunk.
 """
 
 import math
@@ -57,13 +57,17 @@ CHUNK_BYTES = 1_600_000
 
 # Bytes budgeted for a drop's per-user vectors, 24 doubles a user. A range
 # holds 4 throughout: the DOAs and then their sines, and the three output
-# rows. Expanding its users peaks at 8 more, in the special-function steps and
-# the sort of _coincident_pairs, and then holds 11: the beam coordinates and
-# kernel terms t, v and u, and the 8 of their matrix-product operands (u, -v),
-# (v, u), (t, 1) and (1, -t), written in place with no temporaries. The
-# range's coincident pairs, three indices each, are not budgeted: a random
-# drop holds almost none, but one whose users all coincide, as at d_tilde
-# below about 1e-5, holds L (L - 1) / 2.
+# rows. Expanding its users peaks at 8 more, in the special-function steps,
+# and then holds 11: the beam coordinates and kernel terms t, v and u, and the
+# 8 of their matrix-product operands (u, -v), (v, u), (t, 1) and (1, -t),
+# written in place with no temporaries; only the operands stay for its
+# chunks. A range holds no per-pair data. Each chunk finds its own coincident
+# pairs: a random drop holds almost none, but one whose users all coincide,
+# as at d_tilde below about 1e-5, holds L (L - 1) / 2. Their three indices
+# take at most 12 L^2 bytes a drop, against the 17 L^2 of the workspace; with
+# the temporaries of their limits a chunk of such drops peaked at 130 bytes
+# a pair (5.2 MB more at L 200, 2 drops). _layout budgets none of it, but
+# none of it grows with the range.
 USER_BYTES = 192
 
 
@@ -130,32 +134,28 @@ def _workspace(rows: int, user_count: int) -> tuple:
 def _coincident_pairs(t: np.ndarray) -> tuple:
     """(r, i, j), the pairs of users of the (rows, L) coordinates t that lie
     closer than COINCIDENT_GAP, each unordered pair once, with t[r, i] <=
-    t[r, j], ordered by r; three empty intp arrays when there is none.
+    t[r, j], in no set order; three empty intp arrays when there is none.
 
-    Every row is sorted once, and one flat test of its gaps spares a range
-    with no close pair the rest. The rows with a close gap are argsorted,
-    keeping their values of that sort, and their users s places apart in
-    sorted order are compared for s = 1, 2, ... up to the first s with no
-    close pair. No pair is lost: rounding is monotone, so every pair that
-    lies between the ends of a close pair in sorted order is close too. A
-    sorted difference has the bits of |t_l - t_k|, which the divisors hold.
+    Every row is sorted once, and one flat test of its gaps spares a chunk
+    with no close pair the rest. Otherwise the rows are argsorted, keeping
+    their values of that sort, and their users s places apart in sorted
+    order are compared for s = 1, 2, ... up to the first s with no close
+    pair. No pair is lost: rounding is monotone, so every pair that lies
+    between the ends of a close pair in sorted order is close too. A sorted
+    difference has the bits of |t_l - t_k|, which the divisors hold.
     """
     ranked = np.sort(t, axis=1)
-    close = ranked[:, 1:] - ranked[:, :-1] < COINCIDENT_GAP
-    if not close.any():
+    if not (ranked[:, 1:] - ranked[:, :-1] < COINCIDENT_GAP).any():
         none = np.empty(0, dtype=np.intp)
         return none, none, none
-    rows = close.any(axis=1).nonzero()[0]
-    order = t[rows].argsort(axis=1)
-    ranked = ranked[rows]
+    order = t.argsort(axis=1)
     pairs = []
     for s in range(1, t.shape[1]):
         r, i = np.nonzero(ranked[:, s:] - ranked[:, :-s] < COINCIDENT_GAP)
         if not r.size:
             break
-        pairs.append((rows[r], order[r, i], order[r, i + s]))
-    pairs = np.concatenate(pairs, axis=1)
-    return tuple(pairs[:, pairs[0].argsort(kind="stable")])
+        pairs.append((r, order[r, i], order[r, i + s]))
+    return tuple(np.concatenate(pairs, axis=1))
 
 
 def _self_pairs(a: np.ndarray) -> np.ndarray:
@@ -169,10 +169,10 @@ def _self_pairs(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], -1)[:, :: a.shape[1] + 1]
 
 
-def _terms_gram(config: LensArrayConfig, ops, coincident, scratch, out) -> None:
+def _terms_gram(config: LensArrayConfig, ops, scratch, out) -> None:
     """Write the signed G of every two users of each drop, the drop form of
     the kernel, into out, from the _gram_operands ops of the drops'
-    (rows, L) _user_terms and their _coincident_pairs (r, i, j).
+    (rows, L) _user_terms.
 
     out and scratch are C-contiguous float arrays of shape (rows, L, L).
     The divisors t_l - t_k are written into scratch, which afterwards holds
@@ -183,41 +183,41 @@ def _terms_gram(config: LensArrayConfig, ops, coincident, scratch, out) -> None:
     The numerators u_l v_k - v_l u_k and the divisors are each one rank-2
     matrix product per drop, whatever M and wherever the users lie. Each
     rare pair has one rule. A self-pair divides its finite numerator by
-    +inf, so its G is +-0 and its power +0. Each coincident pair's limit is
-    taken once, by _coincident_gram, and written in both orders, as G is
-    symmetric.
+    +inf, so its G is +-0 and its power +0. The coincident pairs are the
+    _coincident_pairs of the drops' coordinates t, which the divisor rows
+    (t, 1) hold; each pair's limit is taken once, by _coincident_gram, and
+    written in both orders, as G is symmetric.
     """
     num_l, num_k, div_l, div_k = ops
     g = np.matmul(num_l, num_k, out=out)
     diff = np.matmul(div_l, div_k, out=scratch)
     # A self-pair's finite numerator over +inf gives G = +-0
     _self_pairs(diff)[...] = np.inf
-    r, i, j = coincident
+    t, v = div_l[..., 0], num_k[:, 0]
+    r, i, j = _coincident_pairs(t)
     if not r.size:
         g /= diff
         return
-    t, v = div_l[..., 0], num_k[:, 0]
     diff[r, i, j] = diff[r, j, i] = 1.0
     g /= diff
     diff[r, i, j] = diff[r, j, i] = 0.0
     g[r, i, j] = g[r, j, i] = _coincident_gram(t[r, i], t[r, j], v[r, i], v[r, j], config.max_index)
 
 
-def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops, coincident) -> None:
+def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops) -> None:
     """Exact totals, effective totals, and effective counts for one chunk,
     written into the (rows, L) rows exact, effective and counts.
 
-    st holds the chunk's (rows, L) sines, ops the _gram_operands of their
-    _user_terms and coincident the _coincident_pairs (r, i, j) of their
-    beam coordinates t with r counted from the chunk's first drop, each
-    computed once for the chunk's whole range. work is a _workspace of at
-    least rows rows, whose leading rows the chunk overwrites. _terms_gram,
-    the kernel's drop form, writes every pairwise signed G of a drop into
-    the first array and leaves its divisor, the beam-coordinate
-    differences t_l - t_k, in the second. The comparisons
-    write the band mask, and then the gate through the band mask, once its
-    count is taken, as 0.0 and 1.0 over the divisor. So a chunk allocates
-    nothing of size L x L.
+    st holds the chunk's (rows, L) sines and ops the _gram_operands of their
+    _user_terms, both computed once for the chunk's whole range. work is a
+    _workspace of at least rows rows, whose leading rows the chunk
+    overwrites. _terms_gram, the kernel's drop form, finds the chunk's
+    coincident pairs, writes every pairwise signed G of a drop into the
+    first array and leaves its divisor, the beam-coordinate differences
+    t_l - t_k, in the second. The comparisons write the band mask, and then
+    the gate through the band mask, once its count is taken, as 0.0 and
+    1.0 over the divisor. So a chunk allocates nothing of size L x L but
+    its coincident pairs, which a random drop almost never holds.
 
     The mainlobe gate is |Theta| <= 1 for Theta = d (s_l - s_k) as rounded,
     with d = d_tilde and s = sin(phi). It is read off the divisor: a pair
@@ -249,7 +249,7 @@ def _trial_block(config: ScenarioConfig, st, exact, effective, counts, work, ops
     arr = config.array
     *pairs, ones = work
     g, gate, band = (w[:len(st)] for w in pairs)
-    _terms_gram(arr, ops, coincident, gate, g)
+    _terms_gram(arr, ops, gate, g)
     margin = 2.0 * GRID_SNAP_TOL + (2.0 * arr.d_tilde + 16.0) * 2.0**-53
     np.abs(gate, out=gate)
     in_band = np.count_nonzero(np.less_equal(gate, 1.0 + margin, out=band))
@@ -320,14 +320,14 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
 
     The trials split into ranges of whole chunks, both sized by _layout,
     which the threads share. A range draws its DOAs and takes their sines,
-    their _user_terms, the _coincident_pairs of its drops and the kernel's
-    _gram_operands once, for all of its drops; every step is elementwise or
+    their _user_terms and the kernel's _gram_operands once, for all of its
+    drops, so it holds only per-user vectors; every step is elementwise or
     per drop, so the layout moves no bit. It then runs _trial_block on each
-    of its chunks, which slices those operands and the coincident pairs of
-    its own drops, and whose L x L pairs stay in a core's cache. Each
-    thread that takes a range allocates one _workspace of a chunk's rows on
-    its first and reuses it for every later chunk, so a call holds at most
-    one per thread.
+    of its chunks, with a slice of those operands; a chunk finds the
+    coincident pairs of its own drops, and its L x L pairs stay in a core's
+    cache. Each thread that takes a range allocates one _workspace of a
+    chunk's rows on its first and reuses it for every later chunk, so a
+    call holds at most one per thread.
     """
     _check_threads(threads)
     T, L = config.trial_count, config.user_count
@@ -342,18 +342,12 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> ScenarioResult:
             local.work = _workspace(chunk, L)
         phi = sample_doas(config.seed, (b - a) * L, offset=a * L, sector=config.sector).reshape(b - a, L)
         st = np.sin(phi, out=phi)
-        terms = _user_terms(config.array, st)
-        r, i, j = _coincident_pairs(terms[0])
-        # The pairs come ordered by drop, so each chunk's are one slice, and
-        # as a range holds whole chunks, r % chunk counts from a chunk's start
-        cuts = r.searchsorted(range(0, b - a + chunk, chunk)).tolist()
-        r %= chunk
-        ops = _gram_operands(terms)
-        for c, lo, hi in zip(range(0, b - a, chunk), cuts, cuts[1:]):
+        ops = _gram_operands(_user_terms(config.array, st))
+        for c in range(0, b - a, chunk):
             rows = slice(c, c + chunk)
             out = slice(a + c, min(a + c + chunk, b))
             _trial_block(config, st[rows], exact[out], effective[out], counts[out], local.work,
-                         tuple(x[rows] for x in ops), (r[lo:hi], i[lo:hi], j[lo:hi]))
+                         tuple(x[rows] for x in ops))
 
     _map_ranges(run_range, T, span, threads)
 

@@ -174,7 +174,7 @@ def _drop_form(cfg, sf):
     terms = _user_terms(cfg, sf)
     t = terms[0]
     g, scratch = (np.full(t.shape + t.shape[-1:], np.nan) for _ in range(2))
-    harness._terms_gram(cfg, _gram_operands(terms), harness._coincident_pairs(t), scratch, g)
+    harness._terms_gram(cfg, _gram_operands(terms), scratch, g)
     return _digest(g, scratch)
 
 

@@ -7,9 +7,12 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from lensmimo import (
@@ -27,8 +30,9 @@ from lensmimo.array_model import GRID_SNAP_TOL, _beam_coords
 from lensmimo.harness import CHUNK_BYTES, USER_BYTES, _layout, _square_sums, _workspace
 from lensmimo.interference import COINCIDENT_GAP, _pair_gram, _user_terms
 from lensmimo.selfcheck import DETERMINISM_USERS
-from lensmimo.stochastic import SectorModel
+from lensmimo.stochastic import DEFAULT_SECTOR, SectorModel
 
+import golden
 from test_acceptance import _ensembles
 from test_interference import drop_form
 
@@ -703,6 +707,97 @@ class TestCoincidentPairs:
             assert res.mean_effective_count == ref.mean_effective_count
             assert res.mean_effective_count_se == ref.mean_effective_count_se
         assert_element_space_totals(cfg, ref)
+
+
+class TestMemory:
+    def test_a_range_holds_no_more_than_its_chunks_coincident_pairs(self):
+        # At d_tilde 1e-6 every user of a drop coincides with every other, so
+        # a drop holds L (L - 1) / 2 coincident pairs, three indices each. At
+        # T 40 _layout gives ranges of five 2-drop chunks, at T 10 one chunk a
+        # range; each chunk finds its own pairs, so the two peak alike.
+        assert _layout(40, 200, 1) == (2, 10) and _layout(10, 200, 1) == (2, 2)
+        peaks = {}
+        for trials in (40, 10):
+            tracemalloc.start()
+            try:
+                run_scenario(_cfg(d_tilde=1e-6, users=200, trials=trials))
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40] <= 1.25 * peaks[10], peaks
+
+
+@st.composite
+def planted_ensembles(draw):
+    """(config, doas, threads, layout): an ensemble of drawn aperture, size
+    and sector on forced DOAs, a thread count, and a (chunk, span) to patch
+    _layout with. Where the span allows, it may plant grid users and grid
+    neighbours at |t_l - t_k| = 1, which force the sine gate, in every drop;
+    then end-fire users in one drop; and last a coincident cluster, three
+    exact ties among its users, in the first and the last drop of a chunk
+    and in the last drop."""
+    d_tilde = draw(st.one_of(st.integers(-600, 200).map(lambda e: 10.0 ** (e / 100.0)),
+                             st.sampled_from([0.9999999995, 5.9999999995, 6.0000000005, 10.3])))
+    users = draw(st.one_of(st.integers(1, 24), st.integers(1, 320), st.integers(296, 306)))
+    trials = draw(st.integers(1, 8))
+    sector = draw(st.sampled_from([DEFAULT_SECTOR, SectorModel(math.pi / 2.0)]))
+    cfg = ScenarioConfig(LensArrayConfig(d_tilde=d_tilde), users, trials, draw(st.integers(0, 2**32 - 1)),
+                         sector=sector)
+    rng = np.random.default_rng(cfg.seed)
+    sf = np.sin(sample_doas(cfg.seed, trials * users, sector=sector)).reshape(trials, users)
+    k = cfg.array.max_index
+    if k >= 1 and users >= 4 and draw(st.booleans()):
+        for r in range(trials):
+            at = rng.permutation(users)[:4]
+            m = rng.integers(-k, k)
+            sf[r, at] = np.array([m, m + 1, rng.integers(-k, k + 1), m]) / d_tilde
+    at = rng.permutation(users)[:3]
+    sf[rng.integers(trials), at] = np.array([1.0, -1.0, 1.0 - 1e-12])[:at.size] * rng.choice([-1.0, 1.0])
+    chunk = _layout(trials, users, 1)[0]
+    for r in {0, chunk - 1, trials - 1}:
+        at = rng.permutation(users)[:rng.integers(3, 7)]
+        offsets = np.concatenate([np.zeros(3), rng.uniform(0.0, 0.9, 3)])[:at.size]
+        sf[r, at] = np.clip(sf[r, at[0]] + offsets * COINCIDENT_GAP / d_tilde, -1.0, 1.0)
+    layout = draw(st.integers(1, trials))
+    return cfg, np.arcsin(sf), draw(st.integers(1, 3)), (layout, layout * draw(st.integers(1, 3)))
+
+
+def assert_same_bits(res, ref):
+    for field in ("exact_totals", "effective_totals", "effective_counts", "cdf_grid", "cdf_values"):
+        assert getattr(res, field).tobytes() == getattr(ref, field).tobytes(), field
+    assert float_bits(res.exact_summary) == float_bits(ref.exact_summary)
+    assert float_bits(res.effective_summary) == float_bits(ref.effective_summary)
+    for field in ("mean_effective_count", "mean_effective_count_se"):
+        assert getattr(res, field).hex() == getattr(ref, field).hex(), field
+
+
+@given(planted_ensembles())
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+def test_ensembles_match_independent_references(case):
+    # The counts are those of |d_tilde (s_l - s_k)| <= 1 on the sines, the
+    # totals those of the element-space sums of np.sinc profiles of the
+    # snapped beam coordinates, gated by that mask for the effective ones,
+    # and no thread count or layout moves a bit.
+    cfg, doas, threads, layout = case
+    arr = cfg.array
+    res = golden.run_forced(cfg, doas)
+    sines = np.sin(doas)
+    mask = np.abs(arr.d_tilde * (sines[:, :, None] - sines[:, None, :])) <= 1.0
+    mask[:, range(cfg.user_count), range(cfg.user_count)] = False
+    assert np.array_equal(res.effective_counts, np.count_nonzero(mask, axis=2))
+    m = np.arange(-arr.max_index, arr.max_index + 1)
+    p = np.sinc(m - snap_to_grid(arr.d_tilde * sines)[..., None])
+    g = p @ np.swapaxes(p, 1, 2)
+    effective = arr.peak_power * (g * g * mask).sum(axis=2)
+    for got, expected in ((res.exact_totals, element_space_totals(cfg, doas)), (res.effective_totals, effective)):
+        err = np.abs(got - expected) / (arr.peak_power + np.abs(expected))
+        assert err.max() <= 1e-11, err.max()
+    assert np.all(res.effective_totals <= res.exact_totals)
+    for n in (2, 3):
+        assert_same_bits(golden.run_forced(cfg, doas, n), res)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_layout", lambda *args: layout)
+        assert_same_bits(golden.run_forced(cfg, doas, threads), res)
 
 
 class TestEffectiveCount:
