@@ -36,7 +36,7 @@ from lensmimo import LensArrayConfig, ScenarioConfig, cli, harness, pairwise_int
 from lensmimo.array_model import GRID_SNAP_TOL
 from lensmimo.interference import COINCIDENT_GAP, _gram_operands, _pair_gram, _user_terms
 
-from test_interference import _CHAIN_OF_FOUR, _WHOLE_ROWS, SQRT3_HALF
+from test_interference import SQRT3_HALF, _CHAIN_OF_FOUR, _WHOLE_ROWS
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
